@@ -1,90 +1,52 @@
-//! `engine-bench` — machine-readable throughput report for the two-phase
-//! parallel engine, written as `BENCH_engine.json`.
+//! `engine-bench` — machine-readable throughput report for the serial
+//! engine, written as `BENCH_engine.json`.
 //!
 //! ```text
-//! engine-bench [--out PATH] [--reps N] [--threads N]... [--scale S]
+//! engine-bench [--out PATH] [--reps N] [--scale S]
 //!              [--trace-cache DIR] [--trace FILE]...
 //! ```
 //!
 //! Runs the same scenarios as the `simulator_throughput` criterion bench
 //! (gemm/bfs/atax under the baseline, plus mvt under the heavier L1 TLB
-//! organizations) once per `--sim-threads` setting (default 1, 2, 4) and
-//! records the best wall time over `--reps` repetitions (default 3) as
-//! simulated cycles per second plus the speedup versus the serial run.
-//! `--scale large` generates engine-throughput-sized inputs (seconds of
-//! simulation per run) — the configuration the speedup acceptance
-//! numbers in EXPERIMENTS.md are measured at; the `test` default keeps
-//! the CI smoke fast.
+//! organizations) `--reps` times each (default 3) and records the
+//! min/median/max wall time plus simulated cycles per second at the
+//! minimum. `--scale large` generates engine-throughput-sized inputs
+//! (seconds of simulation per run); the `test` default keeps the CI
+//! smoke fast.
 //!
 //! Wall-clock time is banned in the simulator proper (simlint
 //! `wall-clock`): simulated timing must never depend on the host. This
 //! binary is the one sanctioned consumer — it *measures* the host, it
-//! never feeds the measurement back into a simulation. The determinism
-//! contract is enforced inline: every thread count must report exactly
-//! the serial run's `total_cycles`, or the emitter aborts.
+//! never feeds the measurement back into a simulation. Every rep must
+//! report the same `total_cycles`, or the emitter aborts.
 //!
-//! Schema (`"schema": "bench-engine/v2"` — v1 plus `host_cores`, the
-//! per-scenario `scale`, and a selectable top-level `scale`; every v1
-//! field is unchanged, so v1 consumers only need the version bump):
+//! Schema (`"schema": "bench-engine/v3"` — v2 without the per-thread
+//! `runs` array, since the engine no longer takes a thread count):
 //!
 //! ```json
 //! {
-//!   "schema": "bench-engine/v2",
+//!   "schema": "bench-engine/v3",
 //!   "scale": "test",
-//!   "host_cores": 8,
+//!   "host_cores": 2,
 //!   "reps": 3,
 //!   "scenarios": [
 //!     {
 //!       "bench": "gemm", "mechanism": "baseline", "scale": "test",
 //!       "total_cycles": 12345,
-//!       "runs": [
-//!         { "sim_threads": 1, "best_seconds": 0.01,
-//!           "cycles_per_sec": 1234500.0, "speedup_vs_serial": 1.0 }
-//!       ]
+//!       "min_seconds": 0.010, "median_seconds": 0.011,
+//!       "max_seconds": 0.013, "cycles_per_sec": 1234500.0
 //!     }
 //!   ]
 //! }
 //! ```
 //!
-//! `host_cores` is the host's available parallelism at measurement
-//! time: speedup numbers are only meaningful relative to it (a 1-core
-//! runner truthfully reports ~1.0x, which is why the acceptance
-//! criterion binds on multi-core runners only).
+//! `host_cores` is the host's available parallelism at measurement time
+//! (the engine uses one of them).
 //!
 //! `--trace-cache DIR` / `--trace FILE` replay each rep by streaming a
-//! `trace/v1` file instead of cloning the in-RAM workload (the
-//! determinism check still binds: streamed cycles must equal serial
-//! in-memory cycles). Wall times then include trace decode, which is
-//! the honest cost of the streaming pipeline.
-//!
-//! # `--tune` — self-calibration sweep
-//!
-//! `engine-bench --tune` sweeps the engine's wall-clock-only tuning
-//! knobs — `shard_threshold` × `epoch_cycles` × `shard_chunk` — over a
-//! fixed scenario pair and writes `BENCH_tuning.json` (schema
-//! `"bench-tuning/v1"`). Every cell must report byte-identical
-//! simulated cycles (the knobs may only move wall-clock), which the
-//! emitter enforces; `speedup_vs_default` compares each cell to the
-//! shipped [`GpuConfig::dac23_baseline`] knob values, and `best` names
-//! the fastest cell so the defaults can be re-anchored on a new host:
-//!
-//! ```json
-//! {
-//!   "schema": "bench-tuning/v1",
-//!   "scale": "test",
-//!   "host_cores": 8,
-//!   "reps": 3,
-//!   "sim_threads": 4,
-//!   "scenarios": ["gemm/baseline", "mvt/sched+part+share"],
-//!   "cells": [
-//!     { "shard_threshold": 64, "epoch_cycles": 4096, "shard_chunk": 1,
-//!       "total_seconds": 0.01, "speedup_vs_default": 1.0 }
-//!   ],
-//!   "best": { "shard_threshold": 64, "epoch_cycles": 4096,
-//!             "shard_chunk": 1, "total_seconds": 0.01,
-//!             "speedup_vs_default": 1.0 }
-//! }
-//! ```
+//! `trace/v1` file instead of cloning the in-RAM workload. Wall times
+//! then include trace decode, which is the honest cost of the streaming
+//! pipeline.
 
 use std::fmt::Write as _;
 // simlint: allow(wall-clock, reason = "engine-bench measures host throughput; nothing flows back into simulated timing")
@@ -105,27 +67,23 @@ const SCENARIOS: [(&str, Mechanism); 6] = [
     ("mvt", Mechanism::Compression),
 ];
 
-/// One timed run: best wall time over `reps`, plus the simulated cycle
-/// count (identical across reps by the determinism contract). Each rep
-/// pulls a fresh [`workloads::TraceSource`] from the cache — a clone of
-/// the shared in-RAM workload for a memory cache, a freshly opened
-/// streaming reader for a disk-backed one — so the timed region covers
-/// exactly what a grid cell pays.
-fn best_of(
+/// Wall times of `reps` runs, sorted ascending, plus the simulated cycle
+/// count (identical across reps, or the emitter aborts). Each rep pulls a
+/// fresh [`workloads::TraceSource`] from the cache — a clone of the
+/// shared in-RAM workload for a memory cache, a freshly opened streaming
+/// reader for a disk-backed one — so the timed region covers exactly
+/// what a grid cell pays.
+fn time_reps(
     reps: usize,
-    threads: usize,
     mechanism: Mechanism,
     cache: &WorkloadCache,
     spec: &BenchmarkSpec,
     scale: Scale,
-    config: &GpuConfig,
-) -> (f64, u64) {
-    let mut best = f64::INFINITY;
-    let mut cycles = 0u64;
+) -> (Vec<f64>, u64) {
+    let mut seconds = Vec::with_capacity(reps);
+    let mut cycles: Option<u64> = None;
     for _ in 0..reps {
-        let mut sim = mechanism
-            .simulator(config.clone())
-            .with_sim_threads(threads);
+        let mut sim = mechanism.simulator(GpuConfig::dac23_baseline());
         let input = cache.get_source(spec, scale, SEED);
         // simlint: allow(wall-clock, reason = "engine-bench measures host throughput; nothing flows back into simulated timing")
         let start = Instant::now();
@@ -136,158 +94,27 @@ fn best_of(
                 std::process::exit(1);
             }
         };
-        let elapsed = start.elapsed().as_secs_f64();
-        best = best.min(elapsed);
-        cycles = report.total_cycles;
-    }
-    (best, cycles)
-}
-
-/// The `--tune` sweep grid. The middle entry of each axis is the
-/// shipped [`GpuConfig::dac23_baseline`] default (chunk: the first), so
-/// the default cell is always measured and `speedup_vs_default` is
-/// anchored within the same sweep.
-const TUNE_THRESHOLDS: [usize; 3] = [16, 64, 256];
-const TUNE_EPOCHS: [u64; 3] = [1024, 4096, 16384];
-const TUNE_CHUNKS: [usize; 2] = [1, 4];
-
-/// The scenarios timed per tuning cell: the serial-engine staple plus
-/// the paper's full mechanism, whose partitioned L1 now rides the
-/// sharded drain the knobs steer.
-const TUNE_SCENARIOS: [(&str, Mechanism); 2] =
-    [("gemm", Mechanism::Baseline), ("mvt", Mechanism::Full)];
-
-/// One `--tune` cell: measured wall time for a knob combination.
-struct TuneCell {
-    threshold: usize,
-    epoch: u64,
-    chunk: usize,
-    total_seconds: f64,
-}
-
-impl TuneCell {
-    fn json(&self, speedup: f64) -> String {
-        format!(
-            "{{ \"shard_threshold\": {}, \"epoch_cycles\": {}, \
-             \"shard_chunk\": {}, \"total_seconds\": {:.6}, \
-             \"speedup_vs_default\": {speedup:.3} }}",
-            self.threshold, self.epoch, self.chunk, self.total_seconds
-        )
-    }
-}
-
-/// Runs the self-calibration sweep and writes `bench-tuning/v1` JSON.
-fn run_tune(out_path: &str, reps: usize, scale: Scale, threads: usize, cache: &WorkloadCache) {
-    let specs = registry();
-    let host_cores = std::thread::available_parallelism().map_or(0, |n| n.get());
-    let default = GpuConfig::dac23_baseline();
-    let mut cells: Vec<TuneCell> = Vec::new();
-    // Per-scenario simulated cycles pinned by the first cell: the knobs
-    // are wall-clock-only, so every other cell must reproduce them.
-    let mut pinned: Vec<u64> = Vec::new();
-    for &threshold in &TUNE_THRESHOLDS {
-        for &epoch in &TUNE_EPOCHS {
-            for &chunk in &TUNE_CHUNKS {
-                let config = GpuConfig {
-                    shard_threshold: threshold,
-                    epoch_cycles: epoch,
-                    shard_chunk: chunk,
-                    ..default.clone()
-                };
-                eprintln!(
-                    "engine-bench --tune: threshold={threshold} epoch={epoch} chunk={chunk} ..."
-                );
-                let mut total = 0.0f64;
-                for (i, &(name, mechanism)) in TUNE_SCENARIOS.iter().enumerate() {
-                    let spec = specs
-                        .iter()
-                        .find(|s| s.name == name)
-                        .unwrap_or_else(|| panic!("benchmark {name} missing from the registry"));
-                    let (best, cycles) =
-                        best_of(reps, threads, mechanism, cache, spec, scale, &config);
-                    total += best;
-                    if cells.is_empty() {
-                        pinned.push(cycles);
-                    } else if cycles != pinned[i] {
-                        eprintln!(
-                            "tuning knob changed simulated output: {name}/{} reported \
-                             {cycles} cycles at threshold={threshold} epoch={epoch} \
-                             chunk={chunk} but {} at the first cell",
-                            mechanism.label(),
-                            pinned[i]
-                        );
-                        std::process::exit(1);
-                    }
-                }
-                cells.push(TuneCell {
-                    threshold,
-                    epoch,
-                    chunk,
-                    total_seconds: total,
-                });
-            }
+        seconds.push(start.elapsed().as_secs_f64());
+        if let Some(prev) = cycles.filter(|&c| c != report.total_cycles) {
+            eprintln!(
+                "determinism violated: {}/{} reported {} cycles, earlier reps {prev}",
+                spec.name,
+                mechanism.label(),
+                report.total_cycles
+            );
+            std::process::exit(1);
         }
+        cycles = Some(report.total_cycles);
     }
-
-    let default_cell = cells
-        .iter()
-        .find(|c| {
-            c.threshold == default.shard_threshold
-                && c.epoch == default.epoch_cycles
-                && c.chunk == default.shard_chunk
-        })
-        .expect("the sweep grid contains the shipped defaults");
-    let default_seconds = default_cell.total_seconds;
-    let best = cells
-        .iter()
-        .min_by(|a, b| a.total_seconds.total_cmp(&b.total_seconds))
-        .expect("sweep grid is non-empty");
-
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"bench-tuning/v1\",");
-    let _ = writeln!(json, "  \"scale\": \"{scale}\",");
-    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "  \"reps\": {reps},");
-    let _ = writeln!(json, "  \"sim_threads\": {threads},");
-    let scenario_names: Vec<String> = TUNE_SCENARIOS
-        .iter()
-        .map(|(n, m)| format!("\"{n}/{}\"", m.label()))
-        .collect();
-    let _ = writeln!(json, "  \"scenarios\": [{}],", scenario_names.join(", "));
-    let _ = writeln!(json, "  \"cells\": [");
-    for (i, cell) in cells.iter().enumerate() {
-        let sep = if i + 1 < cells.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {}{sep}",
-            cell.json(default_seconds / cell.total_seconds)
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"best\": {}",
-        best.json(default_seconds / best.total_seconds)
-    );
-    let _ = writeln!(json, "}}");
-
-    if let Err(e) = std::fs::write(out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    print!("{json}");
-    eprintln!("engine-bench: wrote {out_path}");
+    seconds.sort_by(f64::total_cmp);
+    (seconds, cycles.unwrap_or_default())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = String::from("BENCH_engine.json");
-    let mut out_given = false;
-    let mut tune = false;
     let mut reps = 3usize;
     let mut scale = Scale::Test;
-    let mut thread_counts: Vec<usize> = Vec::new();
     let mut trace_cache: Option<String> = None;
     let mut traces: Vec<String> = Vec::new();
     let mut i = 0;
@@ -296,17 +123,13 @@ fn main() {
             "--out" => {
                 i += 1;
                 match args.get(i) {
-                    Some(p) => {
-                        out_path = p.clone();
-                        out_given = true;
-                    }
+                    Some(p) => out_path = p.clone(),
                     None => {
                         eprintln!("--out requires a path");
                         std::process::exit(2);
                     }
                 }
             }
-            "--tune" => tune = true,
             "--reps" => {
                 i += 1;
                 reps = match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
@@ -329,16 +152,6 @@ fn main() {
                         std::process::exit(2);
                     }
                 };
-            }
-            "--threads" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => thread_counts.push(n),
-                    _ => {
-                        eprintln!("--threads requires a positive integer");
-                        std::process::exit(2);
-                    }
-                }
             }
             "--trace-cache" => {
                 i += 1;
@@ -367,13 +180,6 @@ fn main() {
         }
         i += 1;
     }
-    if thread_counts.is_empty() {
-        thread_counts = vec![1, 2, 4];
-    }
-    if thread_counts[0] != 1 {
-        thread_counts.insert(0, 1); // the serial reference is mandatory
-    }
-
     let cache = match &trace_cache {
         Some(dir) => WorkloadCache::with_disk(dir),
         None => WorkloadCache::new(),
@@ -385,22 +191,11 @@ fn main() {
         }
     }
 
-    if tune {
-        if !out_given {
-            out_path = String::from("BENCH_tuning.json");
-        }
-        // Tune at the highest requested thread count: the swept knobs
-        // steer the parallel engine's batching and sharding.
-        let threads = thread_counts.iter().copied().max().unwrap_or(1);
-        run_tune(&out_path, reps, scale, threads, &cache);
-        return;
-    }
-
     let host_cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     let specs = registry();
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"bench-engine/v2\",");
+    let _ = writeln!(json, "  \"schema\": \"bench-engine/v3\",");
     let _ = writeln!(json, "  \"scale\": \"{scale}\",");
     let _ = writeln!(json, "  \"host_cores\": {host_cores},");
     let _ = writeln!(json, "  \"reps\": {reps},");
@@ -412,48 +207,22 @@ fn main() {
             .unwrap_or_else(|| panic!("benchmark {name} missing from the registry"));
         eprintln!("engine-bench: {name}/{} at --scale {scale} ...", mechanism.label());
 
-        let mut serial_best = 0.0f64;
-        let mut serial_cycles = 0u64;
-        let mut runs = String::new();
-        for (ti, &threads) in thread_counts.iter().enumerate() {
-            let (best, cycles) = best_of(
-                reps,
-                threads,
-                mechanism,
-                &cache,
-                spec,
-                scale,
-                &GpuConfig::dac23_baseline(),
-            );
-            if ti == 0 {
-                serial_best = best;
-                serial_cycles = cycles;
-            } else if cycles != serial_cycles {
-                eprintln!(
-                    "determinism violated: {name}/{} reported {cycles} cycles at \
-                     --sim-threads {threads} but {serial_cycles} serially",
-                    mechanism.label()
-                );
-                std::process::exit(1);
-            }
-            let sep = if ti + 1 < thread_counts.len() { "," } else { "" };
-            let _ = writeln!(
-                runs,
-                "        {{ \"sim_threads\": {threads}, \"best_seconds\": {best:.6}, \
-                 \"cycles_per_sec\": {:.1}, \"speedup_vs_serial\": {:.3} }}{sep}",
-                cycles as f64 / best,
-                serial_best / best
-            );
-        }
+        let (seconds, cycles) = time_reps(reps, mechanism, &cache, spec, scale);
+        let min = seconds[0];
+        let median = seconds[seconds.len() / 2];
+        let max = seconds[seconds.len() - 1];
         let sep = if si + 1 < SCENARIOS.len() { "," } else { "" };
         let _ = writeln!(json, "    {{");
         let _ = writeln!(json, "      \"bench\": \"{name}\",");
         let _ = writeln!(json, "      \"mechanism\": \"{}\",", mechanism.label());
         let _ = writeln!(json, "      \"scale\": \"{scale}\",");
-        let _ = writeln!(json, "      \"total_cycles\": {serial_cycles},");
-        let _ = writeln!(json, "      \"runs\": [");
-        json.push_str(&runs);
-        let _ = writeln!(json, "      ]");
+        let _ = writeln!(json, "      \"total_cycles\": {cycles},");
+        let _ = writeln!(
+            json,
+            "      \"min_seconds\": {min:.6}, \"median_seconds\": {median:.6}, \
+             \"max_seconds\": {max:.6}, \"cycles_per_sec\": {:.1}",
+            cycles as f64 / min
+        );
         let _ = writeln!(json, "    }}{sep}");
     }
     let _ = writeln!(json, "  ]");

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Replays deterministic generated traces (and, every `--engine-every`th
-//! seed, a whole-simulation thread-equivalence case) through the
+//! seed, a whole-simulation sanitizer-equivalence case) through the
 //! optimized implementations and the `sim-oracle` reference models,
 //! comparing every observable (see `sim_oracle::diff`). Everything is a
 //! pure function of the seed range: two runs with the same flags produce
@@ -28,7 +28,7 @@
 //!
 //! `--trace-cache DIR` routes every engine case through an on-disk
 //! `trace/v1` cache: the workload's trace file is written (or reused)
-//! under `DIR` and the thread-equivalence replays stream from it,
+//! under `DIR` and the sanitizer-equivalence replays stream from it,
 //! recording the file by content hash in any shrunk reproducer (a
 //! `trace <hash> <path>` directive). Campaign results are unchanged —
 //! only where the bytes come from.

@@ -3,9 +3,8 @@
 //! timing drift — one cycle anywhere, one reordered row — fails this test
 //! before it can silently shift the paper's reproduced figures.
 //!
-//! The same golden file is the oracle for the two-phase parallel engine:
-//! `--sim-threads N` must not move a single byte for any `N`, so the
-//! thread-count variants below compare against the identical text.
+//! The same golden file pins grid parallelism (`--jobs N`) and the
+//! runtime sanitizer (`--sanitize`): neither may move a single byte.
 
 use std::process::Command;
 
@@ -53,13 +52,13 @@ fn repro_all_test_scale_matches_golden_byte_for_byte() {
 }
 
 #[test]
-fn repro_with_two_sim_threads_matches_golden_byte_for_byte() {
-    assert_matches_golden(&["--sim-threads", "2"]);
+fn repro_all_with_serial_jobs_matches_golden_byte_for_byte() {
+    assert_matches_golden(&["--jobs", "1"]);
 }
 
 #[test]
-fn repro_with_four_sim_threads_matches_golden_byte_for_byte() {
-    assert_matches_golden(&["--sim-threads", "4"]);
+fn repro_all_sanitized_matches_golden_byte_for_byte() {
+    assert_matches_golden(&["--sanitize"]);
 }
 
 /// The 2-app co-run study's golden output (multi-tenant figure: per-app
@@ -97,16 +96,6 @@ fn corun_repro_matches_golden_byte_for_byte() {
 #[test]
 fn corun_repro_is_jobs_invariant() {
     assert_matches_corun_golden(&["--jobs", "1"]);
-}
-
-#[test]
-fn corun_repro_with_two_sim_threads_matches_golden() {
-    assert_matches_corun_golden(&["--jobs", "2", "--sim-threads", "2"]);
-}
-
-#[test]
-fn corun_repro_with_four_sim_threads_matches_golden() {
-    assert_matches_corun_golden(&["--jobs", "2", "--sim-threads", "4"]);
 }
 
 #[test]

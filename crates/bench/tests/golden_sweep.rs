@@ -1,7 +1,7 @@
 //! The experiment-grid contract: `sweep --param l1-entries --scale test`
 //! over two benchmarks is byte-identical to the checked-in golden CSV —
 //! rows in deterministic value-major order for every `--jobs N`, every
-//! cycle count stable, and `--sim-threads 2` not moving a single byte.
+//! cycle count stable, and `--sanitize` not moving a single byte.
 //!
 //! Together with `golden_repro.rs` this pins both reporting binaries;
 //! the differential fuzzer (`sim-oracle`) covers the state machines
@@ -68,6 +68,6 @@ fn sweep_with_serial_jobs_matches_golden_byte_for_byte() {
 }
 
 #[test]
-fn sweep_with_two_sim_threads_matches_golden_byte_for_byte() {
-    assert_matches_golden(&["--sim-threads", "2"]);
+fn sweep_sanitized_matches_golden_byte_for_byte() {
+    assert_matches_golden(&["--sanitize"]);
 }

@@ -460,8 +460,7 @@ impl PartitionedTlb {
     /// candidate set's LRU way — first trying to rescue the victim into a
     /// neighbour's sets (dynamic sharing, Figure 9). Everything here is
     /// payload-independent: the inserted PPN travels inside `way` but is
-    /// never inspected, so deferred sentinel fills choose the exact same
-    /// victims as real ones.
+    /// never inspected.
     fn place(&mut self, req: &TlbRequest, way: Way) {
         // Candidate set inside the TB's own group, sub-indexed by VPN so
         // runs spread across a multi-set group. The modulo happens in u64
@@ -565,9 +564,8 @@ impl TranslationBuffer for PartitionedTlb {
                 // VPN for this TB: the tag walk would find the same way
                 // after probing the same set list. Replay the identical
                 // bookkeeping (LRU touch, stats, latency, PPN decode) and
-                // skip the walk. Payload patches don't bump the epoch —
-                // the PPN is re-read from the way below, so a deferred
-                // fill's `patch_ppn` is observed exactly as the slow path
+                // skip the walk. The PPN is re-read from the way below, so
+                // an in-place refresh is observed exactly as the slow path
                 // would observe it.
                 let w = m.way as usize;
                 let compressed = self.ways[w].mask.count_ones() > 1;
@@ -631,11 +629,8 @@ impl TranslationBuffer for PartitionedTlb {
         let searchable = self.searchable_sets(req.asid, req.tb_slot);
 
         if self.cfg.compression.is_some() {
-            // Compressed runs are inherently payload-dependent (the
-            // base-delta predicate compares the PPN against run bases), so
-            // this whole branch is licensed by `supports_deferred_fill`
-            // returning false under compression: the engine never defers
-            // fills into this path.
+            // Compressed runs are payload-dependent: the base-delta
+            // predicate compares the PPN against run bases.
             //
             // Refresh in place if the translation is already reachable
             // (and coherent-remap any stale run bit).
@@ -701,10 +696,8 @@ impl TranslationBuffer for PartitionedTlb {
             return;
         }
 
-        // Compression off: the deferred-fill-eligible path. Victim choice
-        // and placement depend only on the VPN, the set geometry, and
-        // recency — never on `ppn` — so the engine may insert a sentinel
-        // frame at miss time and `patch_ppn` the real one in later.
+        // Compression off: victim choice and placement depend only on the
+        // VPN, the set geometry, and recency — never on `ppn`.
         if let Some(w) = self.find(req.asid, &searchable, req.vpn) {
             // Unconditional refresh-in-place: concurrent fill races for
             // the same page are benign (last writer wins, matching the
@@ -756,34 +749,6 @@ impl TranslationBuffer for PartitionedTlb {
         }
         self.share.clear();
         self.struct_epoch += 1;
-    }
-
-    fn supports_deferred_fill(&self) -> bool {
-        // Plain single-page entries place payload-independently (see
-        // `place`); compressed runs compare the PPN against run bases, so
-        // they must stay on the serial drain.
-        self.cfg.compression.is_none()
-    }
-
-    fn patch_ppn(&mut self, req: &TlbRequest, old: Ppn, new: Ppn) -> bool {
-        if self.cfg.compression.is_some() {
-            return false;
-        }
-        // Full-ways scan, NOT `searchable_sets`: a provisional entry may
-        // have been parked in a neighbour's sets below the
-        // `AdjacentCounter` threshold (or orphaned by a TB finish), where
-        // the owner's lookups cannot reach it — but the walk's real frame
-        // must still land in it. Sentinel frames are unique per drain
-        // round, so `old` identifies the entry unambiguously. No stamp,
-        // stats, flag, or epoch updates: payload only.
-        for way in &mut self.ways {
-            if way.valid && way.asid == req.asid && way.base_vpn == req.vpn && way.base_ppn == old
-            {
-                way.base_ppn = new;
-                return true;
-            }
-        }
-        false
     }
 
     fn fastpath_hits(&self) -> u64 {
@@ -1533,79 +1498,6 @@ mod tests {
         // TB 0's memo.
         assert!(!t.lookup(&req(42, 1)).hit);
         assert_eq!(t.fastpath_hits(), 5);
-    }
-
-    #[test]
-    fn deferred_fill_eligibility_tracks_compression() {
-        assert!(tlb(true).supports_deferred_fill());
-        assert!(tlb(false).supports_deferred_fill());
-        let compressed = PartitionedTlb::new(PartitionedTlbConfig {
-            compression: Some(CompressionConfig::pact20()),
-            ..PartitionedTlbConfig::with_sharing()
-        });
-        assert!(!compressed.supports_deferred_fill());
-        // And the patch hook is gated the same way.
-        let mut compressed = compressed;
-        assert!(!compressed.patch_ppn(&req(1, 0), Ppn::new(0), Ppn::new(1)));
-    }
-
-    #[test]
-    fn patch_ppn_swaps_payload_without_touching_replacement_state() {
-        let mut t = tlb(true);
-        let sentinel = Ppn::new(0xdead);
-        t.insert(&req(77, 3), sentinel);
-        let stats = t.stats();
-        let dump = t.dump_state();
-        assert!(t.patch_ppn(&req(77, 3), sentinel, Ppn::new(9)));
-        assert_eq!(t.stats(), stats, "patch must not touch stats");
-        // Only the PPN differs in the dump (stamps, flags, owners intact).
-        assert_eq!(
-            t.dump_state().replace("ppn=0x9", "ppn=0xdead"),
-            dump,
-            "patch changed more than the payload"
-        );
-        let out = t.lookup(&req(77, 3));
-        assert_eq!(out.ppn, Some(Ppn::new(9)));
-        // A second patch with the stale sentinel finds nothing.
-        assert!(!t.patch_ppn(&req(77, 3), sentinel, Ppn::new(10)));
-    }
-
-    #[test]
-    fn patch_ppn_reaches_parked_entries_lookups_cannot() {
-        // One spill below the AdjacentCounter threshold parks the victim
-        // in the neighbour's set where the owner cannot look it up — but
-        // the deferred fill must still be able to patch it.
-        let mut t = counter_tlb(3);
-        let pages: Vec<u64> = (0..5).collect();
-        for &i in &pages {
-            t.insert(&req(100 + i, 0), Ppn::new(1000 + i));
-        }
-        assert_eq!(t.spills(), 1);
-        assert!(!t.lookup(&req(100, 0)).hit, "parked entry is unreachable");
-        assert!(
-            t.patch_ppn(&req(100, 0), Ppn::new(1000), Ppn::new(2000)),
-            "patch scans all ways, not just searchable sets"
-        );
-        // Engage the flag: the parked entry resurfaces with the patched
-        // frame.
-        t.insert(&req(105, 0), Ppn::new(1005));
-        t.insert(&req(106, 0), Ppn::new(1006));
-        assert_eq!(t.lookup(&req(100, 0)).ppn, Some(Ppn::new(2000)));
-    }
-
-    #[test]
-    fn fastpath_observes_patched_payload() {
-        let mut t = tlb(true);
-        t.insert(&req(50, 2), Ppn::new(5));
-        assert!(t.lookup(&req(50, 2)).hit); // arms the memo
-        // patch_ppn does not bump the epoch; the memo stays armed and the
-        // fast path must re-read the patched frame from the way.
-        assert!(t.patch_ppn(&req(50, 2), Ppn::new(5), Ppn::new(6)));
-        let before = t.fastpath_hits();
-        let out = t.lookup(&req(50, 2));
-        assert_eq!(t.fastpath_hits(), before + 1, "memo survived the patch");
-        assert_eq!(out.ppn, Some(Ppn::new(6)));
-        t.check_invariants().expect("patched memo keeps invariants");
     }
 
     fn areq(asid: u16, vpn: u64, tb: u8) -> TlbRequest {

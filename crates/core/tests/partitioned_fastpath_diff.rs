@@ -1,7 +1,7 @@
 //! Differential proof that `PartitionedTlb`'s epoch-guarded MRU fast
-//! path and its payload-only `patch_ppn` are *exact*: a TLB with the
-//! memo enabled and a memo-less twin, driven by the same random stream
-//! of lookups, inserts, patches, TB lifecycle events, and flushes across
+//! path is *exact*: a TLB with the memo enabled and a memo-less twin,
+//! driven by the same random stream of lookups, inserts, TB lifecycle
+//! events, and flushes across
 //! every sharing policy (with and without compression) and a mix of
 //! address spaces, must agree on
 //! every outcome, every stats counter, and the entire dumped state —
@@ -13,14 +13,12 @@ use tlb::{CompressionConfig, TlbConfig, TlbRequest, TranslationBuffer};
 use vmem::{Asid, Ppn, Vpn};
 
 /// One step of the driving stream. Lookup dominates (the memo's producer
-/// and consumer); inserts churn residency and sharing flags; patches swap
-/// payloads without touching recency; TB events re-home entries and reset
-/// flags; flush wipes everything.
+/// and consumer); inserts churn residency and sharing flags; TB events
+/// re-home entries and reset flags; flush wipes everything.
 #[derive(Clone, Debug)]
 enum Op {
     Lookup(u16, u64, u8),
     Insert(u16, u64, u8, u64),
-    Patch(u16, u64, u64, u64),
     TbFinish(u16, u8),
     SetTbs(u8),
     Flush,
@@ -29,7 +27,7 @@ enum Op {
 fn ops() -> impl Strategy<Value = Vec<Op>> {
     // The compat `prop_oneof!` is unweighted; repeating arms biases the
     // stream toward the path under test. Narrow VPN/PPN ranges maximize
-    // refresh collisions and successful patches.
+    // refresh collisions.
     let op = prop_oneof![
         (0u16..3, 0u64..64, 0u8..8).prop_map(|(a, v, t)| Op::Lookup(a, v, t)),
         (0u16..3, 0u64..64, 0u8..8).prop_map(|(a, v, t)| Op::Lookup(a, v, t)),
@@ -37,7 +35,6 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
         (0u16..3, 0u64..64, 0u8..8).prop_map(|(a, v, t)| Op::Lookup(a, v, t)),
         (0u16..3, 0u64..64, 0u8..8, 0u64..16).prop_map(|(a, v, t, p)| Op::Insert(a, v, t, p)),
         (0u16..3, 0u64..64, 0u8..8, 0u64..16).prop_map(|(a, v, t, p)| Op::Insert(a, v, t, p)),
-        (0u16..3, 0u64..64, 0u64..16, 0u64..16).prop_map(|(a, v, o, n)| Op::Patch(a, v, o, n)),
         (0u16..3, 0u8..8).prop_map(|(a, t)| Op::TbFinish(a, t)),
         (0u8..8).prop_map(|n| Op::SetTbs(n + 1)),
         Just(Op::Flush),
@@ -59,12 +56,6 @@ fn step(fast: &mut PartitionedTlb, slow: &mut PartitionedTlb, op: &Op) {
             let r = TlbRequest::new(Vpn::new(v), tb).with_asid(Asid::new(a));
             fast.insert(&r, Ppn::new(p));
             slow.insert(&r, Ppn::new(p));
-        }
-        Op::Patch(a, v, o, n) => {
-            let r = TlbRequest::new(Vpn::new(v), 0).with_asid(Asid::new(a));
-            let x = fast.patch_ppn(&r, Ppn::new(o), Ppn::new(n));
-            let y = slow.patch_ppn(&r, Ppn::new(o), Ppn::new(n));
-            assert_eq!(x, y, "patch_ppn(asid {a}, {v}) diverged");
         }
         Op::TbFinish(a, tb) => {
             fast.on_tb_finish(Asid::new(a), tb);
@@ -100,7 +91,7 @@ proptest! {
     /// Memo lookup ≡ multi-set tag walk, across every sharing policy and
     /// with compression on or off, down to the last LRU stamp.
     #[test]
-    fn partitioned_fastpath_and_patch_are_exact(
+    fn partitioned_fastpath_is_exact(
         stream in ops(),
         sharing in policies(),
         compression in prop_oneof![Just(None), Just(Some(CompressionConfig::pact20()))],

@@ -65,31 +65,14 @@ pub struct GpuConfig {
     /// lookups per cycle regardless of `lookup_latency`); setting it to
     /// the lookup latency models unpipelined ports.
     pub l2_tlb_port_occupancy: u64,
-    /// Minimum deferred shared-stage requests in one phase-B round
-    /// before the engine switches from the serial per-SM apply loop to
-    /// the sharded slice-parallel drain (`mem_hier::drain_sharded`);
-    /// 0 disables sharding. Output is byte-identical either way — like
-    /// `--sim-threads`, this is purely a wall-clock knob. Only takes
-    /// effect on multi-threaded runs whose L1 TLBs support deferred
-    /// fills.
+    /// Ignored: the engine is serial and has no sharded drain. Retained
+    /// for the benchmark harness, which still sets it; the next
+    /// benchmark change removes it (see DESIGN.md, "Retained for the
+    /// benchmark harness").
     pub shard_threshold: usize,
-    /// Extra requests a round must carry *per participating SM* before
-    /// sharding pays: the effective per-round threshold is
-    /// `shard_threshold + participants * shard_lane_overhead`, modelling
-    /// the fixed per-lane setup cost of the sharded drain (request copy,
-    /// drain-lane build). Calibrated by `engine-bench --tune`; purely a
-    /// wall-clock knob like [`GpuConfig::shard_threshold`].
+    /// Ignored, like [`GpuConfig::shard_threshold`], and retained for
+    /// the same reason.
     pub shard_lane_overhead: usize,
-    /// Cycles one epoch window may span in the engine's batched epoch
-    /// mode (how far a lane may run ahead unsynchronized; clamped to at
-    /// least 1). Larger epochs amortize coordination, smaller ones keep
-    /// lanes hotter in cache. Calibrated by `engine-bench --tune`;
-    /// output is byte-identical for every value.
-    pub epoch_cycles: u64,
-    /// Consecutive sharded-drain tasks dealt to one executor before the
-    /// deal moves on (1 = pure round-robin). Purely a wall-clock knob;
-    /// swept by `engine-bench --tune`.
-    pub shard_chunk: usize,
     /// Shared L2 TLB management policy across co-running address spaces
     /// (`Shared` baseline, MASK-style fill tokens, or MIG-style
     /// sub-entry sharing). Irrelevant to solo runs: with one ASID every
@@ -124,8 +107,6 @@ impl GpuConfig {
             l2_tlb_port_occupancy: 1,
             shard_threshold: 64,
             shard_lane_overhead: 4,
-            epoch_cycles: 4096,
-            shard_chunk: 1,
             l2_policy: L2Policy::Shared,
         }
     }
@@ -227,18 +208,6 @@ mod tests {
         assert_eq!(h.dram_latency, c.dram_latency);
         assert_eq!(h.demand_fault_latency, c.demand_fault_latency);
         assert_eq!(h.l2_policy, L2Policy::MaskTokens { quota: 7 });
-    }
-
-    #[test]
-    fn engine_tuning_knobs_have_sane_defaults() {
-        // These are pure wall-clock knobs (byte-identical output for any
-        // value); the defaults are the `engine-bench --tune` sweet spot
-        // on the reference host and must stay in the legal range the
-        // engine clamps to.
-        let c = GpuConfig::dac23_baseline();
-        assert!(c.epoch_cycles >= 1);
-        assert!(c.shard_chunk >= 1);
-        assert!(c.shard_threshold > 0, "sharding enabled by default");
     }
 
     #[test]

@@ -8,44 +8,34 @@
 //! next cycle at which any SM can make progress), which is exact for this
 //! model because all latencies are computed analytically at issue.
 //!
-//! # Two-phase execution and determinism
+//! # Two-phase execution
 //!
-//! Each event cycle runs in two phases. **Phase A** steps every
-//! event-ready SM against only its own private state (its [`SmRt`], its
-//! [`mem_hier::PerSmFront`] — L1 TLB + VIPT L1 data cache — and a
-//! per-SM outbox), so the steps are independent and may run in parallel
-//! on a persistent `std`-only worker pool (`--sim-threads N`,
-//! [`set_sim_threads`]). **Phase B** drains the outboxes in SM-index
-//! order on the coordinating thread, applying every shared-stage
+//! The engine is serial. Each event cycle runs in two phases. **Phase
+//! A** steps every event-ready SM, in SM-index order, against its own
+//! private state only: its [`SmRt`], its [`mem_hier::PerSmFront`] (L1
+//! TLB + VIPT L1 data cache) and a per-SM outbox. **Phase B** then
+//! drains the outboxes in SM-index order, applying every shared-stage
 //! request ([`mem_hier::SharedRequest`]: L2 TLB, walkers, L2/DRAM data
 //! path) and patching warp completion times.
 //!
-//! Output is byte-identical for every `--sim-threads N` because (1) an
-//! SM step becomes *deferring* at its first private L1 TLB miss — from
-//! that point every translation and data access of the step is replayed
-//! in phase B in original program order, so each private structure sees
-//! exactly the serial operation sequence; (2) phase B applies outboxes
-//! in SM-index order, so each shared structure sees exactly the serial
-//! operation sequence; and (3) all per-SM accumulators are plain
-//! counter sums, merged order-independently. SMs are processed in index
-//! order at each event cycle and every policy is seeded/stateless, so
-//! runs are bit-reproducible.
+//! An SM step becomes *deferring* at its first private L1 TLB miss: from
+//! that point every translation and data access of the step is pushed to
+//! the outbox in program order and replayed in phase B. This fixed
+//! operation order — eager prefix in phase A, in-order deferred suffix
+//! in phase B, outboxes in SM order — is what every golden pins. Every
+//! policy is seeded or stateless, so runs are bit-reproducible.
+//!
+//! Parallelism lives one level up: independent simulations run on the
+//! experiment grid's workers (`--jobs N`), never inside one simulation.
 
 use crate::coalesce::coalesce_into;
 use crate::config::GpuConfig;
 use crate::feed::{KernelFeed, KernelSeq};
-use crate::pool::{Job, StopReport, WorkerPool};
 use crate::report::{SimReport, TranslationEvent};
 use crate::sanitize::{sanitize_enabled, Sanitizer};
 use crate::tb_sched::{RoundRobinScheduler, SmSnapshot, TbScheduler};
 use crate::warp_sched::{GtoWarpScheduler, WarpScheduler, WarpView};
-use crate::pool::ScopedExec;
-use mem_hier::{
-    drain_sharded, Access, DrainLane, HierarchyBuilder, PerSmFront, SharedBack, SharedRequest,
-    SharedResponse, TranslationRef,
-};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use mem_hier::{Access, HierarchyBuilder, PerSmFront, SharedBack, SharedRequest, TranslationRef};
 use tlb::{SetAssocTlb, TranslationBuffer};
 use vmem::{AddressSpace, Asid, PageSize, PhysAddr, Ppn, VirtAddr};
 use workloads::format::{TraceError, TraceSource};
@@ -57,25 +47,6 @@ pub type L1TlbFactory = Box<dyn Fn(&GpuConfig) -> Box<dyn TranslationBuffer>>;
 
 /// Builds one warp scheduler per SM.
 pub type WarpSchedulerFactory = Box<dyn Fn() -> Box<dyn WarpScheduler>>;
-
-/// Process-wide default for the engine's phase-A worker count, so
-/// `--sim-threads` reaches every simulator built by the experiment grid
-/// without threading a flag through each call site (mirrors
-/// [`crate::sanitize::set_sanitize`]).
-static SIM_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-wide default number of simulation threads used for
-/// phase A of the engine's event loop (clamped to at least 1; also
-/// capped at the SM count per run). Output is byte-identical for every
-/// value — this is purely a wall-clock knob.
-pub fn set_sim_threads(n: usize) {
-    SIM_THREADS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The process-wide default number of simulation threads (1 = serial).
-pub fn sim_threads() -> usize {
-    SIM_THREADS.load(Ordering::Relaxed)
-}
 
 /// A configured simulator, ready to run workloads.
 ///
@@ -100,12 +71,6 @@ pub struct Simulator {
     /// Per-instance sanitizer override; `None` follows the process-wide
     /// default ([`sanitize_enabled`]).
     sanitize: Option<bool>,
-    /// Per-instance phase-A worker-count override; `None` follows the
-    /// process-wide default ([`sim_threads`]).
-    sim_threads: Option<usize>,
-    /// Persistent phase-A worker pool, created lazily on the first
-    /// multi-threaded `run` and reused across kernels and runs.
-    pool: Option<WorkerPool>,
 }
 
 impl Simulator {
@@ -124,8 +89,6 @@ impl Simulator {
             trace_translations: false,
             force_max_tbs: None,
             sanitize: None,
-            sim_threads: None,
-            pool: None,
         }
     }
 
@@ -171,11 +134,10 @@ impl Simulator {
         self
     }
 
-    /// Sets the phase-A worker count for this simulator, overriding the
-    /// process-wide default ([`set_sim_threads`]). Output is
-    /// byte-identical for every value.
-    pub fn with_sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = Some(threads.max(1));
+    /// Has no effect: the engine is serial. Retained for the benchmark
+    /// harness, which still calls it; the next benchmark change removes
+    /// it (see DESIGN.md, "Retained for the benchmark harness").
+    pub fn with_sim_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -206,8 +168,7 @@ impl Simulator {
     /// `corun` module's merge), and every TLB tags entries with the owning
     /// ASID. The report's [`SimReport::per_app`] carries each app's
     /// completion cycle and TLB counters; `workload` is the `a+b` merged
-    /// name. Like [`Simulator::run`], output is byte-identical for any
-    /// `--sim-threads N`.
+    /// name.
     ///
     /// # Panics
     ///
@@ -276,18 +237,6 @@ impl Simulator {
         let num_apps = spaces.len();
         let sanitize = self.sanitize.unwrap_or_else(sanitize_enabled);
         let mut sanitizer = sanitize.then(|| Sanitizer::new(n_sms));
-        let threads = self
-            .sim_threads
-            .unwrap_or_else(sim_threads)
-            .clamp(1, n_sms.max(1));
-        // The worker pool persists across kernels and runs; (re)build it
-        // only when the requested worker count changes.
-        let workers = threads.saturating_sub(1);
-        if workers == 0 {
-            self.pool = None;
-        } else if self.pool.as_ref().map(WorkerPool::workers) != Some(workers) {
-            self.pool = Some(WorkerPool::new(workers));
-        }
         let l1_tlbs: Vec<Box<dyn TranslationBuffer>> = (0..n_sms)
             .map(|_| (self.l1_tlb_factory)(&self.config))
             .collect();
@@ -330,7 +279,6 @@ impl Simulator {
                 &self.config,
                 &mut self.tb_scheduler,
                 &self.warp_scheduler_factory,
-                self.pool.as_mut(),
                 self.force_max_tbs,
                 &mut feed,
                 kernel_idx as u16,
@@ -353,9 +301,7 @@ impl Simulator {
         report.walker = shared.back.walker_stats();
         report.demand_faults = shared.back.demand_faults();
         report.transactions = fronts.iter().map(PerSmFront::transactions).sum();
-        // Memo fast-path hits across every TLB in the hierarchy. The
-        // lookup streams (and therefore the memo hit/miss pattern) are
-        // thread-count invariant, so this counter is too.
+        // Memo fast-path hits across every TLB in the hierarchy.
         report.fastpath_hits = fronts
             .iter()
             .map(|f| f.tlb().fastpath_hits())
@@ -365,9 +311,8 @@ impl Simulator {
             .iter()
             .fold(*shared.back.breakdown(), |a, f| a + *f.breakdown());
         report.translation_trace = shared.trace.take().unwrap_or_default();
-        // Per-app TLB counters: order-independent sums over fronts and
-        // slices, keyed by ASID (so they are `--sim-threads` invariant
-        // like every other accumulator).
+        // Per-app TLB counters: sums over fronts and slices, keyed by
+        // ASID.
         for front in &fronts {
             for (asid, stats) in front.tlb().stats_by_asid() {
                 if let Some(app) = report.per_app.get_mut(asid.index()) {
@@ -385,8 +330,8 @@ impl Simulator {
 }
 
 /// The shared half of the run: the order-sensitive back of the memory
-/// hierarchy plus the engine-side concerns that live on the coordinator
-/// (translation tracing, sanitizer enablement).
+/// hierarchy plus run-wide engine concerns (translation tracing,
+/// sanitizer enablement).
 struct SharedState {
     back: SharedBack,
     page_size: PageSize,
@@ -396,28 +341,20 @@ struct SharedState {
 }
 
 /// Everything one SM touches during phase A: its runtime state, its
-/// private slice of the memory hierarchy, and the per-cycle buffers the
-/// coordinator drains in phase B. Boxed so the worker-pool channels move
-/// a pointer, not the struct.
-pub(crate) struct Lane {
-    pub(crate) sm_idx: usize,
-    pub(crate) sm: SmRt,
+/// private slice of the memory hierarchy, and the per-cycle outbox phase
+/// B drains.
+struct Lane {
+    sm_idx: usize,
+    sm: SmRt,
     front: PerSmFront,
     outbox: Outbox,
     scratch: IssueScratch,
-    /// Translation-trace events of this kernel, tagged with their event
-    /// cycle. Kept lane-local for the whole kernel (a lane may run many
-    /// cycles ahead on a worker) and merged into the global trace at
-    /// kernel end by a stable sort on cycle — concatenation in SM-index
-    /// order makes ties resolve exactly like the serial push order.
-    trace: Vec<(u64, TranslationEvent)>,
     /// Instructions issued this kernel (merged into the report at kernel
-    /// end; pure sums, so the merge is order-independent).
+    /// end).
     instructions: u64,
     /// Per-app completion bound: the latest `ready_at` of any retired
-    /// warp of each ASID on this SM. Merged into the report by
-    /// order-independent max at kernel end, so co-run per-app cycles
-    /// are `--sim-threads` invariant.
+    /// warp of each ASID on this SM, merged into the report by max at
+    /// kernel end.
     app_done: Vec<u64>,
 }
 
@@ -465,149 +402,10 @@ struct OutboxEntry {
     warp: Option<usize>,
 }
 
-/// Per-kernel context shipped to the pool once (inside an `Arc`), so
-/// worker threads need no borrows into the simulator.
-pub(crate) struct RoundCtx {
-    pub(crate) config: GpuConfig,
-    pub(crate) kernel_idx: u16,
-    pub(crate) page_size: PageSize,
-    pub(crate) trace_on: bool,
-}
-
-/// How far one phase-A chain may run before syncing with the
-/// coordinator.
-#[derive(Copy, Clone)]
-pub(crate) struct ChainSpec {
-    /// Exclusive horizon: the chain stops (without stepping) once the
-    /// lane's `next_event` reaches this cycle. Per-cycle rounds use
-    /// `frontier + 1` (exactly one step); epochs use a wide window.
-    pub(crate) epoch_end: u64,
-    /// Stop after any step that frees a TB slot, so the coordinator can
-    /// dispatch at the retire cycle exactly as the serial engine does.
-    /// Only set while undispatched TBs remain.
-    pub(crate) stop_on_retire: bool,
-    /// Lanes that run to the horizon (or go idle) may stay parked on
-    /// their worker; only a [`StopReport`] comes home.
-    pub(crate) park: bool,
-}
-
-/// Why [`run_chain`] returned.
-pub(crate) struct ChainOutcome {
-    /// Cycle of the last `phase_a` step executed (0 if none ran).
-    pub(crate) last_step: u64,
-    /// Stopped with a non-empty outbox awaiting phase B at `last_step`.
-    pub(crate) needs_phase_b: bool,
-    /// The last step freed a TB slot (reported only under
-    /// `stop_on_retire`).
-    pub(crate) retired_tb: bool,
-}
-
-/// Runs one lane's private event chain: repeated `phase_a` steps at the
-/// lane's own `next_event` cycles.
-///
-/// This is exact because each SM's stepping schedule is entirely
-/// self-determined: the serial engine steps SM *i* at cycle *c* iff SM
-/// *i*'s own `next_event` equals *c* (after every step or phase-B patch
-/// the recomputed `next_event` is strictly in the future, so the global
-/// event cycle is always the minimum over per-SM private chains). A
-/// chain therefore only has to stop where cross-SM coupling can reach
-/// it: its first shared request (phase-B feedback patches this lane's
-/// warps), a TB retire while dispatch is still live (placement happens
-/// at the retire cycle), or the epoch horizon.
-pub(crate) fn run_chain(ctx: &RoundCtx, spec: &ChainSpec, lane: &mut Lane) -> ChainOutcome {
-    let mut last_step = 0u64;
-    loop {
-        let e = lane.sm.next_event();
-        if e >= spec.epoch_end {
-            return ChainOutcome {
-                last_step,
-                needs_phase_b: false,
-                retired_tb: false,
-            };
-        }
-        let free_before = lane.sm.free_slots.len();
-        phase_a(
-            &ctx.config,
-            e,
-            ctx.kernel_idx,
-            ctx.page_size,
-            ctx.trace_on,
-            lane,
-        );
-        last_step = e;
-        let retired_tb = spec.stop_on_retire && lane.sm.free_slots.len() > free_before;
-        let needs_phase_b = !lane.outbox.is_empty();
-        if needs_phase_b || retired_tb {
-            return ChainOutcome {
-                last_step,
-                needs_phase_b,
-                retired_tb,
-            };
-        }
-    }
-}
-
-/// The engine's per-round sharding policy, derived from
-/// [`GpuConfig::shard_threshold`] and [`GpuConfig::shard_lane_overhead`].
-///
-/// A phase-B round *meets* the policy when its deferred batch is large
-/// enough to amortize both the fixed drain setup (`threshold`) and the
-/// per-participating-lane cost (`lane_overhead` requests per lane).
-/// Whether the engine then actually shards additionally requires more
-/// than one executor — but the policy predicate itself never looks at
-/// the thread count, so the [`SimReport::sharded_rounds`] counter it
-/// feeds is identical for every `--sim-threads N`.
-#[derive(Copy, Clone)]
-struct ShardPolicy {
-    threshold: usize,
-    lane_overhead: usize,
-}
-
-impl ShardPolicy {
-    fn of(config: &GpuConfig) -> Self {
-        ShardPolicy {
-            threshold: config.shard_threshold,
-            lane_overhead: config.shard_lane_overhead,
-        }
-    }
-
-    /// Thread-count-independent half of the shard decision.
-    fn met(&self, total: usize, participants: usize) -> bool {
-        self.threshold > 0 && total >= self.threshold + participants * self.lane_overhead
-    }
-}
-
-/// Coordinator-side view of one lane's whereabouts and settled state.
-#[derive(Copy, Clone, Default)]
-struct LaneTrack {
-    /// Settled `next_event` (authoritative only while the lane is away;
-    /// home lanes are read live).
-    next_event: u64,
-    /// Reported chain stop awaiting frontier processing.
-    pending: Option<PendingStop>,
-    /// The lane object is on a worker (in flight or parked).
-    away: bool,
-}
-
-#[derive(Copy, Clone)]
-struct PendingStop {
-    cycle: u64,
-    needs_phase_b: bool,
-    retired_tb: bool,
-}
-
-/// One dispatch pass: places TBs while an eligible SM has a free slot.
-///
-/// A lane is dispatch-visible when it is home with no unprocessed stop
-/// — i.e. its state is settled at the dispatch cycle. Lanes that ran
-/// ahead (parked, or stopped at a later frontier) are presented as full:
-/// while TBs remain undispatched every SM stays saturated except at its
-/// own retire stops, so a ran-ahead lane really is full for the whole
-/// window and the synthesized snapshot equals its serial-state snapshot.
-#[allow(clippy::too_many_arguments)]
+/// One dispatch pass: places TBs while some SM has a free slot and the
+/// TB scheduler picks one.
 fn dispatch_tbs(
-    lanes: &mut [Option<Box<Lane>>],
-    track: &[LaneTrack],
+    lanes: &mut [Lane],
     tb_scheduler: &mut Box<dyn TbScheduler>,
     feed: &mut KernelFeed<'_>,
     next_tb: &mut usize,
@@ -616,37 +414,21 @@ fn dispatch_tbs(
     snaps: &mut Vec<SmSnapshot>,
 ) -> Result<(), TraceError> {
     while *next_tb < feed.tb_count() {
-        // Cheap pre-check before building snapshots: dispatch can only
-        // proceed when some dispatch-visible lane has a free slot —
-        // exactly the `has_room` test below, read straight off the
-        // lanes. Most calls land here with every SM saturated, so this
-        // skips the per-SM stats snapshot on the hot path.
-        let any_room = lanes.iter().enumerate().any(|(i, slot)| {
-            !track[i].away
-                && track[i].pending.is_none()
-                && slot.as_ref().is_some_and(|l| !l.sm.free_slots.is_empty())
-        });
-        if !any_room {
+        // Cheap pre-check before building snapshots: most calls land here
+        // with every SM saturated, so this skips the per-SM stats
+        // snapshot on the hot path.
+        if lanes.iter().all(|l| l.sm.free_slots.is_empty()) {
             break;
         }
         snaps.clear();
-        for (i, slot) in lanes.iter().enumerate() {
-            let visible = !track[i].away && track[i].pending.is_none();
-            snaps.push(match slot {
-                Some(lane) if visible => {
-                    let stats = lane.front.tlb().stats();
-                    SmSnapshot {
-                        free_slots: lane.sm.free_slots.len() as u8,
-                        tlb_hits: stats.hits,
-                        tlb_accesses: stats.accesses(),
-                    }
-                }
-                _ => SmSnapshot::default(),
-            });
-        }
-        if !snaps.iter().any(SmSnapshot::has_room) {
-            break;
-        }
+        snaps.extend(lanes.iter().map(|lane| {
+            let stats = lane.front.tlb().stats();
+            SmSnapshot {
+                free_slots: lane.sm.free_slots.len() as u8,
+                tlb_hits: stats.hits,
+                tlb_accesses: stats.accesses(),
+            }
+        }));
         let Some(target) = tb_scheduler.pick_sm(snaps) else {
             break;
         };
@@ -654,12 +436,9 @@ fn dispatch_tbs(
             snaps[target].has_room(),
             "scheduler picked a full SM ({target})"
         );
-        let Some(lane) = lanes[target].as_mut() else {
-            unreachable!("dispatch-visible lanes are home")
-        };
         let asid = feed.asid_of(*next_tb);
         let tb = feed.tb(*next_tb)?;
-        lane.sm.place_tb(tb, *next_tb as u32, cycle, asid);
+        lanes[target].sm.place_tb(tb, *next_tb as u32, cycle, asid);
         placements[target] += 1;
         *next_tb += 1;
     }
@@ -668,19 +447,14 @@ fn dispatch_tbs(
 
 /// Simulates one kernel launch; returns the cycle at which it completes.
 ///
-/// Runs per-event-cycle rounds (the exact serial schedule) until epoch
-/// batching is provably transparent — the sanitizer is off (its
-/// per-cycle hook needs every lane home each event cycle) and either
-/// every TB is dispatched or the TB scheduler is occupancy-only — then
-/// switches to multi-cycle epochs where lanes run private chains on the
-/// persistent pool and only coordination frontiers (shared requests, TB
-/// retires) sync with the coordinator.
+/// Each event cycle: dispatch TBs, jump to the next cycle at which any SM
+/// can make progress, run phase A on every ready SM in index order, then
+/// phase B over the outboxes in SM order.
 #[allow(clippy::too_many_arguments)]
 fn run_kernel(
     config: &GpuConfig,
     tb_scheduler: &mut Box<dyn TbScheduler>,
     warp_scheduler_factory: &WarpSchedulerFactory,
-    mut pool: Option<&mut WorkerPool>,
     force_max_tbs: Option<u8>,
     feed: &mut KernelFeed<'_>,
     kernel_idx: u16,
@@ -703,7 +477,7 @@ fn run_kernel(
         max_tbs = max_tbs.min(cap);
     }
 
-    let mut lanes: Vec<Option<Box<Lane>>> = fronts
+    let mut lanes: Vec<Lane> = fronts
         .drain(..)
         .enumerate()
         .map(|(sm_idx, mut front)| {
@@ -711,62 +485,27 @@ fn run_kernel(
             if config.flush_l1_tlb_on_kernel_launch {
                 front.tlb_mut().flush();
             }
-            Some(Box::new(Lane {
+            Lane {
                 sm_idx,
                 sm: SmRt::new(max_tbs, warp_scheduler_factory()),
                 front,
                 outbox: Outbox::default(),
                 scratch: IssueScratch::default(),
-                trace: Vec::new(),
                 instructions: 0,
                 app_done: vec![0; report.per_app.len().max(1)],
-            }))
+            }
         })
         .collect();
     tb_scheduler.reset();
 
-    let trace_on = shared.trace.is_some();
-    let ctx = Arc::new(RoundCtx {
-        config: config.clone(),
-        kernel_idx,
-        page_size: shared.page_size,
-        trace_on,
-    });
-    let workers = pool.as_ref().map_or(0, |p| p.workers());
-    let occupancy_only = tb_scheduler.occupancy_only();
-
+    let page_size = shared.page_size;
     let mut next_tb = 0usize;
     let mut cycle = start_cycle;
-    let mut last_step_max = 0u64;
-    let mut ready: Vec<usize> = Vec::new();
     let mut resolved: Vec<(Ppn, u64)> = Vec::new();
     let mut snaps: Vec<SmSnapshot> = Vec::with_capacity(n_sms);
-    let mut track: Vec<LaneTrack> = vec![LaneTrack::default(); n_sms];
-    // Owner assignment for epoch parking: lane i lives on executor
-    // `i % (workers + 1)`; executor index `workers` is the coordinator.
-    let executors = workers + 1;
-    // Sharded phase-B drain: scoped executor sized like phase A, plus
-    // per-lane request/response buffers recycled across rounds.
-    let exec = ScopedExec {
-        threads: executors,
-        chunk: config.shard_chunk,
-    };
-    let policy = ShardPolicy::of(config);
-    let epoch_cycles = config.epoch_cycles.max(1);
-    let mut shard_scratch: ShardScratch = Vec::new();
-
-    // --- Per-event-cycle rounds (the serial schedule, exactly) -------
-    let mut kernel_over = false;
     loop {
-        // Epochs become transparent once the per-cycle-only couplings
-        // are gone: the sanitizer's per-cycle hook, and per-event-cycle
-        // dispatch attempts that a stats-driven scheduler could observe.
-        if workers > 0 && sanitizer.is_none() && (occupancy_only || next_tb >= tb_count) {
-            break;
-        }
         dispatch_tbs(
             &mut lanes,
-            &track,
             tb_scheduler,
             feed,
             &mut next_tb,
@@ -778,343 +517,53 @@ fn run_kernel(
         // Next cycle at which any SM can make progress.
         let Some(event) = lanes
             .iter()
-            .flatten()
             .map(|l| l.sm.next_event())
             .min()
             .filter(|&e| e < u64::MAX)
         else {
             debug_assert!(next_tb >= tb_count, "idle GPU with pending TBs");
-            kernel_over = true;
             break;
         };
         cycle = cycle.max(event);
 
-        ready.clear();
-        ready.extend(lanes.iter().enumerate().filter_map(|(i, slot)| {
-            slot.as_ref()
-                .filter(|l| l.sm.next_event() <= cycle)
-                .map(|_| i)
-        }));
-
         // Phase A: step every ready SM against private state only.
-        let spec = ChainSpec {
-            epoch_end: cycle + 1,
-            stop_on_retire: false,
-            park: false,
-        };
-        if workers == 0 || ready.len() <= 1 {
-            for &i in &ready {
-                if let Some(lane) = lanes[i].as_mut() {
-                    run_chain(&ctx, &spec, lane);
-                }
-            }
-        } else {
-            let pool = pool.as_mut().expect("workers > 0 implies a pool"); // simlint: allow(hot-unwrap, reason = "workers is derived from the pool's own size")
-            let per = ready.len().div_ceil(executors);
-            let mut sent = 0usize;
-            for w in 0..workers {
-                let lo = w * per;
-                let hi = ((w + 1) * per).min(ready.len());
-                if lo >= hi {
-                    break;
-                }
-                let mut moved = pool.buffer();
-                moved.extend(ready[lo..hi].iter().map(|&i| {
-                    let Some(lane) = lanes[i].take() else {
-                        unreachable!("ready lane present before phase A")
-                    };
-                    (i, lane)
-                }));
-                pool.send(
-                    w,
-                    Job::Run {
-                        ctx: Arc::clone(&ctx),
-                        spec,
-                        lanes: moved,
-                        resume: false,
-                    },
-                );
-                sent += 1;
-            }
-            // Coordinator takes the tail chunk, overlapping with the
-            // workers before blocking on their results.
-            for &i in &ready[(sent * per).min(ready.len())..] {
-                if let Some(lane) = lanes[i].as_mut() {
-                    run_chain(&ctx, &spec, lane);
-                }
-            }
-            let mut panicked: Option<String> = None;
-            for _ in 0..sent {
-                let done = pool.recv();
-                for (i, lane) in done.lanes {
-                    lanes[i] = Some(lane);
-                }
-                if panicked.is_none() {
-                    panicked = done.panicked;
-                }
-            }
-            if let Some(msg) = panicked {
-                panic!("{msg}");
+        let mut deferred = false;
+        for lane in lanes.iter_mut().filter(|l| l.sm.next_event() <= cycle) {
+            phase_a(
+                config,
+                cycle,
+                kernel_idx,
+                page_size,
+                shared.trace.as_mut(),
+                lane,
+            );
+            deferred |= !lane.outbox.is_empty();
+        }
+
+        // Phase B: drain outboxes in SM-index order. Most rounds defer
+        // nothing; skip them outright (`phase_b` on an empty outbox is a
+        // no-op).
+        if deferred {
+            for lane in &mut lanes {
+                phase_b(lane, shared, cycle, &mut resolved);
             }
         }
 
-        // Phase B: drain outboxes in SM-index order — every shared
-        // structure sees the serial operation order exactly (large
-        // rounds reproduce it slice-parallel via the sharded drain).
-        drain_phase_b(
-            &mut lanes,
-            &mut |_| true,
-            shared,
-            cycle,
-            &mut resolved,
-            &mut shard_scratch,
-            &exec,
-            policy,
-            &mut report.sharded_rounds,
-        );
-
         if let Some(san) = sanitizer.as_mut() {
-            let tlbs: Vec<&dyn TranslationBuffer> =
-                lanes.iter().flatten().map(|l| l.front.tlb()).collect();
+            let tlbs: Vec<&dyn TranslationBuffer> = lanes.iter().map(|l| l.front.tlb()).collect();
             san.after_cycle(cycle, &tlbs, &**tb_scheduler, n_sms);
         }
     }
 
-    // --- Epoch rounds ------------------------------------------------
-    if !kernel_over {
-        let pool = pool.expect("epoch mode requires workers"); // simlint: allow(hot-unwrap, reason = "loop above only breaks into epoch mode when workers > 0")
-        loop {
-            // Epoch boundary: nothing in flight, every lane settled.
-            // One dispatch attempt — between frontiers the serial
-            // engine's attempts are provably no-ops (occupancy-only
-            // scheduler, all SMs saturated), so this single attempt
-            // covers the kernel-start fill and the post-frontier state.
-            dispatch_tbs(
-                &mut lanes,
-                &track,
-                tb_scheduler,
-                feed,
-                &mut next_tb,
-                cycle,
-                &mut report.tb_placements,
-                &mut snaps,
-            )?;
-            let Some(start) = (0..n_sms)
-                .map(|i| match &lanes[i] {
-                    Some(lane) => lane.sm.next_event(),
-                    None => track[i].next_event,
-                })
-                .min()
-                .filter(|&e| e < u64::MAX)
-            else {
-                debug_assert!(next_tb >= tb_count, "idle GPU with pending TBs");
-                break;
-            };
-            cycle = cycle.max(start);
-            let spec = ChainSpec {
-                epoch_end: cycle.saturating_add(epoch_cycles),
-                stop_on_retire: next_tb < tb_count,
-                park: true,
-            };
-
-            // Launch: wake runnable parked lanes, ship runnable home
-            // lanes to their owners, run the coordinator's share inline.
-            let mut outstanding = 0usize;
-            for w in 0..workers {
-                let mut moved = pool.buffer();
-                let mut parked_runnable = false;
-                for i in (0..n_sms).filter(|i| i % executors == w) {
-                    if track[i].away {
-                        parked_runnable |= track[i].next_event < spec.epoch_end;
-                    } else if let Some(lane) = &lanes[i] {
-                        if lane.sm.next_event() < spec.epoch_end {
-                            let Some(lane) = lanes[i].take() else {
-                                unreachable!("checked above")
-                            };
-                            track[i].away = true;
-                            moved.push((i, lane));
-                        }
-                    }
-                }
-                if moved.is_empty() && !parked_runnable {
-                    pool.recycle(moved);
-                    continue;
-                }
-                pool.send(
-                    w,
-                    Job::Run {
-                        ctx: Arc::clone(&ctx),
-                        spec,
-                        lanes: moved,
-                        resume: true,
-                    },
-                );
-                outstanding += 1;
-            }
-            for i in (0..n_sms).filter(|i| i % executors == workers) {
-                let Some(lane) = lanes[i].as_mut() else { continue };
-                if lane.sm.next_event() >= spec.epoch_end {
-                    continue;
-                }
-                let outcome = run_chain(&ctx, &spec, lane);
-                last_step_max = last_step_max.max(outcome.last_step);
-                track[i].pending = (outcome.needs_phase_b || outcome.retired_tb).then_some(
-                    PendingStop {
-                        cycle: outcome.last_step,
-                        needs_phase_b: outcome.needs_phase_b,
-                        retired_tb: outcome.retired_tb,
-                    },
-                );
-            }
-
-            // Frontier rounds: drain stops in global cycle order.
-            loop {
-                let mut panicked: Option<String> = None;
-                while outstanding > 0 {
-                    let done = pool.recv();
-                    outstanding -= 1;
-                    for (i, lane) in done.lanes {
-                        lanes[i] = Some(lane);
-                        track[i].away = false;
-                    }
-                    for r in &done.reports {
-                        absorb_report(r, &mut track, &mut last_step_max);
-                    }
-                    if panicked.is_none() {
-                        panicked = done.panicked;
-                    }
-                }
-                if let Some(msg) = panicked {
-                    panic!("{msg}");
-                }
-
-                let Some(frontier) = track
-                    .iter()
-                    .filter_map(|t| t.pending.map(|p| p.cycle))
-                    .min()
-                else {
-                    break; // epoch exhausted: everyone parked or settled
-                };
-                cycle = cycle.max(frontier);
-                drain_phase_b(
-                    &mut lanes,
-                    &mut |i| {
-                        track[i]
-                            .pending
-                            .is_some_and(|p| p.cycle == frontier && p.needs_phase_b)
-                    },
-                    shared,
-                    frontier,
-                    &mut resolved,
-                    &mut shard_scratch,
-                    &exec,
-                    policy,
-                    &mut report.sharded_rounds,
-                );
-                let mut any_retired = false;
-                for t in track.iter_mut() {
-                    let Some(p) = t.pending else { continue };
-                    if p.cycle != frontier {
-                        continue;
-                    }
-                    any_retired |= p.retired_tb;
-                    t.pending = None;
-                }
-                if any_retired && next_tb < tb_count {
-                    dispatch_tbs(
-                        &mut lanes,
-                        &track,
-                        tb_scheduler,
-                        feed,
-                        &mut next_tb,
-                        frontier,
-                        &mut report.tb_placements,
-                        &mut snaps,
-                    )?;
-                }
-
-                // Relaunch every settled home lane with events left in
-                // this epoch (just-drained lanes, plus any lane the
-                // dispatch above woke).
-                for w in 0..workers {
-                    let mut moved = pool.buffer();
-                    for i in (0..n_sms).filter(|i| i % executors == w) {
-                        if track[i].away || track[i].pending.is_some() {
-                            continue;
-                        }
-                        let Some(lane) = &lanes[i] else { continue };
-                        if lane.sm.next_event() < spec.epoch_end {
-                            let Some(lane) = lanes[i].take() else {
-                                unreachable!("checked above")
-                            };
-                            track[i].away = true;
-                            moved.push((i, lane));
-                        }
-                    }
-                    if moved.is_empty() {
-                        pool.recycle(moved);
-                        continue;
-                    }
-                    pool.send(
-                        w,
-                        Job::Run {
-                            ctx: Arc::clone(&ctx),
-                            spec,
-                            lanes: moved,
-                            resume: false,
-                        },
-                    );
-                    outstanding += 1;
-                }
-                for i in (0..n_sms).filter(|i| i % executors == workers) {
-                    if track[i].pending.is_some() {
-                        continue;
-                    }
-                    let Some(lane) = lanes[i].as_mut() else { continue };
-                    if lane.sm.next_event() >= spec.epoch_end {
-                        continue;
-                    }
-                    let outcome = run_chain(&ctx, &spec, lane);
-                    last_step_max = last_step_max.max(outcome.last_step);
-                    track[i].pending = (outcome.needs_phase_b || outcome.retired_tb)
-                        .then_some(PendingStop {
-                            cycle: outcome.last_step,
-                            needs_phase_b: outcome.needs_phase_b,
-                            retired_tb: outcome.retired_tb,
-                        });
-                }
-            }
-        }
-
-        // Recall parked lanes so kernel-end checks and stat merges see
-        // every lane.
-        let mut recalls = 0usize;
-        for w in 0..workers {
-            if (0..n_sms).any(|i| i % executors == w && track[i].away) {
-                pool.send(w, Job::Recall);
-                recalls += 1;
-            }
-        }
-        for _ in 0..recalls {
-            let done = pool.recv();
-            for (i, lane) in done.lanes {
-                lanes[i] = Some(lane);
-                track[i].away = false;
-            }
-        }
-    }
-    cycle = cycle.max(last_step_max);
-
     if let Some(san) = sanitizer.as_mut() {
-        let tlbs: Vec<&dyn TranslationBuffer> =
-            lanes.iter().flatten().map(|l| l.front.tlb()).collect();
+        let tlbs: Vec<&dyn TranslationBuffer> = lanes.iter().map(|l| l.front.tlb()).collect();
         san.end_of_kernel(
             cycle,
             &tlbs,
             shared.back.l2_slices(),
             report.per_app.len().max(1),
         );
-        for lane in lanes.iter().flatten() {
+        for lane in &lanes {
             if let Err(e) = lane.front.check_accounting() {
                 Sanitizer::accounting_failure(
                     &format!("sm {} mem-hier front", lane.sm_idx),
@@ -1128,25 +577,8 @@ fn run_kernel(
         }
     }
 
-    // Merge lane-local traces: concatenate in SM-index order, then a
-    // stable sort on cycle reproduces the serial (cycle, SM, push-seq)
-    // global order.
-    if let Some(trace) = shared.trace.as_mut() {
-        let mut tagged: Vec<(u64, TranslationEvent)> = Vec::new();
-        for slot in &mut lanes {
-            if let Some(lane) = slot.as_mut() {
-                tagged.append(&mut lane.trace);
-            }
-        }
-        tagged.sort_by_key(|(c, _)| *c);
-        trace.extend(tagged.into_iter().map(|(_, e)| e));
-    }
-
-    for slot in &mut lanes {
-        let Some(lane) = slot.take() else {
-            unreachable!("lanes are home after the kernel loop")
-        };
-        debug_assert!(lane.outbox.is_empty() && lane.trace.is_empty());
+    for lane in lanes {
+        debug_assert!(lane.outbox.is_empty());
         report.instructions += lane.instructions;
         report.sm_instructions[lane.sm_idx] += lane.instructions;
         for (k, &done) in lane.app_done.iter().enumerate() {
@@ -1159,26 +591,6 @@ fn run_kernel(
     Ok(cycle)
 }
 
-/// Folds one chain stop report into the coordinator's tracking.
-fn absorb_report(r: &StopReport, track: &mut [LaneTrack], last_step_max: &mut u64) {
-    *last_step_max = (*last_step_max).max(r.last_step);
-    let t = &mut track[r.lane];
-    t.next_event = r.next_event;
-    if r.parked {
-        t.away = true;
-        t.pending = None;
-    } else if r.needs_phase_b || r.retired_tb {
-        t.pending = Some(PendingStop {
-            cycle: r.last_step,
-            needs_phase_b: r.needs_phase_b,
-            retired_tb: r.retired_tb,
-        });
-    } else {
-        t.pending = None;
-    }
-}
-
-
 /// Phase A for one SM: retire finished warps/TBs, then issue up to
 /// `issue_width` warp instructions at `cycle`, touching only the lane's
 /// private state.
@@ -1187,15 +599,14 @@ fn absorb_report(r: &StopReport, track: &mut [LaneTrack], last_step_max: &mut u6
 /// eagerly (hits complete here). From that miss on the step *defers*:
 /// every remaining translation and data access of the step is pushed to
 /// the outbox in program order and replayed by phase B — including
-/// private L1 probes — so each private structure's operation sequence is
-/// exactly the serial engine's (eager prefix + in-order deferred
-/// suffix).
+/// private L1 probes — so each private structure sees its operations
+/// in program order (eager prefix + in-order deferred suffix).
 fn phase_a(
     config: &GpuConfig,
     cycle: u64,
     kernel_idx: u16,
     page_size: PageSize,
-    trace_on: bool,
+    mut trace: Option<&mut Vec<TranslationEvent>>,
     lane: &mut Lane,
 ) {
     debug_assert!(lane.sm.next_event() <= cycle, "phase A on an idle lane");
@@ -1208,7 +619,7 @@ fn phase_a(
     // Retire warps whose final op has completed; free TB slots. The
     // whole scan is skipped while `earliest_done` proves no finished
     // warp can be due yet — a skipped scan would have retired nothing,
-    // so the serial decision sequence is unchanged.
+    // so the decision sequence is unchanged.
     if sm.earliest_done <= cycle {
         sm.earliest_done = u64::MAX;
         for w in 0..sm.warps.len() {
@@ -1279,17 +690,14 @@ fn phase_a(
                             // whether served eagerly or deferred.
                             let at = cycle + lookups;
                             lookups += 1;
-                            if trace_on {
-                                lane.trace.push((
-                                    cycle,
-                                    TranslationEvent {
-                                        sm: sm_idx as u8,
-                                        tb_global: warp.tb_global,
-                                        warp: warp.warp_in_tb,
-                                        kernel: kernel_idx,
-                                        vpn: vpn.raw(),
-                                    },
-                                ));
+                            if let Some(trace) = trace.as_mut() {
+                                trace.push(TranslationEvent {
+                                    sm: sm_idx as u8,
+                                    tb_global: warp.tb_global,
+                                    warp: warp.warp_in_tb,
+                                    kernel: kernel_idx,
+                                    vpn: vpn.raw(),
+                                });
                             }
                             let acc = Access {
                                 at,
@@ -1408,8 +816,7 @@ fn phase_b(lane: &mut Lane, shared: &mut SharedState, cycle: u64, resolved: &mut
             resolved.push((ppn, resp.ready_at));
             // Any resolution below the L1 filled the SM's L1 TLB (the
             // path that evicts, spills and flips sharing flags):
-            // structurally check it, exactly as the serial engine did
-            // post-insert.
+            // structurally check it right after the insert.
             if shared.sanitize && resp.filled_l1 {
                 if let Some(acc) = entry.req.translate_acc() {
                     Sanitizer::after_fill(acc.sm, acc.at, front.tlb());
@@ -1424,130 +831,6 @@ fn phase_b(lane: &mut Lane, shared: &mut SharedState, cycle: u64, resolved: &mut
     lane.outbox.n_translates = 0;
     if let Some(issue_limited) = lane.outbox.recompute.take() {
         lane.sm.recompute_next_event(cycle, issue_limited);
-    }
-}
-
-/// Reusable per-lane request/response buffers for the sharded drain
-/// (allocated once per kernel, recycled across rounds).
-type ShardScratch = Vec<(Vec<SharedRequest>, Vec<SharedResponse>)>;
-
-/// Phase B for every participating lane: the serial per-SM apply loop
-/// in SM-index order, or — when the round meets the [`ShardPolicy`],
-/// the run is multi-threaded, the sanitizer is off and every
-/// participating L1 TLB supports deferred fills — the sharded
-/// slice-parallel drain
-/// ([`drain_sharded`]), which reproduces the serial order byte-exactly.
-///
-/// `take(i)` selects participants (idempotent; called more than once
-/// per lane). A selected lane must be home.
-#[allow(clippy::too_many_arguments)]
-fn drain_phase_b(
-    lanes: &mut [Option<Box<Lane>>],
-    take: &mut dyn FnMut(usize) -> bool,
-    shared: &mut SharedState,
-    cycle: u64,
-    resolved: &mut Vec<(Ppn, u64)>,
-    scratch: &mut ShardScratch,
-    exec: &ScopedExec,
-    policy: ShardPolicy,
-    sharded_rounds: &mut u64,
-) {
-    let mut total = 0usize;
-    let mut participants = 0usize;
-    let mut deferrable = true;
-    for (i, slot) in lanes.iter().enumerate() {
-        if !take(i) {
-            continue;
-        }
-        let Some(lane) = slot.as_ref() else {
-            unreachable!("phase-B participant lanes are home")
-        };
-        if !lane.outbox.is_empty() {
-            total += lane.outbox.entries.len();
-            participants += 1;
-            deferrable &= lane.front.tlb().supports_deferred_fill();
-        }
-    }
-    // Most per-cycle rounds defer nothing: every outbox is empty, the
-    // serial apply loop below would visit 16 lanes just to return from
-    // each, and the policy can never be met (`threshold > 0`). Skip
-    // them outright — byte-exact, since `phase_b` on an empty outbox is
-    // a no-op.
-    if total == 0 {
-        return;
-    }
-    // The policy predicate is thread-count independent (the round's
-    // batch is identical for every `--sim-threads N`), so the counter it
-    // feeds is too; only the actual shard additionally needs executors.
-    let met = policy.met(total, participants) && deferrable && !shared.sanitize;
-    if met {
-        *sharded_rounds += 1;
-    }
-    let sharded = met && exec.threads > 1;
-    if !sharded {
-        for (i, slot) in lanes.iter_mut().enumerate() {
-            if !take(i) {
-                continue;
-            }
-            let Some(lane) = slot.as_mut() else {
-                unreachable!("phase-B participant lanes are home")
-            };
-            phase_b(lane, shared, cycle, resolved);
-        }
-        return;
-    }
-
-    // Copy each participant's requests into the reusable shard buffers
-    // so the drain lanes can borrow the fronts mutably alongside them.
-    while scratch.len() < lanes.len() {
-        scratch.push(Default::default());
-    }
-    let mut drain_lanes: Vec<DrainLane<'_>> = Vec::with_capacity(lanes.len());
-    for (i, (slot, (reqs, resps))) in lanes.iter_mut().zip(scratch.iter_mut()).enumerate() {
-        if !take(i) {
-            continue;
-        }
-        let Some(lane) = slot.as_mut() else {
-            unreachable!("phase-B participant lanes are home")
-        };
-        if lane.outbox.is_empty() {
-            debug_assert!(lane.outbox.recompute.is_none());
-            continue;
-        }
-        reqs.clear();
-        reqs.extend(lane.outbox.entries.iter().map(|e| e.req));
-        resps.clear();
-        drain_lanes.push(DrainLane {
-            sm: lane.sm_idx,
-            front: &mut lane.front,
-            reqs: &reqs[..],
-            resps,
-        });
-    }
-    drain_sharded(&mut shared.back, &mut drain_lanes, exec);
-    drop(drain_lanes);
-
-    // Patch warp completion times and settle `next_event`, exactly as
-    // the tail of the serial [`phase_b`] does.
-    for (i, (slot, (_, resps))) in lanes.iter_mut().zip(scratch.iter_mut()).enumerate() {
-        if !take(i) {
-            continue;
-        }
-        let Some(lane) = slot.as_mut() else { continue };
-        if lane.outbox.is_empty() {
-            continue;
-        }
-        debug_assert_eq!(lane.outbox.entries.len(), resps.len());
-        for (entry, resp) in lane.outbox.entries.drain(..).zip(resps.iter()) {
-            if let Some(w) = entry.warp {
-                let warp = &mut lane.sm.warps[w];
-                warp.ready_at = warp.ready_at.max(resp.ready_at);
-            }
-        }
-        lane.outbox.n_translates = 0;
-        if let Some(issue_limited) = lane.outbox.recompute.take() {
-            lane.sm.recompute_next_event(cycle, issue_limited);
-        }
     }
 }
 
@@ -1587,7 +870,7 @@ struct WarpRt {
 }
 
 /// Runtime state of one SM.
-pub(crate) struct SmRt {
+struct SmRt {
     warps: Vec<WarpRt>,
     free_slots: Vec<u8>,
     slot_live_warps: Vec<u32>,
@@ -1753,7 +1036,7 @@ impl SmRt {
         self.retired_warps = 0;
     }
 
-    pub(crate) fn next_event(&self) -> u64 {
+    fn next_event(&self) -> u64 {
         self.next_event
     }
 }
@@ -1791,30 +1074,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_exactly() {
-        // The tentpole contract: `--sim-threads N` changes wall-clock
-        // only. Every reported number — cycles, stats, the latency
-        // breakdown, even the translation trace — must be identical.
-        let spec = registry().into_iter().find(|s| s.name == "gemm").unwrap();
-        let serial = Simulator::new(GpuConfig::dac23_baseline())
-            .with_sim_threads(1)
-            .with_translation_trace(true)
-            .run(spec.generate(Scale::Test, 42));
-        for threads in [2, 4, 16] {
-            let par = Simulator::new(GpuConfig::dac23_baseline())
-                .with_sim_threads(threads)
-                .with_translation_trace(true)
-                .run(spec.generate(Scale::Test, 42));
-            assert_eq!(serial.total_cycles, par.total_cycles, "{threads} threads");
-            assert_eq!(serial.to_csv_row(), par.to_csv_row(), "{threads} threads");
-            assert_eq!(serial.kernel_cycles, par.kernel_cycles);
-            assert_eq!(serial.l1_tlb, par.l1_tlb);
-            assert_eq!(serial.latency, par.latency);
-            assert_eq!(serial.translation_trace, par.translation_trace);
-        }
-    }
-
-    #[test]
     fn memo_fastpath_serves_lookups_in_a_real_run() {
         // Warps re-touch the same page line after line, so the MRU memo
         // must serve a meaningful share of lookups; every fast-path hit
@@ -1823,35 +1082,6 @@ mod tests {
         assert!(r.fastpath_hits > 0, "memo fast path never engaged");
         let bound = r.l1_tlb_aggregate().hits + r.l2_tlb.hits;
         assert!(r.fastpath_hits <= bound, "{} > {bound}", r.fastpath_hits);
-    }
-
-    #[test]
-    fn shard_policy_rounds_are_thread_invariant() {
-        // The `sharded_rounds` counter must not depend on the thread
-        // count: a serial run (which never shards) reports the same
-        // policy-met rounds as a parallel run (which shards them).
-        let spec = registry().into_iter().find(|s| s.name == "gemm").unwrap();
-        let config = GpuConfig {
-            shard_threshold: 1,
-            shard_lane_overhead: 0,
-            ..GpuConfig::dac23_baseline()
-        };
-        let run = |threads: usize| {
-            Simulator::new(config.clone())
-                .with_sim_threads(threads)
-                .with_sanitizer(false)
-                .run(spec.generate(Scale::Test, 42))
-        };
-        let serial = run(1);
-        assert!(serial.sharded_rounds > 0, "forced policy never met");
-        for threads in [2, 4] {
-            let par = run(threads);
-            assert_eq!(
-                serial.sharded_rounds, par.sharded_rounds,
-                "{threads} threads"
-            );
-            assert_eq!(serial.to_csv_row(), par.to_csv_row(), "{threads} threads");
-        }
     }
 
     #[test]

@@ -40,7 +40,6 @@ mod config;
 mod corun;
 mod engine;
 mod feed;
-mod pool;
 mod report;
 pub mod sanitize;
 mod tb_sched;
@@ -54,7 +53,7 @@ pub use mem_hier::{Cache, CacheConfig, CacheStats, L2Policy, LatencyBreakdown, T
 pub use coalesce::{coalesce, coalesce_into};
 pub use config::GpuConfig;
 pub use corun::{jain_fairness, system_throughput};
-pub use engine::{set_sim_threads, sim_threads, L1TlbFactory, Simulator, WarpSchedulerFactory};
+pub use engine::{L1TlbFactory, Simulator, WarpSchedulerFactory};
 pub use report::{AppReport, SimReport, TranslationEvent};
 pub use sanitize::{sanitize_enabled, set_sanitize};
 pub use tb_sched::{RoundRobinScheduler, SmSnapshot, TbScheduler};

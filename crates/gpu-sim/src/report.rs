@@ -77,19 +77,17 @@ pub struct SimReport {
     pub latency: LatencyBreakdown,
     /// Recorded L1 TLB access stream (only when tracing was enabled).
     pub translation_trace: Vec<TranslationEvent>,
-    /// Phase-B rounds whose deferred batch met the engine's shard
-    /// policy. The policy predicate never reads the thread count, so a
-    /// serial run reports the same number as any `--sim-threads N` run
-    /// (where those rounds actually take the sharded drain).
+    /// Always 0: the engine is serial and has no sharded drain. Retained
+    /// (with its CSV column) for the benchmark harness, which still reads
+    /// it; the next benchmark change removes it (see DESIGN.md,
+    /// "Retained for the benchmark harness").
     pub sharded_rounds: u64,
     /// TLB lookups (all levels) served by the exact MRU memo fast path
     /// instead of a tag walk. Pure wall-clock accounting: the fast path
-    /// is byte-identical to the walk it skips, and the lookup streams
-    /// are thread-count invariant, so this counter is too.
+    /// is byte-identical to the walk it skips.
     pub fastpath_hits: u64,
     /// Per-application results in ASID order (a single entry for solo
-    /// runs). Populated by the engine from order-independent
-    /// per-ASID counter merges, so it is `--sim-threads` invariant.
+    /// runs). Populated by the engine from per-ASID counter merges.
     pub per_app: Vec<AppReport>,
 }
 
@@ -444,8 +442,7 @@ mod tests {
         assert_eq!(field("walk_cycles"), 500);
         assert_eq!(field("fault_cycles"), 2000);
         assert_eq!(field("translate_cycles"), 2558);
-        // Serial hot-path counters (appended columns): shard-policy
-        // rounds and memo fast-path hits round-trip exactly.
+        // Host-engine counters (appended columns) round-trip exactly.
         assert_eq!(field("sharded_rounds"), 21);
         assert_eq!(field("fastpath_hits"), 4242);
         // And the recovered row still satisfies the stage-sum identity.

@@ -55,12 +55,9 @@ pub trait TbScheduler {
     /// Whether `pick_sm` depends only on slot occupancy — never on the
     /// snapshots' TLB hit-rate fields, nor on being *called* at a
     /// particular cadence — and always places a TB when some SM has
-    /// room. The engine uses this to skip dispatch attempts that are
-    /// provably no-ops (every SM full) and to let SMs run multi-cycle
-    /// epochs while TBs are still being dispatched. Policies that adapt
-    /// to TLB stats, keep per-call estimator state, or throttle
-    /// placements must return `false` (the default), which keeps
-    /// dispatch on the exact per-event-cycle schedule.
+    /// room. The engine no longer reads it. Retained for the benchmark
+    /// harness, whose decorators forward it; the next benchmark change
+    /// removes it (see DESIGN.md, "Retained for the benchmark harness").
     fn occupancy_only(&self) -> bool {
         false
     }

@@ -26,9 +26,9 @@ pub struct WarpView {
 /// [`WarpScheduler::issued`] so stateful policies (greedy, round-robin
 /// pointers) can track it.
 ///
-/// `Send` is a supertrait: each scheduler lives inside its SM's runtime
-/// state, which the engine's phase-A workers step on worker threads
-/// (schedulers are plain owned data, so this costs implementors nothing).
+/// `Send` is a supertrait, so a simulator owning its schedulers can be
+/// handed to another thread (schedulers are plain owned data, so this
+/// costs implementors nothing).
 pub trait WarpScheduler: Send {
     /// Chooses the next warp to issue from `warps` (an index into the
     /// slice), or `None` if none is ready.

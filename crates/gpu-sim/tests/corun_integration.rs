@@ -1,6 +1,6 @@
-//! Engine-level multi-tenancy contract: co-runs of concurrent address
-//! spaces are deterministic across `--sim-threads`, per-app accounting
-//! sums back to the aggregate counters, and every shared-L2-TLB policy
+//! Engine-level multi-tenancy contract: per-app accounting of co-runs of
+//! concurrent address spaces sums back to the aggregate counters, and
+//! every shared-L2-TLB policy
 //! (plain sharing, MASK-style fill tokens, sub-entry sharing) survives a
 //! sanitized co-run.
 
@@ -52,42 +52,23 @@ fn per_app_tlb_stats_sum_to_aggregate() {
     }
 }
 
-/// Every shared-L2 policy co-runs deterministically: serial and 4-thread
-/// replays produce the same CSV row (including the append-only per-app
-/// columns) and the same per-app reports, with the sanitizer's
-/// ASID-aware invariants enabled throughout. The MASK quota here is
-/// deliberately tiny so the token gate actually starves fills.
+/// Every shared-L2 policy co-runs with the sanitizer's ASID-aware
+/// invariants enabled throughout, and per-app L2 counters still partition
+/// the aggregate. The MASK quota here is deliberately tiny so the token
+/// gate actually starves fills.
 #[test]
-fn l2_policies_corun_sanitized_and_thread_invariant() {
+fn l2_policies_corun_sanitized() {
     for policy in [
         L2Policy::Shared,
         L2Policy::MaskTokens { quota: 4 },
         L2Policy::SubEntry { subs: 2 },
     ] {
-        let run = |threads: usize| {
-            Simulator::new(
-                GpuConfig::dac23_baseline().with_l2_policy(policy),
-            )
+        let report = Simulator::new(GpuConfig::dac23_baseline().with_l2_policy(policy))
             .with_sanitizer(true)
-            .with_sim_threads(threads)
-            .run_corun(mix())
-        };
-        let serial = run(1);
-        for threads in [2usize, 4] {
-            let parallel = run(threads);
-            assert_eq!(
-                serial.to_csv_row(),
-                parallel.to_csv_row(),
-                "{policy:?} CSV row diverged at {threads} threads"
-            );
-            assert_eq!(
-                serial.per_app, parallel.per_app,
-                "{policy:?} per-app reports diverged at {threads} threads"
-            );
-        }
+            .run_corun(mix());
         assert_eq!(
-            sum(serial.per_app.iter().map(|a| a.l2_tlb)),
-            serial.l2_tlb,
+            sum(report.per_app.iter().map(|a| a.l2_tlb)),
+            report.l2_tlb,
             "{policy:?} per-app L2 stats must still partition the aggregate"
         );
     }

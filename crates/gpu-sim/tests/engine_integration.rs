@@ -305,3 +305,40 @@ fn empty_and_degenerate_workloads() {
     assert_eq!(r.instructions, 0);
     assert_eq!(r.tb_placements.iter().sum::<u32>(), 1);
 }
+
+/// The benchmark harness still calls `with_sim_threads`, sets the shard
+/// knobs and reads `sharded_rounds`: the knobs must not move a byte of a
+/// solo or a co-run report, and the counter stays zero: the engine has
+/// no sharded drain. The knobs ask for a shard on every round and the
+/// sanitizer is off, so nothing else keeps the counter at zero.
+#[test]
+fn retained_thread_knob_is_inert_and_sharded_rounds_stay_zero() {
+    let config = GpuConfig {
+        shard_threshold: 1,
+        shard_lane_overhead: 0,
+        ..GpuConfig::dac23_baseline()
+    };
+    let app = |name: &str| {
+        workloads::registry()
+            .into_iter()
+            .find(|s| s.name == name)
+            .expect("benchmark in the registry")
+            .generate(workloads::Scale::Test, 42)
+    };
+    let run = |threads: usize| {
+        let mut sim = Simulator::new(config.clone())
+            .with_sim_threads(threads)
+            .with_sanitizer(false);
+        let solo = sim.run(app("bfs"));
+        let corun = sim.run_corun(vec![app("gemm"), app("bfs")]);
+        (solo, corun)
+    };
+    let (solo, corun) = run(1);
+    assert_eq!(solo.sharded_rounds, 0, "bfs solo");
+    assert_eq!(corun.sharded_rounds, 0, "gemm+bfs co-run");
+    for threads in [2, 4] {
+        let (s, c) = run(threads);
+        assert_eq!(s.to_csv_row(), solo.to_csv_row(), "bfs solo at {threads}");
+        assert_eq!(c.to_csv_row(), corun.to_csv_row(), "co-run at {threads}");
+    }
+}

@@ -38,11 +38,10 @@ pub struct Translation {
 /// DRAM), with per-level latency attribution for every translation.
 ///
 /// Internally this is the [`PerSmFront`]/[`SharedBack`] split the
-/// SM-parallel engine works with directly (via
+/// two-phase engine works with directly (via
 /// [`HierarchyBuilder::build_split`]); this façade fuses the two halves
-/// back into the serial call shape for tests and single-threaded
-/// callers. Both paths run the identical stage code, which is half of
-/// the byte-identical-output argument.
+/// back into one call per access for tests and simple callers. Both
+/// paths run the identical stage code.
 ///
 /// Stage timing contract: each stage's outcome satisfies
 /// `ready_at == access.at + queue + service + fault` (debug-asserted

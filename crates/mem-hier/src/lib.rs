@@ -11,7 +11,7 @@
 //!   contribution and every stage keeping [`StageStats`].
 //! * [`PerSmFront`] / [`SharedBack`] — the private/shared split of the
 //!   paper's Figure 1 pipeline. Each front owns one SM's L1 TLB and
-//!   VIPT L1 data cache (steppable on a worker thread); the back owns
+//!   VIPT L1 data cache; the back owns
 //!   the order-sensitive shared stages — [`IcntLink`], [`L2TlbStage`]
 //!   (with reusable [`Ports`] arbitration), [`WalkerStage`], and the
 //!   L2/DRAM data path — applied in deterministic SM order via
@@ -76,7 +76,6 @@
 
 mod breakdown;
 mod cache;
-mod drain;
 mod config;
 mod hierarchy;
 mod ports;
@@ -85,7 +84,6 @@ mod stage;
 mod stages;
 
 pub use breakdown::{LatencyBreakdown, TranslationBreakdown};
-pub use drain::{drain_sharded, DrainExec, DrainLane, SerialExec};
 pub use cache::{Cache, CacheStats};
 pub use config::{CacheConfig, HierarchyConfig, L2Policy};
 pub use hierarchy::{Hierarchy, HierarchyBuilder, HitLevel, Translation};

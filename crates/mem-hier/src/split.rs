@@ -1,20 +1,18 @@
 //! The private/shared state split of the hierarchy.
 //!
 //! The paper's design keeps L1 TLBs SM-private while contention
-//! concentrates at the shared L2 TLB and walker pool — which is exactly
-//! the split a deterministic SM-parallel engine needs. This module
-//! factors the pipeline into:
+//! concentrates at the shared L2 TLB and walker pool. The engine's
+//! two-phase event loop follows that split, and this module factors the
+//! pipeline into:
 //!
 //! * [`PerSmFront`] — everything one SM touches exclusively: its private
 //!   L1 TLB (plus that stage's activity stats and the L1-hit latency
-//!   attribution) and its private VIPT L1 data cache. Safe to step on a
-//!   phase-A worker thread with no shared state.
+//!   attribution) and its private VIPT L1 data cache. Phase A steps it.
 //! * [`SharedBack`] — the order-sensitive shared stages: the
 //!   interconnect, the sliced L2 TLB with port arbitration, the walker
 //!   pool over the (mutating, PPN-allocating) address space, and the
-//!   L2/DRAM data path. Only the coordinating thread applies these, in
-//!   SM-index order, which is what keeps parallel runs byte-identical to
-//!   the serial engine.
+//!   L2/DRAM data path. Phase B applies these in SM-index order; that
+//!   order is part of what the goldens pin.
 //! * [`SharedRequest`] — the explicit boundary type: the work a phase-A
 //!   step defers to phase B.
 //!
@@ -37,7 +35,7 @@ fn request(acc: &Access) -> TlbRequest {
 
 /// One SM's private slice of the hierarchy: its L1 TLB and L1 data
 /// cache, with the stats and latency attribution they generate. Owns no
-/// shared state, so phase A may step it on a worker thread.
+/// shared state.
 pub struct PerSmFront {
     sm: usize,
     l1_tlb: Box<dyn TranslationBuffer>,
@@ -288,18 +286,18 @@ pub struct SharedResponse {
 
 /// The shared, order-sensitive half of the hierarchy: interconnect,
 /// sliced L2 TLB, walker pool (owning the address space), and the
-/// L2/DRAM data path. Applied only by the coordinating thread.
+/// L2/DRAM data path. Phase B applies it in SM-index order.
 pub struct SharedBack {
-    pub(crate) icnt: IcntLink,
-    pub(crate) l2_tlb: L2TlbStage,
-    pub(crate) walker: WalkerStage,
-    pub(crate) l2_data: Cache,
-    pub(crate) icnt_latency: u64,
-    pub(crate) l2_hit_latency: u64,
-    pub(crate) dram_latency: u64,
+    icnt: IcntLink,
+    l2_tlb: L2TlbStage,
+    walker: WalkerStage,
+    l2_data: Cache,
+    icnt_latency: u64,
+    l2_hit_latency: u64,
+    dram_latency: u64,
     /// Miss-path translations are attributed here (the fronts hold the
     /// L1-hit share).
-    pub(crate) breakdown: LatencyBreakdown,
+    breakdown: LatencyBreakdown,
 }
 
 impl SharedBack {

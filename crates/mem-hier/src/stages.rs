@@ -21,7 +21,7 @@ fn request(acc: &Access) -> TlbRequest {
 /// ports and the walker pool, not on the network itself).
 pub struct IcntLink {
     latency: u64,
-    pub(crate) stats: StageStats,
+    stats: StageStats,
 }
 
 impl IcntLink {
@@ -104,11 +104,8 @@ struct Tokens {
 
 /// One slice of the shared L2 TLB: a [`SliceKind`] structure, optionally
 /// guarded by MASK-style fill tokens. The token gate lives *inside*
-/// [`L2Slice::insert`], so the serial apply path and the sharded drain
-/// (which inserts a provisional sentinel at miss time and patches later)
-/// make the same fill/bypass decision by construction: both feed the
-/// slice the identical per-slice insert sequence, and the decision reads
-/// only resident-entry state, never the (provisional) payload.
+/// [`L2Slice::insert`] and reads only resident-entry state, never the
+/// payload.
 pub struct L2Slice {
     kind: SliceKind,
     tokens: Option<Tokens>,
@@ -138,13 +135,6 @@ impl L2Slice {
             }
         }
         self.kind.buffer_mut().insert(req, ppn);
-    }
-
-    /// Patches a provisional frame after a walk resolves (deferred-fill
-    /// protocol); `false` when the entry is gone or was never filled
-    /// (token bypass), both benign.
-    pub fn patch_ppn(&mut self, req: &TlbRequest, old: Ppn, new: Ppn) -> bool {
-        self.kind.buffer_mut().patch_ppn(req, old, new)
     }
 
     /// Probes for `(asid, vpn)` without perturbing any state.
@@ -215,9 +205,9 @@ impl L2Slice {
 /// by a [`Ports`] bank. Requests first win a port (queueing under miss
 /// floods), then probe the slice.
 pub struct L2TlbStage {
-    pub(crate) slices: Vec<L2Slice>,
-    pub(crate) ports: Vec<Ports>,
-    pub(crate) stats: StageStats,
+    slices: Vec<L2Slice>,
+    ports: Vec<Ports>,
+    stats: StageStats,
 }
 
 impl L2TlbStage {
@@ -273,9 +263,7 @@ impl L2TlbStage {
             .fold(TlbStats::default(), |a, t| a + t.stats())
     }
 
-    /// Per-ASID TLB counters merged over slices, sorted by ASID (an
-    /// order-independent counter sum, so serial and sharded drains
-    /// agree byte-for-byte).
+    /// Per-ASID TLB counters merged over slices, sorted by ASID.
     pub fn tlb_stats_by_asid(&self) -> Vec<(Asid, TlbStats)> {
         let mut merged: std::collections::BTreeMap<Asid, TlbStats> = std::collections::BTreeMap::new();
         for slice in &self.slices {

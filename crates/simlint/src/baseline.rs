@@ -183,7 +183,7 @@ mod tests {
     #[test]
     fn new_file_rule_pair_regresses_from_zero() {
         let base = Baseline::default();
-        let r = base.ratchet(&Baseline::from_violations(&[v("new.rs", "phase-a-shared", 5)]));
+        let r = base.ratchet(&Baseline::from_violations(&[v("new.rs", "engine-spawn", 5)]));
         assert_eq!(r.regressions.len(), 1);
         assert!(r.regressions[0].contains("grew 0 -> 1"));
     }

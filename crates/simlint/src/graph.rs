@@ -15,10 +15,8 @@
 //!   Unresolvable receivers fall back to *every* method of that name.
 //! * `func(...)` — every free function of that name.
 //!
-//! The graph also records, per item, every workspace type/trait name the
-//! item's tokens mention (`uses`) — the phase-safety analysis keys on
-//! those — and the string literals in the item span (taint sinks like
-//! `"BENCH_engine.json"` live in literals).
+//! The taint analysis also reads the string literals in an item's span
+//! (taint sinks like `"BENCH_engine.json"` live in literals).
 
 use crate::lexer::TokKind;
 use crate::parser::{pick_type_ident, Item, ItemKind, ParsedFile};
@@ -35,8 +33,6 @@ pub struct Workspace {
     pub items: Vec<(usize, Item)>,
     /// Call edges, per item.
     pub calls: Vec<Vec<ItemId>>,
-    /// Workspace type/trait names each item's span mentions.
-    pub uses: Vec<BTreeSet<String>>,
     /// All struct/enum names.
     pub types: BTreeSet<String>,
     /// All trait names.
@@ -93,7 +89,6 @@ impl Workspace {
             files,
             items,
             calls: Vec::new(),
-            uses: Vec::new(),
             types,
             traits,
             fn_by_name,
@@ -101,9 +96,8 @@ impl Workspace {
             impls_of_trait,
         };
         for id in 0..ws.items.len() {
-            let (c, u) = ws.scan_item(id);
+            let c = ws.scan_item(id);
             ws.calls.push(c);
-            ws.uses.push(u);
         }
         ws
     }
@@ -216,19 +210,14 @@ impl Workspace {
         })
     }
 
-    /// Scans one item's span for call edges and type uses.
-    fn scan_item(&self, id: ItemId) -> (Vec<ItemId>, BTreeSet<String>) {
+    /// Scans one item's span for call edges.
+    fn scan_item(&self, id: ItemId) -> Vec<ItemId> {
         let (fi, it) = &self.items[id];
         let toks = &self.files[*fi].toks;
         let mut edges: BTreeSet<ItemId> = BTreeSet::new();
-        let mut used: BTreeSet<String> = BTreeSet::new();
-        if !matches!(it.kind, ItemKind::Fn | ItemKind::Const) {
-            // Containers are scanned via their contained fns; structs and
-            // traits still contribute type-name uses below for phase
-            // checks, but no call edges.
-            if matches!(it.kind, ItemKind::Impl | ItemKind::Mod | ItemKind::Trait) {
-                return (Vec::new(), used);
-            }
+        // Containers are scanned via their contained fns.
+        if matches!(it.kind, ItemKind::Impl | ItemKind::Mod | ItemKind::Trait) {
+            return Vec::new();
         }
         let (start, end) = it.span;
         let params: BTreeMap<&str, String> = it
@@ -252,9 +241,6 @@ impl Workspace {
                 continue;
             }
             let name = t.text.as_str();
-            if self.types.contains(name) || self.traits.contains(name) {
-                used.insert(name.to_string());
-            }
             if txt(k + 1) != "(" {
                 continue;
             }
@@ -287,7 +273,7 @@ impl Workspace {
                 }
             }
         }
-        (edges.into_iter().collect(), used)
+        edges.into_iter().collect()
     }
 
     fn resolve_qualified(&self, qual: &str, name: &str, caller: &Item) -> Vec<ItemId> {
@@ -513,14 +499,14 @@ mod tests {
     #[test]
     fn module_qualified_calls_filter_by_crate() {
         let w = ws(&[
-            ("crates/mem-hier/src/drain.rs", "pub fn drain_sharded() {}\n"),
-            ("crates/a/src/lib.rs", "pub fn drain_sharded() {}\n\
-              pub fn top() { mem_hier::drain_sharded(); }\n"),
+            ("crates/mem-hier/src/split.rs", "pub fn apply() {}\n"),
+            ("crates/a/src/lib.rs", "pub fn apply() {}\n\
+              pub fn top() { mem_hier::apply(); }\n"),
         ]);
         let top = find(&w, "top");
         let t = w.calls[top].clone();
         assert_eq!(t.len(), 1);
-        assert_eq!(w.rel(t[0]), "crates/mem-hier/src/drain.rs");
+        assert_eq!(w.rel(t[0]), "crates/mem-hier/src/split.rs");
     }
 
     #[test]
@@ -548,13 +534,4 @@ mod tests {
         assert_eq!(w.path_to(&r, c), "`a` → `b` → `c`");
     }
 
-    #[test]
-    fn uses_record_workspace_types() {
-        let w = ws(&[(
-            "crates/a/src/lib.rs",
-            "pub struct SharedBack;\npub fn f() { let _x: Option<&SharedBack> = None; }\n",
-        )]);
-        let f = find(&w, "f");
-        assert!(w.uses[f].contains("SharedBack"));
-    }
 }

@@ -21,16 +21,13 @@
 //!   (TLB lookup/insert and the cycle loop): a panic mid-simulation is
 //!   only acceptable via the sanitizer, which attaches a state dump.
 //! * **engine-lock** — no `Mutex`/`RwLock` in the engine hot path: the
-//!   two-phase engine's determinism rests on phase A touching only
-//!   SM-private state and phase B applying shared state in SM-index
-//!   order. A lock in that code means cross-thread sharing whose
-//!   acquisition order (and timing) the scheduler controls — exactly the
-//!   nondeterminism the phase split exists to exclude. Channels moving
-//!   owned data are the sanctioned mechanism.
-//! * **engine-spawn** — no `thread::spawn`/`thread::scope` outside
-//!   `gpu-sim/src/pool.rs` (the persistent worker pool and the
-//!   sharded-drain scoped executor), where lane ownership, panic
-//!   propagation and deterministic merge order are enforced in one place.
+//!   engine is serial, so a lock there means someone is sharing engine
+//!   state across threads, and lock acquisition order (controlled by the
+//!   OS scheduler) would then reach the simulation.
+//! * **engine-spawn** — no `thread::spawn`/`thread::scope` anywhere
+//!   ([`spawn`] adds the workspace-wide graph layer): the simulator is
+//!   serial, and parallelism lives at the experiment grid, whose fan-out
+//!   carries a reasoned allow.
 //!
 //! **Graph rules** (v2, workspace-wide, over the [`graph::Workspace`]
 //! item/call graph built by [`parser`] on the [`lexer`] token stream):
@@ -41,13 +38,6 @@
 //!   sink (`SimReport`, CSV writers, `BENCH_*`/golden emitters). This
 //!   computes what the hand-maintained `RESULT_CRATES` list used to
 //!   approximate.
-//! * **phase-a-shared** ([`phase`]) — an item reachable from a phase-A
-//!   entry point (`PerSmFront` methods, `phase_a`/`run_chain`) names
-//!   shared back-half state (`SharedBack`, stages, walkers, icnt).
-//! * **deferred-fill-payload** ([`phase`]) — a `TranslationBuffer`
-//!   claiming `supports_deferred_fill()` whose `insert` placement
-//!   depends on the PPN payload, or which does not override
-//!   `patch_ppn` — the PR 6 sentinel-fill soundness condition.
 //! * **stale-allow** — a `// simlint: allow(...)` escape whose rule no
 //!   longer fires on (or suppresses a taint seed at) its target line.
 //!
@@ -75,7 +65,7 @@ pub mod baseline;
 pub mod graph;
 pub mod lexer;
 pub mod parser;
-pub mod phase;
+pub mod spawn;
 pub mod taint;
 
 use lexer::{LineComment, Tok};
@@ -105,14 +95,11 @@ pub const RESULT_CRATES: [&str; 8] = [
 /// `engine-lock`): the cycle loop plus every TLB organization's
 /// lookup/insert code and the private/shared hierarchy split. Kept for
 /// one release cycle as a cross-check against graph-derived facts (every
-/// `TranslationBuffer` impl and every phase-entry/shared-state
-/// definition must live in one of these files).
-pub const HOT_PATHS: [&str; 14] = [
+/// `TranslationBuffer` impl must live in one of these files).
+pub const HOT_PATHS: [&str; 12] = [
     "crates/gpu-sim/src/engine.rs",
     "crates/gpu-sim/src/feed.rs",
-    "crates/gpu-sim/src/pool.rs",
     "crates/gpu-sim/src/corun.rs",
-    "crates/mem-hier/src/drain.rs",
     "crates/mem-hier/src/hierarchy.rs",
     "crates/mem-hier/src/split.rs",
     "crates/mem-hier/src/stages.rs",
@@ -138,7 +125,7 @@ const ADDR_MARKERS: [&str; 4] = ["vpn", "ppn", "addr", "pfn"];
 /// Every rule an allow comment may waive. `bad-allow` and `stale-allow`
 /// are deliberately absent: escapes cannot waive the escape hygiene
 /// rules themselves.
-pub const RULES: [&str; 10] = [
+pub const RULES: [&str; 8] = [
     "hash-iter",
     "wall-clock",
     "unseeded-rng",
@@ -147,8 +134,6 @@ pub const RULES: [&str; 10] = [
     "engine-lock",
     "engine-spawn",
     "taint-reaches-report",
-    "phase-a-shared",
-    "deferred-fill-payload",
 ];
 
 /// Metadata for one rule (drives `--list-rules` and the README table).
@@ -162,7 +147,7 @@ pub struct RuleInfo {
 }
 
 /// All rules simlint can report, in display order.
-pub const RULE_INFOS: [RuleInfo; 12] = [
+pub const RULE_INFOS: [RuleInfo; 10] = [
     RuleInfo {
         name: "hash-iter",
         scope: "result crates",
@@ -191,27 +176,17 @@ pub const RULE_INFOS: [RuleInfo; 12] = [
     RuleInfo {
         name: "engine-lock",
         scope: "engine hot path",
-        summary: "`Mutex`/`RwLock` in the hot path: scheduler-ordered sharing breaks two-phase determinism",
+        summary: "`Mutex`/`RwLock` in the hot path: scheduler-ordered sharing of engine state breaks determinism",
     },
     RuleInfo {
         name: "engine-spawn",
-        scope: "workspace (except pool.rs)",
-        summary: "`thread::spawn`/`thread::scope` outside the engine pool: ad-hoc threading leaks arrival order",
+        scope: "workspace",
+        summary: "`thread::spawn`/`thread::scope`: the simulator is serial; grid fan-out needs a reasoned allow",
     },
     RuleInfo {
         name: "taint-reaches-report",
         scope: "call graph (sink influence set)",
         summary: "a nondeterminism source can flow into a `SimReport`/CSV/`BENCH_*`/golden sink",
-    },
-    RuleInfo {
-        name: "phase-a-shared",
-        scope: "call graph (phase-A reachability)",
-        summary: "code reachable from `PerSmFront`/`phase_a` names shared back-half state",
-    },
-    RuleInfo {
-        name: "deferred-fill-payload",
-        scope: "`TranslationBuffer` impls",
-        summary: "`supports_deferred_fill()` with a payload-dependent `insert` or missing `patch_ppn` override",
     },
     RuleInfo {
         name: "stale-allow",
@@ -570,7 +545,6 @@ fn lexical_pass(rel: &str, code: &[Tok], comments: &[LineComment]) -> FilePass {
             ),
             "spawn" | "scope"
                 if hot
-                    && !rel.ends_with("pool.rs")
                     && prev(1) == ":"
                     && prev(2) == ":"
                     && prev(3) == "thread" =>
@@ -579,10 +553,9 @@ fn lexical_pass(rel: &str, code: &[Tok], comments: &[LineComment]) -> FilePass {
                     t.line,
                     "engine-spawn",
                     format!(
-                        "thread::{} in the engine hot path: all engine parallelism must go \
-                         through gpu-sim/src/pool.rs (the worker pool / scoped drain \
-                         executor), which owns lane routing, panic propagation and \
-                         deterministic merges",
+                        "thread::{} in the engine hot path: the engine is serial; run \
+                         independent simulations in parallel on the experiment grid \
+                         instead",
                         t.text
                     ),
                 )
@@ -591,10 +564,9 @@ fn lexical_pass(rel: &str, code: &[Tok], comments: &[LineComment]) -> FilePass {
                 t.line,
                 "engine-lock",
                 format!(
-                    "{} in the engine hot path: the two-phase engine stays deterministic \
-                     by construction (SM-private phase A, SM-ordered phase B) — locks \
-                     reintroduce scheduler-ordered sharing; move owned data over channels \
-                     instead",
+                    "{} in the engine hot path: the engine is serial and owns its state; \
+                     a lock means engine state is shared across threads in an order the \
+                     OS scheduler controls",
                     t.text
                 ),
             ),
@@ -647,7 +619,7 @@ pub struct TreeReport {
 
 /// Recursively lints every `.rs` file under `root/src` and
 /// `root/crates`: the lexical layer per file, then the workspace graph
-/// analyses (taint, phase safety, allow hygiene).
+/// analyses (taint, thread confinement, allow hygiene).
 pub fn lint_tree(root: &Path) -> io::Result<Vec<Violation>> {
     Ok(lint_tree_report(root)?.violations)
 }
@@ -694,7 +666,7 @@ pub fn lint_tree_report(root: &Path) -> io::Result<TreeReport> {
 
     let taint_report = taint::analyze(&ws, &allow_map);
     fired.extend(taint_report.violations);
-    fired.extend(phase::analyze(&ws));
+    fired.extend(spawn::analyze(&ws));
 
     // Dedupe by (file, line, rule): the lexical and graph layers can
     // both fire on the same token (e.g. engine-spawn in a hot file).
@@ -979,17 +951,15 @@ mod tests {
     }
 
     #[test]
-    fn engine_spawn_only_in_hot_files_and_not_in_pool() {
+    fn engine_spawn_fires_in_every_hot_file() {
         let src = "fn f() { std::thread::spawn(|| {}); }\nfn g() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n";
         let v = lint_source("crates/gpu-sim/src/engine.rs", src);
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().all(|v| v.rule == "engine-spawn"), "{v:?}");
-        // The sharded drain is hot too.
-        let v = lint_source("crates/mem-hier/src/drain.rs", "fn f() { std::thread::spawn(|| {}); }\n");
+        // The hierarchy split is hot too; no file is exempt.
+        let v = lint_source("crates/mem-hier/src/split.rs", "fn f() { std::thread::spawn(|| {}); }\n");
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "engine-spawn");
-        // pool.rs is the sanctioned parallelism module.
-        assert!(lint_source("crates/gpu-sim/src/pool.rs", src).is_empty());
         // Unrelated identifiers named `scope`/`spawn` are fine.
         assert!(lint_source(
             "crates/gpu-sim/src/engine.rs",
@@ -1029,7 +999,7 @@ mod tests {
 
     #[test]
     fn graph_rules_are_allowable() {
-        for r in ["taint-reaches-report", "phase-a-shared", "deferred-fill-payload"] {
+        for r in ["taint-reaches-report", "engine-spawn"] {
             assert!(RULES.contains(&r), "{r} must be waivable");
         }
         for r in ["stale-allow", "bad-allow"] {
@@ -1082,12 +1052,12 @@ mod tests {
         let v = vec![Violation {
             file: "crates/x/src/a.rs".into(),
             line: 3,
-            rule: "phase-a-shared".into(),
+            rule: "engine-spawn".into(),
             message: "multi\nline \"msg\"".into(),
         }];
         let s = to_sarif(&v);
         assert!(s.contains("\"version\": \"2.1.0\""));
-        assert!(s.contains("\"ruleId\": \"phase-a-shared\""));
+        assert!(s.contains("\"ruleId\": \"engine-spawn\""));
         assert!(s.contains("\"startLine\": 3"));
         assert!(s.contains("multi\\nline \\\"msg\\\""));
         // Every known rule is declared in the tool driver.
@@ -1097,7 +1067,7 @@ mod tests {
         let g = to_github(&v);
         assert_eq!(
             g,
-            "::error file=crates/x/src/a.rs,line=3,title=simlint(phase-a-shared)::multi%0Aline \"msg\"\n"
+            "::error file=crates/x/src/a.rs,line=3,title=simlint(engine-spawn)::multi%0Aline \"msg\"\n"
         );
     }
 
@@ -1191,15 +1161,15 @@ mod tests {
             "crates/mem-hier/src/split.rs",
             "crates/mem-hier/src/stages.rs",
             "crates/mem-hier/src/ports.rs",
-            // The deferred-fill fast paths (partitioned `insert`/`place`/
-            // `patch_ppn` and the per-organization MRU memos) all live in
-            // these files and must stay under hot-path scrutiny.
+            // The partitioned `insert`/`place` paths and the
+            // per-organization MRU memos all live in these files and must
+            // stay under hot-path scrutiny.
             "crates/tlb/src/set_assoc.rs",
             "crates/tlb/src/compressed.rs",
             "crates/core/src/partitioned.rs",
             // Multi-tenant hot paths: the app-interleaved co-run merge
             // runs per TB launch, and the sub-entry-sharing L2 TLB sits
-            // on the shared lookup path and claims deferred-fill support.
+            // on the shared lookup path.
             "crates/gpu-sim/src/corun.rs",
             "crates/tlb/src/sub_entry.rs",
         ] {

@@ -72,7 +72,7 @@ fn main() -> ExitCode {
             "--no-baseline" => no_baseline = true,
             "--list-rules" => list_rules = true,
             "--help" | "-h" => {
-                eprintln!("simlint: determinism/phase-safety lints for the simulator workspace");
+                eprintln!("simlint: determinism lints for the simulator workspace");
                 usage();
             }
             _ => usage(),

@@ -12,7 +12,6 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 use simlint::graph::Workspace;
-use simlint::parser::ItemKind;
 use simlint::{build_workspace, HOT_PATHS, RESULT_CRATES};
 
 fn real_workspace() -> Workspace {
@@ -58,24 +57,6 @@ fn hand_result_crates_match_the_computed_influence_set() {
 }
 
 #[test]
-fn phase_a_entry_files_are_all_in_the_hot_path() {
-    // Every phase-A entry point (the code `hot-unwrap`/`engine-lock`
-    // exist to protect) must live in a HOT_PATHS file. v1 asserted the
-    // file names; this derives them.
-    let ws = real_workspace();
-    let entries = simlint::phase::phase_a_entries(&ws);
-    assert!(!entries.is_empty(), "no phase-A entry points found — parser regression?");
-    for id in entries {
-        let rel = ws.rel(id);
-        assert!(
-            HOT_PATHS.contains(&rel),
-            "phase-A entry `{}` lives in {rel}, which is not in HOT_PATHS",
-            ws.qual_name(id)
-        );
-    }
-}
-
-#[test]
 fn translation_buffer_impls_are_hot_or_documented_exceptions() {
     // Every `TranslationBuffer` implementation is lookup/insert code on
     // the per-access path and belongs in HOT_PATHS — except wrappers
@@ -110,39 +91,6 @@ fn translation_buffer_impls_are_hot_or_documented_exceptions() {
         assert!(
             impl_files.contains(e),
             "exception {e} ({why}) no longer implements TranslationBuffer; drop it"
-        );
-    }
-}
-
-#[test]
-fn shared_state_definitions_live_in_the_hierarchy_or_the_walk_machinery() {
-    // The phase-safety FORBIDDEN types must be defined either in a
-    // HOT_PATHS file (the hierarchy split that phase B drains) or in
-    // `crates/vmem/` (walkers and address spaces, which only run behind
-    // the drain). A definition anywhere else means phase-B state leaked
-    // into a layer the phase analysis does not know about.
-    let ws = real_workspace();
-    let mut found = BTreeSet::new();
-    for id in ws.items_where(|w, i| {
-        let it = w.item(i);
-        matches!(it.kind, ItemKind::Struct | ItemKind::Enum)
-            && simlint::phase::FORBIDDEN.contains(&it.name.as_str())
-    }) {
-        let rel = ws.rel(id);
-        assert!(
-            HOT_PATHS.contains(&rel) || rel.starts_with("crates/vmem/"),
-            "shared-phase type `{}` is defined in {rel}",
-            ws.item(id).name
-        );
-        found.insert(ws.item(id).name.clone());
-    }
-    // And all of them must exist somewhere: a renamed type would
-    // silently hollow out the phase-safety rule.
-    for ty in simlint::phase::FORBIDDEN {
-        assert!(
-            found.contains(ty),
-            "FORBIDDEN type `{ty}` is not defined anywhere; update phase::FORBIDDEN \
-             for the rename"
         );
     }
 }

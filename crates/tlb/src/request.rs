@@ -94,9 +94,9 @@ impl TlbOutcome {
 /// and the paper's TB-id-partitioned TLB (in `orchestrated-tlb`) are
 /// interchangeable.
 ///
-/// `Send` is a supertrait: the engine's phase-A workers step each SM —
-/// including its private L1 TLB — on a worker thread (every TLB here is
-/// plain owned data, so this costs implementors nothing).
+/// `Send` is a supertrait, so a simulator owning its TLBs can be handed
+/// to another thread (every TLB here is plain owned data, so this costs
+/// implementors nothing).
 pub trait TranslationBuffer: Send {
     /// Probes the TLB; records a hit or miss in the stats.
     fn lookup(&mut self, req: &TlbRequest) -> TlbOutcome;
@@ -158,25 +158,18 @@ pub trait TranslationBuffer: Send {
         None
     }
 
-    /// Whether [`TranslationBuffer::insert`] chooses its victim and
-    /// placement independently of the inserted `ppn` value. When true,
-    /// the engine's sharded phase-B drain may fill this TLB with a
-    /// provisional sentinel frame the moment the miss is known and
-    /// [`TranslationBuffer::patch_ppn`] the real frame in after the walk
-    /// resolves, without changing which entry was evicted. Organizations
-    /// whose placement inspects the payload (e.g. the compressed TLB's
-    /// base-delta predicate) must leave this `false` (the default),
-    /// which keeps them on the serial drain.
+    /// Never called: the engine is serial and fills every TLB with its
+    /// final frame. Retained for the benchmark harness, whose decorators
+    /// forward it; the next benchmark change removes it (see DESIGN.md,
+    /// "Retained for the benchmark harness"). No organization overrides
+    /// it.
     fn supports_deferred_fill(&self) -> bool {
         false
     }
 
-    /// Replaces the stored frame of the entry tagged by `req` whose
-    /// current frame is exactly `old` with `new`, touching no replacement
-    /// or statistics state. Returns `false` when no such entry exists
-    /// (e.g. the provisional entry was evicted before the walk
-    /// resolved), which is not an error. Only meaningful when
-    /// [`TranslationBuffer::supports_deferred_fill`] is true.
+    /// Never called, and retained for the same reason as
+    /// [`TranslationBuffer::supports_deferred_fill`]. No organization
+    /// overrides it.
     fn patch_ppn(&mut self, req: &TlbRequest, old: Ppn, new: Ppn) -> bool {
         let _ = (req, old, new);
         false

@@ -277,26 +277,6 @@ impl TranslationBuffer for SetAssocTlb {
         self.per_asid.non_empty()
     }
 
-    // Victim choice keys on `(valid, stamp)` and the tag encodes only
-    // the VPN, so the inserted frame never influences placement.
-    fn supports_deferred_fill(&self) -> bool {
-        true
-    }
-
-    fn patch_ppn(&mut self, req: &TlbRequest, old: Ppn, new: Ppn) -> bool {
-        let set = self.set_of(req.vpn);
-        let range = self.set_range(set);
-        let tag = tag_of(req.asid, req.vpn);
-        if let Some(i) = self.tags[range.clone()].iter().position(|&t| t == tag) {
-            let way = &mut self.meta[range.start + i];
-            if way.ppn == old {
-                way.ppn = new;
-                return true;
-            }
-        }
-        false
-    }
-
     fn probe(&self, req: &TlbRequest) -> Option<Option<Ppn>> {
         Some(self.peek(req.asid, req.vpn))
     }
@@ -648,26 +628,6 @@ mod tests {
         t.lookup(&req(0));
         t.stats.hits += 1; // bypass record()
         assert!(t.check_invariants().is_err());
-    }
-
-    #[test]
-    fn patch_ppn_swaps_payload_without_touching_lru_or_stats() {
-        let mut t = SetAssocTlb::new(TlbConfig::new(2, 2, 1));
-        assert!(t.supports_deferred_fill());
-        t.insert(&req(0), Ppn::new(100));
-        t.insert(&req(1), Ppn::new(101));
-        let stamps: Vec<u64> = t.meta.iter().map(|w| w.stamp).collect();
-        // Patch entry 0's provisional frame; LRU stamps and stats are
-        // untouched, so a later insert still evicts the same victim it
-        // would have without the patch.
-        assert!(t.patch_ppn(&req(0), Ppn::new(100), Ppn::new(7)));
-        assert_eq!(t.peek(Asid::default(), Vpn::new(0)), Some(Ppn::new(7)));
-        assert_eq!(t.meta.iter().map(|w| w.stamp).collect::<Vec<_>>(), stamps);
-        assert_eq!(t.stats().accesses(), 0);
-        // Wrong old frame or absent tag: refused, nothing changes.
-        assert!(!t.patch_ppn(&req(0), Ppn::new(100), Ppn::new(8)));
-        assert!(!t.patch_ppn(&req(5), Ppn::new(0), Ppn::new(8)));
-        assert_eq!(t.peek(Asid::default(), Vpn::new(0)), Some(Ppn::new(7)));
     }
 
     fn areq(asid: u16, vpn: u64) -> TlbRequest {

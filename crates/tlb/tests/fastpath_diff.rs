@@ -14,13 +14,11 @@ use vmem::{Ppn, Vpn};
 
 /// One step of the driving stream. Lookup dominates (it is the hot path
 /// under test and the only memo producer/consumer); inserts churn the
-/// memoized ways; patch swaps payloads without touching recency; flush
-/// wipes everything.
+/// memoized ways; flush wipes everything.
 #[derive(Clone, Debug)]
 enum Op {
     Lookup(u64),
     Insert(u64, u64),
-    Patch(u64, u64, u64),
     Flush,
 }
 
@@ -34,7 +32,6 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
         (0u64..96).prop_map(Op::Lookup),
         (0u64..96, 0u64..512).prop_map(|(v, p)| Op::Insert(v, p)),
         (0u64..96, 0u64..512).prop_map(|(v, p)| Op::Insert(v, p)),
-        (0u64..96, 0u64..512, 0u64..512).prop_map(|(v, o, n)| Op::Patch(v, o, n)),
         Just(Op::Flush),
     ];
     proptest::collection::vec(op, 1..400)
@@ -52,11 +49,6 @@ fn step<T: TranslationBuffer>(fast: &mut T, slow: &mut T, op: &Op) {
         Op::Insert(v, p) => {
             fast.insert(&TlbRequest::new(Vpn::new(v), 0), Ppn::new(p));
             slow.insert(&TlbRequest::new(Vpn::new(v), 0), Ppn::new(p));
-        }
-        Op::Patch(v, o, n) => {
-            let a = fast.patch_ppn(&TlbRequest::new(Vpn::new(v), 0), Ppn::new(o), Ppn::new(n));
-            let b = slow.patch_ppn(&TlbRequest::new(Vpn::new(v), 0), Ppn::new(o), Ppn::new(n));
-            assert_eq!(a, b, "patch_ppn({v}) diverged");
         }
         Op::Flush => {
             fast.flush();
