@@ -13,6 +13,15 @@
 //!   the memo rarely matches because consecutive lookups differ.
 //! - `miss`: a fresh page nearly every lookup, with the miss filled
 //!   (lookup + insert), exercising eviction and memo invalidation.
+//!
+//! Two more groups cover the rest of the translation-miss path:
+//! - `partitioned_miss_fill`: every lookup misses and is filled in the
+//!   partitioned TLB at the paper's 16 concurrent TBs with adjacent
+//!   sharing, so set selection, eviction and spilling run on every op.
+//! - `walker_submit`: the shared walker pool (Table III's 8 walkers,
+//!   500-cycle walks) with about 500 walks live and a third of the
+//!   requests arriving out of cycle order, as the shared stage submits
+//!   them.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use orchestrated_tlb::{PartitionedTlb, PartitionedTlbConfig};
@@ -20,7 +29,7 @@ use std::time::Duration;
 use tlb::{
     CompressedTlb, CompressionConfig, SetAssocTlb, TlbConfig, TlbRequest, TranslationBuffer,
 };
-use vmem::{Ppn, Vpn};
+use vmem::{Ppn, Vpn, WalkerPool};
 
 /// Lookups per measured iteration (also the criterion throughput unit).
 const OPS: usize = 4096;
@@ -129,12 +138,76 @@ fn bench_lookup_throughput(c: &mut Criterion) {
     group.finish();
 }
 
+/// Fresh-page lookup + fill at 16 concurrent TBs with adjacent sharing.
+/// One persistent TLB; each iteration moves to pages it has never seen,
+/// so every lookup misses in the steady state.
+fn bench_partitioned_miss_fill(c: &mut Criterion) {
+    const TBS: u8 = 16;
+    let mut tlb = PartitionedTlb::new(PartitionedTlbConfig::with_sharing());
+    tlb.set_concurrent_tbs(TBS);
+    let mut base = 0u64;
+    let mut group = c.benchmark_group("partitioned_miss_fill");
+    group.throughput(Throughput::Elements(OPS as u64));
+    group.bench_function("adjacent_16tbs", |b| {
+        b.iter(|| {
+            let mut acc = 0u64;
+            for i in 0..OPS as u64 {
+                let req = TlbRequest::new(Vpn::new(base + i * 7), (i % u64::from(TBS)) as u8);
+                let out = tlb.lookup(&req);
+                acc += out.latency + out.hit as u64;
+                tlb.insert(&req, Ppn::new(i));
+            }
+            base += OPS as u64 * 7;
+            std::hint::black_box(acc)
+        })
+    });
+    group.finish();
+}
+
+/// Walks live in the pool while the `walker_submit` script runs.
+const LIVE_WALKS: u64 = 500;
+
+/// `walker_submit` script: a burst of `LIVE_WALKS` walks at cycle 0, then
+/// `OPS` submits at 9 per 500 cycles. The 8 walkers serve 8 per 500
+/// cycles, and the surplus offsets the requests that coalesce (VPNs
+/// repeat occasionally), so the backlog stays near `LIVE_WALKS`. Every
+/// third request lags up to 2000 cycles behind the front.
+fn walker_script() -> Vec<(u64, Vpn)> {
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let burst = (0..LIVE_WALKS).map(|i| (0, Vpn::new(1 << 20 | i)));
+    let steady = (0..OPS as u64).map(move |i| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let front = i * 500 / 9;
+        let lag = if i % 3 == 0 { x % 2000 } else { 0 };
+        (front.saturating_sub(lag), Vpn::new(x >> 20 & 0xfff))
+    });
+    burst.chain(steady).collect()
+}
+
+fn bench_walker_submit(c: &mut Criterion) {
+    let script = walker_script();
+    let mut group = c.benchmark_group("walker_submit");
+    group.throughput(Throughput::Elements(script.len() as u64));
+    group.bench_function("8_walkers_500_live", |b| {
+        b.iter(|| {
+            let mut pool = WalkerPool::new(8, 500);
+            let acc = script
+                .iter()
+                .fold(0u64, |acc, &(cycle, vpn)| acc ^ pool.submit(cycle, vpn));
+            std::hint::black_box(acc)
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = lookup_throughput;
     config = Criterion::default()
         .sample_size(20)
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_secs(1));
-    targets = bench_lookup_throughput
+    targets = bench_lookup_throughput, bench_partitioned_miss_fill, bench_walker_submit
 }
 criterion_main!(lookup_throughput);

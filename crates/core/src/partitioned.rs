@@ -23,6 +23,7 @@
 //! compression" configuration); `None` gives plain single-page entries.
 
 use std::fmt::Write as _;
+use std::ops::Range;
 use tlb::{
     CompressionConfig, InvariantViolation, PerAsidStats, TlbConfig, TlbOutcome, TlbRequest,
     TlbStats, TranslationBuffer,
@@ -142,6 +143,55 @@ impl LookupMemo {
     }
 }
 
+/// A set of TLB sets as at most two ascending, disjoint ranges, iterated
+/// `lo` then `hi`. Set groups are contiguous and any two are identical or
+/// disjoint, so a TB's own group plus its neighbour's — or everything
+/// outside one group — is always expressible without allocating.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct SetSpan {
+    lo: Range<usize>,
+    hi: Range<usize>,
+}
+
+impl SetSpan {
+    fn one(sets: Range<usize>) -> Self {
+        SetSpan { lo: sets, hi: 0..0 }
+    }
+
+    /// The union of two set groups, ordered by start (a group united
+    /// with itself is probed once).
+    fn union(a: Range<usize>, b: Range<usize>) -> Self {
+        if a == b {
+            SetSpan::one(a)
+        } else if a.start < b.start {
+            SetSpan { lo: a, hi: b }
+        } else {
+            SetSpan { lo: b, hi: a }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.lo.len() + self.hi.len()
+    }
+
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = usize> {
+        self.lo.clone().chain(self.hi.clone())
+    }
+}
+
+/// Sets owned by TB `tb` out of `sets` when `n` TBs run concurrently:
+/// `⌊tb·S/N⌋ .. ⌊(tb+1)·S/N⌋`, or the single set `tb % S` once TBs alias
+/// onto sets (footnote 1).
+fn group_span(sets: usize, n: usize, tb: usize) -> Range<usize> {
+    if n >= sets {
+        let s = tb % sets;
+        s..s + 1
+    } else {
+        (tb * sets / n)..((tb + 1) * sets / n)
+    }
+}
+
 /// Per-ASID dynamic-sharing state: the paper's 1-bit-per-TB sharing
 /// register, replicated per address space. Keying the register by
 /// `(asid, tb)` instead of bare TB id means one app's spills never widen
@@ -202,7 +252,11 @@ struct Way {
 pub struct PartitionedTlb {
     cfg: PartitionedTlbConfig,
     ways: Vec<Way>,
-    concurrent_tbs: u8,
+    /// `group_span` of every live TB slot (index = normalized slot); its
+    /// length is the number of concurrent TBs.
+    groups: Vec<Range<usize>>,
+    /// log2 of the compression degree (0 without compression).
+    degree_shift: u32,
     /// Per-app sharing registers, sorted by ASID (see [`ShareState`]).
     share: Vec<ShareState>,
     clock: u64,
@@ -240,8 +294,9 @@ impl PartitionedTlb {
         }
         PartitionedTlb {
             ways: vec![Way::default(); cfg.geometry.entries],
+            groups: Self::group_table(&cfg, 16),
+            degree_shift: cfg.compression.map_or(0, |c| c.degree.trailing_zeros()),
             cfg,
-            concurrent_tbs: 16,
             share: Vec::new(),
             clock: 0,
             stats: TlbStats::default(),
@@ -252,6 +307,12 @@ impl PartitionedTlb {
             fastpath: 0,
             fastpath_on: true,
         }
+    }
+
+    fn group_table(cfg: &PartitionedTlbConfig, tbs: u8) -> Vec<Range<usize>> {
+        let sets = cfg.geometry.sets();
+        let n = tbs as usize;
+        (0..n).map(|tb| group_span(sets, n, tb)).collect()
     }
 
     /// Enables or disables the exact MRU lookup fast path (on by default;
@@ -339,7 +400,7 @@ impl PartitionedTlb {
     }
 
     fn groups(&self) -> usize {
-        self.concurrent_tbs.max(1) as usize
+        self.groups.len()
     }
 
     /// Folds a hardware slot id onto the live TB groups. The engine only
@@ -348,26 +409,47 @@ impl PartitionedTlb {
     /// onto the groups — mirroring the footnote-1 `tb % sets` aliasing —
     /// instead of indexing past the geometry.
     fn norm_slot(&self, tb: u8) -> u8 {
-        (tb as usize % self.groups()) as u8
-    }
-
-    /// The sets owned by TB `tb` under the current concurrency.
-    fn group_of(&self, tb: u8) -> std::ops::Range<usize> {
-        let sets = self.cfg.geometry.sets();
-        let n = self.groups();
-        let tb = tb as usize;
-        if n >= sets {
-            // More TBs than sets: TBs alias onto single sets (footnote 1).
-            let s = tb % sets;
-            s..s + 1
+        if (tb as usize) < self.groups() {
+            tb
         } else {
-            (tb * sets / n)..((tb + 1) * sets / n)
+            (tb as usize % self.groups()) as u8
         }
     }
 
-    fn ways_of_set(&self, set: usize) -> std::ops::Range<usize> {
+    /// The sets owned by TB `tb` under the current concurrency. Only a
+    /// corrupted owner (the sanitizer's concern) lies outside the table.
+    fn group_of(&self, tb: u8) -> Range<usize> {
+        match self.groups.get(tb as usize) {
+            Some(g) => g.clone(),
+            None => group_span(self.cfg.geometry.sets(), self.groups(), tb as usize),
+        }
+    }
+
+    /// The normalized slot after `tb` (wrapping), whose group receives
+    /// `tb`'s spills.
+    fn neighbour(&self, tb: u8) -> u8 {
+        if tb as usize + 1 < self.groups() {
+            tb + 1
+        } else {
+            0
+        }
+    }
+
+    fn ways_of_set(&self, set: usize) -> Range<usize> {
         let a = self.cfg.geometry.associativity;
         set * a..(set + 1) * a
+    }
+
+    /// Ways of the contiguous sets `sets`.
+    fn ways_of_sets(&self, sets: Range<usize>) -> Range<usize> {
+        let a = self.cfg.geometry.associativity;
+        sets.start * a..sets.end * a
+    }
+
+    /// Ways of every set in `sets`, in span order.
+    fn ways_of_span(&self, sets: &SetSpan) -> impl Iterator<Item = usize> {
+        self.ways_of_sets(sets.lo.clone())
+            .chain(self.ways_of_sets(sets.hi.clone()))
     }
 
     /// The TB slot that naturally owns `set` under the current concurrency
@@ -402,18 +484,44 @@ impl PartitionedTlb {
     /// Sets probed by a lookup from app `asid`'s TB `tb`: its own group,
     /// plus the neighbour's when this app's sharing flag is engaged (or
     /// every set under all-to-all sharing).
-    fn searchable_sets(&self, asid: Asid, tb: u8) -> Vec<usize> {
+    /// `tb` must be a normalized slot.
+    fn searchable_sets(&self, asid: Asid, tb: u8) -> SetSpan {
         if self.cfg.sharing == SharingPolicy::AllToAll {
-            return (0..self.cfg.geometry.sets()).collect();
+            return SetSpan::one(0..self.cfg.geometry.sets());
         }
-        let mut sets: Vec<usize> = self.group_of(tb).collect();
+        let own = self.group_of(tb);
         if self.flag_engaged(asid, tb) {
-            let neighbour = ((tb as usize + 1) % self.groups()) as u8;
-            sets.extend(self.group_of(neighbour));
-            sets.sort_unstable();
-            sets.dedup();
+            SetSpan::union(own, self.group_of(self.neighbour(tb)))
+        } else {
+            SetSpan::one(own)
         }
-        sets
+    }
+
+    /// The set a fill from normalized slot `tb` targets inside its own
+    /// group, sub-indexed by run number so runs spread across a
+    /// multi-set group.
+    fn candidate_set(&self, tb: u8, vpn: Vpn) -> usize {
+        let own = self.group_of(tb);
+        // The modulo happens in u64 *before* narrowing so the chosen set
+        // is identical on 32-bit targets; the result is below the group
+        // size, so the narrowing is lossless.
+        let sub = (vpn.raw() >> self.degree_shift) % own.len() as u64;
+        own.start + sub as usize
+    }
+
+    /// Sets a victim evicted by normalized slot `tb` may be rescued into:
+    /// the neighbour's group under adjacent sharing, every set outside
+    /// `tb`'s own group under all-to-all.
+    fn spill_sets(&self, tb: u8) -> SetSpan {
+        if self.cfg.sharing == SharingPolicy::AllToAll {
+            let own = self.group_of(tb);
+            SetSpan {
+                lo: 0..own.start,
+                hi: own.end..self.cfg.geometry.sets(),
+            }
+        } else {
+            SetSpan::one(self.group_of(self.neighbour(tb)))
+        }
     }
 
     fn lookup_latency(&self, sets_probed: usize, compressed_hit: bool) -> u64 {
@@ -437,22 +545,13 @@ impl PartitionedTlb {
     /// Finds the way holding app `asid`'s translation of `vpn` among
     /// `sets`. The ASID is part of the tag compare: another app's entry
     /// for the same VPN never matches.
-    fn find(&self, asid: Asid, sets: &[usize], vpn: Vpn) -> Option<usize> {
+    fn find(&self, asid: Asid, sets: &SetSpan, vpn: Vpn) -> Option<usize> {
         let base = self.run_base(vpn);
         let off = self.run_offset(vpn);
-        for &set in sets {
-            for w in self.ways_of_set(set) {
-                let way = &self.ways[w];
-                if way.valid
-                    && way.asid == asid
-                    && way.base_vpn == base
-                    && way.mask & (1 << off) != 0
-                {
-                    return Some(w);
-                }
-            }
-        }
-        None
+        self.ways_of_span(sets).find(|&w| {
+            let way = &self.ways[w];
+            way.valid && way.asid == asid && way.base_vpn == base && way.mask & (1 << off) != 0
+        })
     }
 
     /// Places a fully-built entry for `req`'s TB: an empty way in the
@@ -462,20 +561,14 @@ impl PartitionedTlb {
     /// payload-independent: the inserted PPN travels inside `way` but is
     /// never inspected.
     fn place(&mut self, req: &TlbRequest, way: Way) {
-        // Candidate set inside the TB's own group, sub-indexed by VPN so
-        // runs spread across a multi-set group. The modulo happens in u64
-        // *before* narrowing so the chosen set is identical on 32-bit
-        // targets.
-        let own: Vec<usize> = self.group_of(req.tb_slot).collect();
-        let candidate = own[((req.vpn.raw() / self.degree()) % own.len() as u64) as usize];
+        let candidate = self.candidate_set(req.tb_slot, req.vpn);
         // 1. An invalid way in the candidate set, then anywhere in the
         //    group.
         let empty = self
             .ways_of_set(candidate)
             .find(|&w| !self.ways[w].valid)
             .or_else(|| {
-                own.iter()
-                    .flat_map(|&s| self.ways_of_set(s))
+                self.ways_of_sets(self.group_of(req.tb_slot))
                     .find(|&w| !self.ways[w].valid)
             });
         if let Some(w) = empty {
@@ -497,19 +590,8 @@ impl PartitionedTlb {
         // lookups never consult that flag, so a cross-app rescue would be
         // permanently unreachable. Cross-app victims die in place instead.
         if self.cfg.sharing.spills() && self.ways[victim].asid == req.asid {
-            // Adjacent policies spill into the next TB's group; all-to-all
-            // may spill anywhere outside the own group.
-            let candidate_sets: Vec<usize> = if self.cfg.sharing == SharingPolicy::AllToAll {
-                (0..self.cfg.geometry.sets())
-                    .filter(|s| !own.contains(s))
-                    .collect()
-            } else {
-                let neighbour = ((req.tb_slot as usize + 1) % self.groups()) as u8;
-                self.group_of(neighbour).collect()
-            };
-            let slot = candidate_sets
-                .iter()
-                .flat_map(|&s| self.ways_of_set(s))
+            let slot = self
+                .ways_of_span(&self.spill_sets(req.tb_slot))
                 .min_by_key(|&w| (self.ways[w].valid, self.ways[w].stamp));
             let displaceable = slot.is_some_and(|w| {
                 !self.ways[w].valid
@@ -656,20 +738,17 @@ impl TranslationBuffer for PartitionedTlb {
             // never compress across address spaces: the candidate must
             // carry the requester's ASID.
             if let Some(expected) = expected_base_ppn {
-                let own: Vec<usize> = self.group_of(req.tb_slot).collect();
-                for &set in &own {
-                    for w in self.ways_of_set(set) {
-                        let way = &mut self.ways[w];
-                        if way.valid
-                            && way.asid == req.asid
-                            && !way.literal
-                            && way.base_vpn == base
-                            && way.base_ppn == Ppn::new(expected)
-                        {
-                            way.mask |= 1 << off;
-                            way.stamp = clock;
-                            return;
-                        }
+                let own = self.ways_of_sets(self.group_of(req.tb_slot));
+                for way in &mut self.ways[own] {
+                    if way.valid
+                        && way.asid == req.asid
+                        && !way.literal
+                        && way.base_vpn == base
+                        && way.base_ppn == Ppn::new(expected)
+                    {
+                        way.mask |= 1 << off;
+                        way.stamp = clock;
+                        return;
                     }
                 }
             }
@@ -800,8 +879,8 @@ impl TranslationBuffer for PartitionedTlb {
 
     fn set_concurrent_tbs(&mut self, tbs: u8) {
         let tbs = tbs.max(1);
-        if tbs != self.concurrent_tbs {
-            self.concurrent_tbs = tbs;
+        if tbs as usize != self.groups() {
+            self.groups = Self::group_table(&self.cfg, tbs);
             self.struct_epoch += 1;
             self.memo = vec![LookupMemo::invalid(); self.groups()];
             // Geometry changed: sharing relationships are stale, and set
@@ -995,7 +1074,7 @@ impl TranslationBuffer for PartitionedTlb {
             self.cfg.geometry.entries,
             self.cfg.geometry.associativity,
             self.cfg.sharing,
-            self.concurrent_tbs,
+            self.groups(),
             self.clock,
             self.sharing_flags(),
             self.spills,
@@ -1603,5 +1682,126 @@ mod tests {
             .fold(TlbStats::default(), |a, (_, s)| a + *s);
         assert_eq!(sum, t.stats());
         assert!(t.stats_by_asid().len() >= 3, "all three apps recorded");
+    }
+
+    /// Set group of TB `tb` as the formula in the module docs states it,
+    /// computed from scratch (the reference for the precomputed table).
+    fn reference_group(sets: usize, n: usize, tb: usize) -> Vec<usize> {
+        if n >= sets {
+            vec![tb % sets]
+        } else {
+            ((tb * sets / n)..((tb + 1) * sets / n)).collect()
+        }
+    }
+
+    /// Reference probe list: own group, plus the neighbour's when the
+    /// flag is engaged, sorted and deduplicated.
+    fn reference_searchable(t: &PartitionedTlb, asid: Asid, tb: u8) -> Vec<usize> {
+        let sets = t.cfg.geometry.sets();
+        let n = t.groups();
+        if t.cfg.sharing == SharingPolicy::AllToAll {
+            return (0..sets).collect();
+        }
+        let mut v = reference_group(sets, n, tb as usize);
+        if t.flag_engaged(asid, tb) {
+            v.extend(reference_group(sets, n, (tb as usize + 1) % n));
+            v.sort_unstable();
+            v.dedup();
+        }
+        v
+    }
+
+    /// Reference spill candidates: every set outside the own group under
+    /// all-to-all, else the neighbour's group.
+    fn reference_spill_sets(t: &PartitionedTlb, tb: u8) -> Vec<usize> {
+        let sets = t.cfg.geometry.sets();
+        let n = t.groups();
+        let own = reference_group(sets, n, tb as usize);
+        if t.cfg.sharing == SharingPolicy::AllToAll {
+            (0..sets).filter(|s| !own.contains(s)).collect()
+        } else {
+            reference_group(sets, n, (tb as usize + 1) % n)
+        }
+    }
+
+    /// Checks one geometry/policy/concurrency combination: the group
+    /// table, the probe span (flag engaged and not), the spill span and
+    /// its way order, and the fill's candidate set all match the
+    /// reference construction.
+    fn check_set_selection(geometry: TlbConfig, sharing: SharingPolicy, n: u8, compressed: bool) {
+        let mut t = PartitionedTlb::new(PartitionedTlbConfig {
+            geometry,
+            sharing,
+            per_set_lookup_overhead: true,
+            displacement_margin: 512,
+            compression: compressed.then(CompressionConfig::pact20),
+        });
+        t.set_concurrent_tbs(n);
+        let sets = geometry.sets();
+        for raw in 0..=255u8 {
+            assert_eq!(t.norm_slot(raw), raw % n);
+        }
+        // Slots beyond the table (only a corrupted owner) still resolve.
+        for tb in 0..=40u8 {
+            let want = reference_group(sets, n as usize, tb as usize);
+            assert_eq!(t.group_of(tb).collect::<Vec<_>>(), want, "group of TB {tb}");
+        }
+        let asid = Asid::new(3);
+        let vpns = (0..64u64).chain([255, 256, 1_000_003, u64::MAX >> 12, u64::MAX]);
+        for tb in 0..n {
+            for engaged in [false, true] {
+                let s = t.share_mut(asid);
+                let bit = 1 << (tb % 16);
+                s.flags = (s.flags & !bit) | if engaged { bit } else { 0 };
+                s.counters[tb as usize % 16] = if engaged { 2 } else { 0 };
+                let ctx = format!("{geometry:?} {sharing:?} n={n} tb={tb} engaged={engaged}");
+                let licensed = match sharing {
+                    SharingPolicy::None => false,
+                    SharingPolicy::AllToAll => true,
+                    _ => engaged,
+                };
+                assert_eq!(t.flag_engaged(asid, tb), licensed, "{ctx}");
+                let span = t.searchable_sets(asid, tb);
+                let want = reference_searchable(&t, asid, tb);
+                assert_eq!(span.iter().collect::<Vec<_>>(), want, "{ctx}");
+                assert_eq!(span.len(), want.len(), "{ctx}");
+                let spill = t.spill_sets(tb);
+                let want = reference_spill_sets(&t, tb);
+                assert_eq!(spill.iter().collect::<Vec<_>>(), want, "{ctx}");
+                let want: Vec<usize> = want.iter().flat_map(|&s| t.ways_of_set(s)).collect();
+                assert_eq!(t.ways_of_span(&spill).collect::<Vec<_>>(), want, "{ctx}");
+            }
+            let own = reference_group(sets, n as usize, tb as usize);
+            for v in vpns.clone() {
+                let want = own[((v / t.degree()) % own.len() as u64) as usize];
+                let got = t.candidate_set(tb, Vpn::new(v));
+                assert_eq!(got, want, "n={n} tb={tb} vpn {v:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn set_selection_matches_reference_construction() {
+        let policies = [
+            SharingPolicy::None,
+            SharingPolicy::Adjacent,
+            SharingPolicy::AdjacentCounter { threshold: 2 },
+            SharingPolicy::AllToAll,
+        ];
+        let mut aliased = 0;
+        for entries in [16usize, 64, 256] {
+            for assoc in [1usize, 2, 4] {
+                let geometry = TlbConfig::new(entries, assoc, 1);
+                for sharing in policies {
+                    for n in 1..=32u8 {
+                        aliased += usize::from(n as usize >= geometry.sets());
+                        for compressed in [false, true] {
+                            check_set_selection(geometry, sharing, n, compressed);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(aliased > 0, "the sweep covers TBs aliasing onto sets");
     }
 }

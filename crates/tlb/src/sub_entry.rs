@@ -251,15 +251,9 @@ impl TranslationBuffer for SubEntryTlb {
             .min_by_key(|&i| (self.ways[i].valid, self.ways[i].stamp))
             .expect("associativity is non-zero"); // simlint: allow(hot-unwrap, reason = "TlbConfig validates associativity > 0 at construction")
         if self.ways[widx].valid {
-            let victims: Vec<Asid> = self.ways[widx]
-                .slots
-                .iter()
-                .filter(|s| s.valid)
-                .map(|s| s.asid)
-                .collect();
-            self.stats.evictions += victims.len() as u64;
-            for a in victims {
-                self.per_asid.entry(a).evictions += 1;
+            for victim in self.ways[widx].slots.iter().filter(|s| s.valid) {
+                self.stats.evictions += 1;
+                self.per_asid.entry(victim.asid).evictions += 1;
             }
         } else {
             self.resident += 1;

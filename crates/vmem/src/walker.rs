@@ -8,6 +8,7 @@
 //! walk, as the MSHR-style merging in MASK/gem5-gpu does.
 
 use crate::addr::Vpn;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A submitted walk request.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -72,10 +73,15 @@ pub struct WalkerPool {
     /// Next-free cycle per walker.
     free_at: Vec<u64>,
     latency: u64,
-    /// In-flight walks as `(vpn, completion cycle)` pairs with unique
-    /// VPNs. Lazy pruning bounds the list to a few times the walker
-    /// count, so a linear scan beats an ordered map on every submit.
-    in_flight: Vec<(Vpn, u64)>,
+    /// Completion cycle of the latest walk per VPN. Entries are pruned
+    /// lazily (see `submit_with_latency`), so the index also holds walks
+    /// that already finished; under queueing it holds hundreds of entries
+    /// (mean 300–500, max about 900 on bfs and the mvt+bfs co-run at
+    /// `--scale large` with 8 walkers), far more than the walker count.
+    in_flight: BTreeMap<Vpn, u64>,
+    /// The same walks ordered by completion cycle, so a prune removes
+    /// exactly the finished walks without scanning the live ones.
+    by_done: BTreeSet<(u64, Vpn)>,
     stats: WalkerStats,
 }
 
@@ -91,7 +97,8 @@ impl WalkerPool {
         WalkerPool {
             free_at: vec![0; walkers],
             latency,
-            in_flight: Vec::new(),
+            in_flight: BTreeMap::new(),
+            by_done: BTreeSet::new(),
             stats: WalkerStats::default(),
         }
     }
@@ -107,13 +114,23 @@ impl WalkerPool {
     /// Like [`WalkerPool::submit`] with an explicit per-walk latency
     /// (e.g. radix walks whose cost depends on the levels touched).
     pub fn submit_with_latency(&mut self, cycle: u64, vpn: Vpn, latency: u64) -> u64 {
-        // Drop completed walks from the in-flight list lazily.
+        // Drop completed walks lazily, once the index outgrows four times
+        // the walker count. "Completed" is judged against *this* request's
+        // cycle; requests need not arrive in cycle order, so a later
+        // request at an earlier cycle can miss a walk pruned here that was
+        // still in flight at its own cycle (a known model artifact, see
+        // DESIGN.md).
         if self.in_flight.len() > 4 * self.free_at.len() {
-            self.in_flight.retain(|&(_, done)| done > cycle);
+            while let Some(&(done, v)) = self.by_done.first() {
+                if done > cycle {
+                    break;
+                }
+                self.by_done.pop_first();
+                self.in_flight.remove(&v);
+            }
         }
-        let slot = self.in_flight.iter().position(|&(v, _)| v == vpn);
-        if let Some(i) = slot {
-            let done = self.in_flight[i].1;
+        let prev = self.in_flight.get(&vpn).copied();
+        if let Some(done) = prev {
             if done > cycle {
                 self.stats.coalesced += 1;
                 return done;
@@ -130,11 +147,12 @@ impl WalkerPool {
         let wait = begin - cycle;
         let done = begin + latency;
         self.free_at[idx] = done;
-        // Unique VPNs: refresh a stale slot in place, else append.
-        match slot {
-            Some(i) => self.in_flight[i].1 = done,
-            None => self.in_flight.push((vpn, done)),
+        // One entry per VPN: a finished walk's entry is replaced.
+        if let Some(old) = prev {
+            self.by_done.remove(&(old, vpn));
         }
+        self.in_flight.insert(vpn, done);
+        self.by_done.insert((done, vpn));
         self.stats.walks += 1;
         self.stats.queue_wait_cycles += wait;
         self.stats.max_queue_wait = self.stats.max_queue_wait.max(wait);
@@ -160,6 +178,7 @@ impl WalkerPool {
     pub fn reset(&mut self) {
         self.free_at.fill(0);
         self.in_flight.clear();
+        self.by_done.clear();
         self.stats = WalkerStats::default();
     }
 }
@@ -267,8 +286,34 @@ mod tests {
         for i in 0..1000u64 {
             p.submit(i * 100, Vpn::new(i));
         }
-        // Lazy pruning keeps the map bounded (4x walker count threshold
-        // triggers a retain; afterwards only live walks remain).
+        // Lazy pruning keeps the index bounded (the 4x walker count
+        // threshold triggers a prune; afterwards only live walks remain),
+        // and both views of the index agree.
         assert!(p.in_flight.len() <= 8);
+        assert_eq!(p.by_done.len(), p.in_flight.len());
+    }
+
+    /// Pins a known model artifact (DESIGN.md §6, "Known model artifact:
+    /// walker coalescing depends on the prune threshold"): the prune triggered by a request at cycle
+    /// 15 removes a walk that a later-submitted request at cycle 5 would
+    /// have coalesced onto. Whether it coalesces depends only on how many
+    /// fillers pushed the index past the `4 x walkers` threshold.
+    #[test]
+    fn out_of_order_coalescing_depends_on_prune_threshold() {
+        let last_completion = |fillers: u64| {
+            let mut p = WalkerPool::new(1, 10);
+            assert_eq!(p.submit(0, Vpn::new(1)), 10);
+            for f in 0..fillers {
+                p.submit(0, Vpn::new(100 + f));
+            }
+            p.submit(15, Vpn::new(2));
+            p.submit(5, Vpn::new(1))
+        };
+        // Below the threshold the walk of VPN 1 (done at 10) is still
+        // indexed, so the request at cycle 5 coalesces onto it.
+        assert_eq!(last_completion(2), 10);
+        // Above it, the cycle-15 prune dropped that walk: the request at
+        // cycle 5 starts a fresh walk behind the queued ones.
+        assert_eq!(last_completion(4), 70);
     }
 }
