@@ -5,8 +5,8 @@
 
 use bench::{fig10_11_grid, Grid};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use gpu_sim::{GpuConfig, Simulator};
-use orchestrated_tlb::Mechanism;
+use gpu_sim::{GpuConfig, GtoWarpScheduler, LrrWarpScheduler, Simulator, WarpScheduler};
+use orchestrated_tlb::{Mechanism, TbClusteredWarpScheduler};
 use std::sync::Arc;
 use std::time::Duration;
 use workloads::{registry, Scale, WorkloadCache};
@@ -40,6 +40,34 @@ fn bench_tlb_organizations(c: &mut Criterion) {
                 let wl = spec.generate(Scale::Test, 42);
                 m.simulator(GpuConfig::dac23_baseline())
                     .run(std::hint::black_box(wl))
+                    .total_cycles
+            })
+        });
+    }
+    group.finish();
+}
+
+/// The warp-issue path: a gemm baseline run under each warp scheduler,
+/// in warp instructions per second. The workload is generated once and
+/// cloned per iteration (its op storage is `Arc`-shared), so the time
+/// is the engine's step, issue and scheduler work, not generation.
+fn bench_warp_issue(c: &mut Criterion) {
+    let mut group = c.benchmark_group("warp_issue");
+    let spec = registry().into_iter().find(|s| s.name == "gemm").unwrap();
+    let wl = spec.generate(Scale::Test, 42);
+    group.throughput(Throughput::Elements(wl.total_warp_ops() as u64));
+    type Factory = fn() -> Box<dyn WarpScheduler>;
+    let policies: [(&str, Factory); 3] = [
+        ("gto", || Box::new(GtoWarpScheduler::new())),
+        ("lrr", || Box::new(LrrWarpScheduler::new())),
+        ("tb-clustered", || Box::new(TbClusteredWarpScheduler::new())),
+    ];
+    for (name, factory) in policies {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                Simulator::new(GpuConfig::dac23_baseline())
+                    .with_warp_scheduler_factory(Box::new(factory))
+                    .run(std::hint::black_box(wl.clone()))
                     .total_cycles
             })
         });
@@ -88,7 +116,7 @@ criterion_group! {
         .sample_size(10)
         .measurement_time(Duration::from_secs(5))
         .warm_up_time(Duration::from_secs(1));
-    targets = bench_engine_throughput, bench_tlb_organizations,
+    targets = bench_engine_throughput, bench_tlb_organizations, bench_warp_issue,
               bench_workload_generation, bench_grid_throughput
 }
 criterion_main!(throughput);

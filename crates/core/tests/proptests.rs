@@ -7,11 +7,18 @@
 //! [`TranslationBuffer::check_invariants`] after *each* operation — the
 //! same checks `--sanitize` runs inside the engine, so a shrunken failure
 //! here is a ready-made reproducer for a sanitizer trip.
+//!
+//! One property drives the engine itself: random mini-workloads under
+//! the full proposal with TB-clustered warp scheduling, sanitized.
 
-use orchestrated_tlb::{PartitionedTlb, PartitionedTlbConfig, SharingPolicy, TlbAwareScheduler};
+use gpu_sim::GpuConfig;
+use orchestrated_tlb::{
+    Mechanism, PartitionedTlb, PartitionedTlbConfig, SharingPolicy, TlbAwareScheduler,
+};
 use proptest::prelude::*;
 use tlb::{CompressionConfig, TlbConfig, TlbRequest, TlbStats, TranslationBuffer};
-use vmem::{Asid, Ppn, Vpn};
+use vmem::{AddressSpace, Asid, PageSize, Ppn, Vpn};
+use workloads::{KernelTrace, LaneAccesses, TbTrace, WarpOp, Workload};
 
 /// One random TLB operation. Every address-carrying op also carries the
 /// issuing app's ASID so sequences exercise the multi-tenant paths.
@@ -83,8 +90,71 @@ fn apply(t: &mut PartitionedTlb, op: Op) {
     assert_eq!(sum, t.stats(), "per-ASID stats must sum to aggregate");
 }
 
+/// A one-kernel workload from per-TB, per-warp op lists (`Some(offset)`:
+/// a contiguous load; `None`: a 3-cycle compute op). Empty lists give
+/// zero-op warps and warp-less TBs.
+fn mini_workload(spec: &[Vec<Vec<Option<u64>>>]) -> Workload {
+    let mut space = AddressSpace::new(PageSize::Small);
+    let buf = space.allocate("data", 1 << 20).expect("fresh space");
+    let tbs = spec
+        .iter()
+        .map(|tb_spec| {
+            let mut tb = TbTrace::with_warps(tb_spec.len());
+            for (w, ops) in tb_spec.iter().enumerate() {
+                for op in ops {
+                    tb.warp_mut(w).push(match op {
+                        Some(offset) => {
+                            WarpOp::Load(LaneAccesses::contiguous(buf.addr_of(*offset), 4, 32))
+                        }
+                        None => WarpOp::Compute { cycles: 3 },
+                    });
+                }
+            }
+            tb
+        })
+        .collect();
+    let kernel = KernelTrace {
+        name: "mini".into(),
+        tbs,
+        max_concurrent_tbs_per_sm: 8,
+        threads_per_tb: 128,
+    };
+    Workload::new("mini", vec![kernel], space)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// TB-clustered warp scheduling (with the TLB-aware TB scheduler and
+    /// the partitioned L1 TLB) runs random mini-workloads, including
+    /// zero-op warps and warp-less TBs, clean under the sanitizer, and
+    /// the sanitized report equals the unsanitized one field for field.
+    #[test]
+    fn tb_clustered_runs_pass_the_sanitizer(
+        spec in proptest::collection::vec(
+            proptest::collection::vec(
+                proptest::collection::vec(
+                    prop_oneof![Just(None), (0u64..1 << 19).prop_map(Some)],
+                    0..6,
+                ),
+                0..4,
+            ),
+            1..12,
+        ),
+        issue_width in 1u32..=4,
+    ) {
+        let config = GpuConfig { issue_width, ..GpuConfig::dac23_baseline() };
+        let run = |sanitize: bool| {
+            Mechanism::FullWithWarpClustering
+                .simulator(config.clone())
+                .with_sanitizer(sanitize)
+                .run(mini_workload(&spec))
+        };
+        let checked = run(true);
+        let ops: usize = spec.iter().flatten().map(Vec::len).sum();
+        prop_assert_eq!(checked.instructions, ops as u64);
+        prop_assert_eq!(format!("{checked:?}"), format!("{:?}", run(false)));
+    }
 
     /// The structural invariants (set ownership licensed by sharing
     /// flags, LRU total order, stats identity, occupancy bound) survive

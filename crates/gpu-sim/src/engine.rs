@@ -25,6 +25,14 @@
 //! in phase B, outboxes in SM order — is what every golden pins. Every
 //! policy is seeded or stateless, so runs are bit-reproducible.
 //!
+//! # Event-driven SM step
+//!
+//! An SM step touches only the warps it wakes or issues, never the whole
+//! resident set: warps live in a slab, the scheduler views persist across
+//! cycles, and a per-SM wake queue holds every warp that is not ready,
+//! keyed by the cycle it becomes ready (or, once finished, retirable).
+//! See [`SmRt`].
+//!
 //! Parallelism lives one level up: independent simulations run on the
 //! experiment grid's workers (`--jobs N`), never inside one simulation.
 
@@ -36,6 +44,9 @@ use crate::sanitize::{sanitize_enabled, Sanitizer};
 use crate::tb_sched::{RoundRobinScheduler, SmSnapshot, TbScheduler};
 use crate::warp_sched::{GtoWarpScheduler, WarpScheduler, WarpView};
 use mem_hier::{Access, HierarchyBuilder, PerSmFront, SharedBack, SharedRequest, TranslationRef};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::fmt::Write as _;
 use tlb::{SetAssocTlb, TranslationBuffer};
 use vmem::{AddressSpace, Asid, PageSize, PhysAddr, Ppn, VirtAddr};
 use workloads::format::{TraceError, TraceSource};
@@ -365,10 +376,10 @@ struct Outbox {
     /// Translate requests pushed so far (their phase-B results land at
     /// the matching index of the per-lane `resolved` scratch).
     n_translates: u32,
-    /// `Some(issue_limited)` when phase A left `next_event` stale because
-    /// deferred completions may move it; phase B recomputes after
-    /// patching warps.
-    recompute: Option<bool>,
+    /// `Some(issue_limited)` when phase A left the step unsettled because
+    /// deferred completions may move its warps' `ready_at`; phase B
+    /// settles it after patching them.
+    settle: Option<bool>,
 }
 
 impl Outbox {
@@ -397,8 +408,10 @@ impl Outbox {
 
 struct OutboxEntry {
     req: SharedRequest,
-    /// Index into `SmRt::warps` whose `ready_at` absorbs the completion
-    /// cycle (data requests); `None` for pure translations.
+    /// Slab index into `SmRt::warps` whose `ready_at` absorbs the
+    /// completion cycle (data requests); `None` for pure translations.
+    /// Stays valid through phase B: warps only retire at the start of a
+    /// later phase A.
     warp: Option<usize>,
 }
 
@@ -535,6 +548,7 @@ fn run_kernel(
                 kernel_idx,
                 page_size,
                 shared.trace.as_mut(),
+                shared.sanitize,
                 lane,
             );
             deferred |= !lane.outbox.is_empty();
@@ -591,9 +605,9 @@ fn run_kernel(
     Ok(cycle)
 }
 
-/// Phase A for one SM: retire finished warps/TBs, then issue up to
-/// `issue_width` warp instructions at `cycle`, touching only the lane's
-/// private state.
+/// Phase A for one SM: wake due warps (retiring finished ones and
+/// freeing their TB slots), then issue up to `issue_width` warp
+/// instructions at `cycle`, touching only the lane's private state.
 ///
 /// Until the first private L1 TLB miss, translations and data probes run
 /// eagerly (hits complete here). From that miss on the step *defers*:
@@ -607,6 +621,7 @@ fn phase_a(
     kernel_idx: u16,
     page_size: PageSize,
     mut trace: Option<&mut Vec<TranslationEvent>>,
+    sanitize: bool,
     lane: &mut Lane,
 ) {
     debug_assert!(lane.sm.next_event() <= cycle, "phase A on an idle lane");
@@ -615,49 +630,25 @@ fn phase_a(
     let sm = &mut lane.sm;
     let front = &mut lane.front;
     let outbox = &mut lane.outbox;
+    let app_done = &mut lane.app_done;
 
-    // Retire warps whose final op has completed; free TB slots. The
-    // whole scan is skipped while `earliest_done` proves no finished
-    // warp can be due yet — a skipped scan would have retired nothing,
-    // so the decision sequence is unchanged.
-    if sm.earliest_done <= cycle {
-        sm.earliest_done = u64::MAX;
-        for w in 0..sm.warps.len() {
-            let warp = &mut sm.warps[w];
-            if warp.retired || warp.op_idx < warp.ops.len() {
-                continue;
-            }
-            if warp.ready_at <= cycle {
-                warp.retired = true;
-                sm.retired_warps += 1;
-                let slot = warp.tb_slot as usize;
-                let asid = warp.asid;
-                let done = warp.ready_at;
-                lane.app_done[asid.index()] = lane.app_done[asid.index()].max(done);
-                sm.slot_live_warps[slot] -= 1;
-                if sm.slot_live_warps[slot] == 0 {
-                    sm.free_slots.push(slot as u8);
-                    front.tlb_mut().on_tb_finish(asid, slot as u8);
-                }
-            } else {
-                let due = warp.ready_at;
-                sm.earliest_done = sm.earliest_done.min(due);
-            }
+    sm.wake(cycle, |warp, freed_slot| {
+        let app = warp.asid.index();
+        app_done[app] = app_done[app].max(warp.ready_at);
+        if let Some(slot) = freed_slot {
+            front.tlb_mut().on_tb_finish(warp.asid, slot);
         }
-    }
-    if sm.retired_warps > 128 {
-        sm.compact();
-    }
+    });
 
     // GTO issue: stay greedy on the last-issued warp, then oldest. The
-    // scheduler views are built once for the cycle and patched in place
-    // per issue (only the issued warp changes between picks).
+    // persistent views are patched in place per issue (only the issued
+    // warp changes between picks).
     let mut deferred = false;
     let mut issued = 0u32;
-    sm.build_views(cycle);
     while issued < config.issue_width {
-        let pick = sm.pick();
-        let Some((w, view_idx)) = pick else { break };
+        let Some((w, view_idx)) = sm.pick(sm_idx, cycle) else {
+            break;
+        };
         let warp = &mut sm.warps[w];
         let op = &warp.ops[warp.op_idx];
         warp.op_idx += 1;
@@ -775,37 +766,32 @@ fn phase_a(
                 warp.ready_at = done;
             }
         }
-        let finished = warp.op_idx >= warp.ops.len();
-        if finished {
-            // The warp just issued its final op: it becomes retirable at
-            // its completion (phase B only ever moves that later, so the
-            // bound stays conservative).
-            let due = warp.ready_at;
-            sm.earliest_done = sm.earliest_done.min(due);
-        }
-        sm.after_issue(view_idx, finished);
+        sm.after_issue(w, view_idx);
         issued += 1;
     }
 
-    // `issue_limited` licenses the `recompute_next_event` short-circuit,
+    // `issue_limited` licenses the `cycle + 1` verdict in `settle`,
     // which requires at least one issue this cycle — guaranteed by
     // `issued >= issue_width` only when the width is non-zero.
     let issue_limited = config.issue_width > 0 && issued >= config.issue_width;
     if outbox.is_empty() {
-        sm.recompute_next_event(cycle, issue_limited);
+        sm.settle(cycle, issue_limited);
+        if sanitize {
+            sm.cross_check(sm_idx, cycle, issue_limited);
+        }
     } else {
-        // next_event depends on deferred completion cycles; phase B
-        // recomputes after patching the warps.
-        outbox.recompute = Some(issue_limited);
+        // The issued warps' `ready_at` may still move in phase B's
+        // folds; phase B settles the step after patching them.
+        outbox.settle = Some(issue_limited);
     }
 }
 
 /// Phase B for one SM: apply its deferred shared-stage requests in push
 /// order against the shared back (and its own front for replays), patch
-/// warp completion times, then settle `next_event`.
+/// warp completion times, then settle the step.
 fn phase_b(lane: &mut Lane, shared: &mut SharedState, cycle: u64, resolved: &mut Vec<(Ppn, u64)>) {
     if lane.outbox.is_empty() {
-        debug_assert!(lane.outbox.recompute.is_none());
+        debug_assert!(lane.outbox.settle.is_none());
         return;
     }
     resolved.clear();
@@ -829,8 +815,11 @@ fn phase_b(lane: &mut Lane, shared: &mut SharedState, cycle: u64, resolved: &mut
         }
     }
     lane.outbox.n_translates = 0;
-    if let Some(issue_limited) = lane.outbox.recompute.take() {
-        lane.sm.recompute_next_event(cycle, issue_limited);
+    if let Some(issue_limited) = lane.outbox.settle.take() {
+        lane.sm.settle(cycle, issue_limited);
+        if shared.sanitize {
+            lane.sm.cross_check(lane.sm_idx, cycle, issue_limited);
+        }
     }
 }
 
@@ -866,46 +855,71 @@ struct WarpRt {
     tb_global: u32,
     /// Warp index within its TB (for warp-granularity analysis).
     warp_in_tb: u16,
-    retired: bool,
 }
 
+impl WarpRt {
+    /// Whether the warp has issued its final op (it retires once
+    /// `ready_at` passes).
+    fn finished(&self) -> bool {
+        self.op_idx >= self.ops.len()
+    }
+}
+
+/// A wake-queue entry: `(ready_at, warp id, slab index)`, earliest first.
+type WakeEntry = Reverse<(u64, u32, usize)>;
+
 /// Runtime state of one SM.
+///
+/// The step is event-driven. Between steps every unretired warp is in
+/// exactly one of two places: a ready entry of `views`, or `wake`, keyed
+/// by the cycle it becomes ready (for a finished warp: retirable). A step
+/// pops the due entries ([`SmRt::wake`]), issues, and queues the warps it
+/// issued once their `ready_at` is final ([`SmRt::settle`]), so its work
+/// is O(warps woken × log n), not O(resident warps).
 struct SmRt {
+    /// Warp slab: stable indices (outbox entries name warps by them); a
+    /// retired warp's index goes on `free` for reuse.
     warps: Vec<WarpRt>,
+    free: Vec<usize>,
     free_slots: Vec<u8>,
     slot_live_warps: Vec<u32>,
     scheduler: Box<dyn WarpScheduler>,
     next_warp_id: u32,
-    /// Reusable scratch for scheduler views, in launch order.
+    /// Scheduler views of the live (unfinished) warps in launch order,
+    /// kept across cycles: placement appends (new ids are the largest),
+    /// a final issue removes, issue and wake flip `ready`.
     views: Vec<WarpView>,
-    /// Index into `warps` for each entry of `views` (parallel vector, so
-    /// the scheduler can be handed `&views` without a per-pick collect).
+    /// Slab index for each entry of `views` (parallel vector, so the
+    /// scheduler can be handed `&views` without a per-pick collect).
     view_warps: Vec<usize>,
+    /// Number of ready entries in `views`.
+    n_ready: usize,
+    /// Every unretired warp that is not ready.
+    wake: BinaryHeap<WakeEntry>,
+    /// Warps issued this step, queued on `wake` when the step settles
+    /// (phase B may still move their `ready_at` later).
+    issued: Vec<usize>,
+    /// Scratch for [`SmRt::wake`]: finished warps due this step.
+    finished: Vec<usize>,
     next_event: u64,
-    /// Lower bound on the earliest cycle any finished warp can retire
-    /// (`u64::MAX` when none is pending). Phase-B patches only push
-    /// completion times later, so the bound stays valid and the per-step
-    /// retire scan can be skipped outright while `cycle` is below it —
-    /// a skipped scan provably would have retired nothing.
-    earliest_done: u64,
-    /// Retired warps still occupying `warps` (drives compaction without
-    /// a per-step recount).
-    retired_warps: usize,
 }
 
 impl SmRt {
     fn new(max_tbs: u8, scheduler: Box<dyn WarpScheduler>) -> Self {
         SmRt {
             warps: Vec::new(),
+            free: Vec::new(),
             free_slots: (0..max_tbs).rev().collect(),
             slot_live_warps: vec![0; max_tbs as usize],
             scheduler,
             next_warp_id: 0,
             views: Vec::new(),
             view_warps: Vec::new(),
+            n_ready: 0,
+            wake: BinaryHeap::new(),
+            issued: Vec::new(),
+            finished: Vec::new(),
             next_event: u64::MAX,
-            earliest_done: u64::MAX,
-            retired_warps: 0,
         }
     }
 
@@ -918,11 +932,7 @@ impl SmRt {
         let slot = self.free_slots.pop().expect("caller checked has_room"); // simlint: allow(hot-unwrap, reason = "dispatch loop asserts has_room before place_tb")
         let mut live = 0;
         for (warp_in_tb, warp) in tb.warps().iter().enumerate() {
-            if warp.shared_ops().is_empty() {
-                // A warp with no ops is retirable at its first event.
-                self.earliest_done = self.earliest_done.min(cycle + 1);
-            }
-            self.warps.push(WarpRt {
+            let rt = WarpRt {
                 id: self.next_warp_id,
                 asid,
                 ops: warp.shared_ops(),
@@ -931,8 +941,28 @@ impl SmRt {
                 tb_slot: slot,
                 tb_global,
                 warp_in_tb: warp_in_tb as u16,
-                retired: false,
-            });
+            };
+            let w = match self.free.pop() {
+                Some(w) => {
+                    self.warps[w] = rt;
+                    w
+                }
+                None => {
+                    self.warps.push(rt);
+                    self.warps.len() - 1
+                }
+            };
+            // Not ready until `cycle + 1`. A warp with no ops is finished
+            // already: it gets no view and retires at its first event.
+            if !self.warps[w].finished() {
+                self.views.push(WarpView {
+                    id: self.next_warp_id,
+                    tb_slot: slot,
+                    ready: false,
+                });
+                self.view_warps.push(w);
+            }
+            self.wake.push(Reverse((cycle + 1, self.next_warp_id, w)));
             self.next_warp_id += 1;
             live += 1;
         }
@@ -945,95 +975,219 @@ impl SmRt {
         self.next_event = self.next_event.min(cycle + 1);
     }
 
-    /// Rebuilds the scheduler views (live warps in launch order) for a
-    /// new issue cycle. [`SmRt::pick`] then consumes the cached views;
-    /// between picks of the same cycle only the issued warp changes, so
-    /// [`SmRt::after_issue`] patches its entry in place instead of
-    /// rescanning the warp vector per issue slot.
-    fn build_views(&mut self, cycle: u64) {
-        self.views.clear();
-        self.view_warps.clear();
-        for (i, w) in self.warps.iter().enumerate() {
-            if w.retired || w.op_idx >= w.ops.len() {
+    /// Start of a step: pops every wake entry due by `cycle`. A live warp
+    /// goes ready; a finished one retires, through `retire(warp,
+    /// freed_slot)` with `freed_slot` set when it was its TB's last warp.
+    /// Retirement runs in launch order, as a scan of the warp table
+    /// would, which fixes the `free_slots` and `on_tb_finish` order.
+    fn wake(&mut self, cycle: u64, mut retire: impl FnMut(&WarpRt, Option<u8>)) {
+        while let Some(&Reverse((at, id, w))) = self.wake.peek() {
+            if at > cycle {
+                break;
+            }
+            self.wake.pop();
+            if self.warps[w].finished() {
+                self.finished.push(w);
                 continue;
             }
-            self.views.push(WarpView {
-                id: w.id,
-                tb_slot: w.tb_slot,
-                ready: w.ready_at <= cycle,
-            });
-            self.view_warps.push(i);
+            let Ok(v) = self.views.binary_search_by_key(&id, |v| v.id) else {
+                unreachable!("live warp {id} has no scheduler view");
+            };
+            debug_assert!(!self.views[v].ready, "queued warp {id} was ready");
+            self.views[v].ready = true;
+            self.n_ready += 1;
         }
+        if self.finished.is_empty() {
+            return;
+        }
+        let warps = &self.warps;
+        self.finished.sort_unstable_by_key(|&w| warps[w].id);
+        for &w in &self.finished {
+            let warp = &self.warps[w];
+            let slot = warp.tb_slot;
+            self.slot_live_warps[slot as usize] -= 1;
+            let freed_slot = (self.slot_live_warps[slot as usize] == 0).then_some(slot);
+            if freed_slot.is_some() {
+                self.free_slots.push(slot);
+            }
+            retire(warp, freed_slot);
+            self.free.push(w);
+        }
+        self.finished.clear();
     }
 
-    /// Asks the warp-scheduling policy for the next warp to issue, from
-    /// the views cached by [`SmRt::build_views`]. Returns the warp index
-    /// and its view index (for [`SmRt::after_issue`]).
-    fn pick(&mut self) -> Option<(usize, usize)> {
+    /// Asks the warp-scheduling policy for the next warp to issue.
+    /// Returns the warp's slab index and its view index (for
+    /// [`SmRt::after_issue`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy picks a stalled or out-of-range view: issuing
+    /// it would run the warp early and corrupt the wake queue.
+    fn pick(&mut self, sm: usize, cycle: u64) -> Option<(usize, usize)> {
         // The scheduler sees only the views, in launch order.
         let picked = self.scheduler.pick(&self.views)?;
+        assert!(
+            self.views.get(picked).is_some_and(|v| v.ready),
+            "warp scheduler '{}' picked a stalled or out-of-range warp \
+             (view {picked} of {}) at cycle {cycle} on sm {sm}",
+            self.scheduler.name(),
+            self.views.len(),
+        );
         let view = self.views[picked];
         self.scheduler.issued(view);
         Some((self.view_warps[picked], picked))
     }
 
-    /// Patches the cached views after issuing the warp behind view
-    /// `view_idx`. An issued warp's `ready_at` always lands strictly in
-    /// the future (compute latencies are clamped to ≥ 1, transactions
-    /// complete at `cycle + 1` at the earliest), so its view simply goes
-    /// not-ready; a warp that issued its final op leaves the views
-    /// entirely, exactly as a rebuild would drop it.
-    fn after_issue(&mut self, view_idx: usize, finished: bool) {
-        if finished {
+    /// Patches the views after issuing warp `w` behind view `view_idx`.
+    /// An issued warp's `ready_at` always lands strictly in the future
+    /// (compute latencies are clamped to ≥ 1, transactions complete at
+    /// `cycle + 1` at the earliest), so its view goes not-ready; a warp
+    /// that issued its final op leaves the views entirely. Either way it
+    /// joins the wake queue when the step settles.
+    fn after_issue(&mut self, w: usize, view_idx: usize) {
+        self.n_ready -= 1;
+        if self.warps[w].finished() {
             self.views.remove(view_idx);
             self.view_warps.remove(view_idx);
         } else {
             self.views[view_idx].ready = false;
         }
+        self.issued.push(w);
     }
 
-    fn recompute_next_event(&mut self, cycle: u64, issue_limited: bool) {
-        // Callers pass `issue_limited` only when at least one op issued
-        // this cycle, and an issued warp's `ready_at` is strictly future
-        // — so a future event exists (`next != u64::MAX` below) and the
-        // scan's verdict is `cycle + 1` whatever `any_ready_now` says.
-        // Skip the warp scan outright.
-        if issue_limited {
-            self.next_event = cycle + 1;
-            return;
+    /// Ends a step once every issued warp's `ready_at` is final: queues
+    /// those warps and sets `next_event` — `cycle + 1` if the step was
+    /// issue-limited or a warp is still ready, else the earliest queued
+    /// wake-up.
+    ///
+    /// This is exactly what a full scan of the warp table would find.
+    /// After [`SmRt::wake`] no queued entry is due by `cycle`, and every
+    /// warp issued this step has a strictly future `ready_at`, so a warp
+    /// is ready now iff its view is ready, and the queue minimum is the
+    /// earliest future event.
+    fn settle(&mut self, cycle: u64, issue_limited: bool) {
+        for &w in &self.issued {
+            let warp = &self.warps[w];
+            self.wake.push(Reverse((warp.ready_at, warp.id, w)));
         }
+        self.issued.clear();
+        self.next_event = if issue_limited || self.n_ready > 0 {
+            cycle + 1
+        } else {
+            self.wake.peek().map_or(u64::MAX, |&Reverse((at, _, _))| at)
+        };
+    }
+
+    /// Sanitizer cross-check of a settled step: re-derives the views and
+    /// `next_event` with a full scan of the warp table (the per-step scan
+    /// the wake queue replaced), and checks that the queue holds exactly
+    /// the unretired warps that are not ready, each under its current
+    /// `ready_at`. A mismatch panics with a warp-table dump.
+    fn cross_check(&self, sm: usize, cycle: u64, issue_limited: bool) {
+        let fail =
+            |detail: String| -> ! { Sanitizer::sm_step_failure(sm, cycle, detail, self.dump()) };
+        let mut retired = vec![false; self.warps.len()];
+        for &w in &self.free {
+            if std::mem::replace(&mut retired[w], true) {
+                fail(format!("slab index {w} is on the free list twice"));
+            }
+        }
+        let mut views = Vec::new();
         let mut next = u64::MAX;
         let mut any_ready_now = false;
-        for w in &self.warps {
-            if w.retired {
+        for (w, warp) in self.warps.iter().enumerate() {
+            if retired[w] {
                 continue;
             }
-            if w.op_idx < w.ops.len() {
-                if w.ready_at <= cycle {
-                    any_ready_now = true;
-                } else {
-                    next = next.min(w.ready_at);
-                }
-            } else if w.ready_at > cycle {
-                // Completion (retire) event.
-                next = next.min(w.ready_at);
-            } else {
-                // Retirable right now (became done this cycle).
+            let ready = warp.ready_at <= cycle;
+            if !warp.finished() {
+                let view = WarpView {
+                    id: warp.id,
+                    tb_slot: warp.tb_slot,
+                    ready,
+                };
+                views.push((view, w));
+            } else if ready {
+                fail(format!("finished warp {} (slab {w}) was not retired", warp.id));
+            }
+            if ready {
                 any_ready_now = true;
+            } else {
+                next = next.min(warp.ready_at);
             }
         }
-        self.next_event = if any_ready_now || (issue_limited && next != u64::MAX) {
+        views.sort_unstable_by_key(|(v, _)| v.id);
+        if !views.iter().map(|&(v, _)| v).eq(self.views.iter().copied())
+            || !views.iter().map(|&(_, w)| w).eq(self.view_warps.iter().copied())
+        {
+            fail(format!("scheduler views differ from a full scan: {views:?}"));
+        }
+        let ready = views.iter().filter(|(v, _)| v.ready).count();
+        if ready != self.n_ready {
+            fail(format!("n_ready is {} but {ready} views are ready", self.n_ready));
+        }
+        let mut queued = vec![false; self.warps.len()];
+        for &Reverse((at, id, w)) in &self.wake {
+            let current = self
+                .warps
+                .get(w)
+                .is_some_and(|warp| warp.id == id && warp.ready_at == at && !retired[w]);
+            if !current || at <= cycle || std::mem::replace(&mut queued[w], true) {
+                fail(format!(
+                    "wake entry (ready_at {at}, warp {id}, slab {w}) is stale, due or duplicated"
+                ));
+            }
+        }
+        for (w, warp) in self.warps.iter().enumerate() {
+            if !retired[w] && warp.ready_at > cycle && !queued[w] {
+                fail(format!(
+                    "warp {} (slab {w}, ready_at {}) is not in the wake queue",
+                    warp.id, warp.ready_at
+                ));
+            }
+        }
+        let expected = if any_ready_now || (issue_limited && next != u64::MAX) {
             cycle + 1
         } else {
             next
         };
+        if expected != self.next_event {
+            fail(format!(
+                "next_event is {} but a full scan gives {expected}",
+                self.next_event
+            ));
+        }
     }
 
-    fn compact(&mut self) {
-        // Stable warp ids survive compaction, so the scheduler's state
-        // stays valid.
-        self.warps.retain(|w| !w.retired);
-        self.retired_warps = 0;
+    /// Warp-table dump for sanitizer reports.
+    fn dump(&self) -> String {
+        let mut out = String::new();
+        for (w, warp) in self.warps.iter().enumerate() {
+            let state = if self.free.contains(&w) {
+                "retired"
+            } else if warp.finished() {
+                "finished"
+            } else {
+                "live"
+            };
+            let _ = writeln!(
+                out,
+                "slab {w:3}: warp {:5} tb_slot {:2} op {}/{} ready_at {} {state}",
+                warp.id,
+                warp.tb_slot,
+                warp.op_idx,
+                warp.ops.len(),
+                warp.ready_at,
+            );
+        }
+        let mut queue: Vec<_> = self.wake.iter().map(|&Reverse(e)| e).collect();
+        queue.sort_unstable();
+        let _ = writeln!(out, "views: {:?}", self.views);
+        let _ = writeln!(out, "view slabs: {:?}, n_ready {}", self.view_warps, self.n_ready);
+        let _ = writeln!(out, "wake queue (ready_at, warp, slab): {queue:?}");
+        let _ = write!(out, "next_event: {}", self.next_event);
+        out
     }
 
     fn next_event(&self) -> u64 {
@@ -1144,6 +1298,51 @@ mod tests {
         // Checking invariants must not perturb the simulation itself.
         assert_eq!(r.total_cycles, unsanitized.total_cycles);
         assert_eq!(r.l1_tlb_aggregate(), unsanitized.l1_tlb_aggregate());
+    }
+
+    /// One SM holding a TB of two compute warps placed at cycle 10, and
+    /// a warp-less TB; its state is settled as placed.
+    fn placed_sm() -> SmRt {
+        let mut sm = SmRt::new(2, Box::new(GtoWarpScheduler::new()));
+        let mut tb = TbTrace::with_warps(2);
+        for w in 0..2 {
+            tb.warp_mut(w).push(WarpOp::Compute { cycles: 4 });
+        }
+        sm.place_tb(&tb, 0, 10, Asid::default());
+        sm.place_tb(&TbTrace::with_warps(0), 1, 10, Asid::default());
+        sm
+    }
+
+    #[test]
+    fn wake_queue_cross_check_accepts_a_real_step() {
+        let mut sm = placed_sm();
+        sm.cross_check(0, 10, false);
+        // Step at cycle 11: both warps wake; issue one.
+        sm.wake(11, |_, _| panic!("nothing is finished yet"));
+        assert_eq!(sm.n_ready, 2);
+        let (w, view) = sm.pick(0, 11).expect("a ready warp");
+        sm.warps[w].op_idx += 1;
+        sm.warps[w].ready_at = 15;
+        sm.after_issue(w, view);
+        sm.settle(11, false);
+        sm.cross_check(0, 11, false);
+        assert_eq!(sm.next_event(), 12, "the other warp is still ready");
+    }
+
+    #[test]
+    #[should_panic(expected = "is not in the wake queue")]
+    fn sanitizer_catches_a_dropped_wake_entry() {
+        let mut sm = placed_sm();
+        sm.wake.pop();
+        sm.cross_check(0, 10, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "sm 3 warp state, cycle 10")]
+    fn sanitizer_names_the_sm_and_cycle_of_a_stale_next_event() {
+        let mut sm = placed_sm();
+        sm.next_event = 12;
+        sm.cross_check(3, 10, false);
     }
 
     #[test]

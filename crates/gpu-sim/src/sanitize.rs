@@ -6,8 +6,11 @@
 //! §IV-B sharing flags, LRU recency a total order per set, occupancy ≤
 //! capacity — see [`TranslationBuffer::check_invariants`]), per-SM stats
 //! are monotone across cycles with `hits + misses == lookups`, and the TB
-//! scheduler's §IV-A status table stays within its hardware budget. The
-//! first violation panics with a full state dump.
+//! scheduler's §IV-A status table stays within its hardware budget.
+//! After every SM step it also re-derives that SM's warp-scheduler views
+//! and next event with a full scan of the warp table and compares them
+//! with the engine's event-driven state (its wake queue). The first
+//! violation panics with a full state dump.
 //!
 //! Enablement: on by default in debug builds (`cargo test` exercises it
 //! everywhere), off in release; `repro`/`sweep` accept `--sanitize` which
@@ -209,6 +212,17 @@ impl Sanitizer {
                 slice.dump_state(),
             );
         }
+    }
+
+    /// Reports an SM whose event-driven step state (scheduler views, wake
+    /// queue, `next_event`) disagrees with a full scan of its warp table
+    /// after a step settled.
+    pub(crate) fn sm_step_failure(sm: usize, cycle: u64, detail: String, dump: String) -> ! {
+        report(InvariantViolation::new(
+            format!("sm {sm} warp state, cycle {cycle}"),
+            detail,
+            dump,
+        ))
     }
 
     /// Reports a broken cross-accumulator accounting identity found at

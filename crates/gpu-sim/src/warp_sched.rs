@@ -21,8 +21,9 @@ pub struct WarpView {
 /// A per-SM warp scheduling policy.
 ///
 /// `pick` receives the SM's live warps (unfinished, unretired) in launch
-/// order and returns the index of the warp to issue, or `None` when no
-/// warp is ready. The engine reports each actual issue back through
+/// order and returns the index of a *ready* warp to issue, or `None` when
+/// no warp is ready; the engine panics on a stalled or out-of-range pick.
+/// The engine reports each actual issue back through
 /// [`WarpScheduler::issued`] so stateful policies (greedy, round-robin
 /// pointers) can track it.
 ///
@@ -163,7 +164,7 @@ mod tests {
     fn gto_survives_compaction() {
         let mut s = GtoWarpScheduler::new();
         s.issued(w(5, 0, true));
-        // Warp 5 retired and was compacted away: fall back to oldest.
+        // Warp 5 finished and left the views: fall back to oldest.
         let warps = [w(6, 0, true), w(7, 0, true)];
         assert_eq!(s.pick(&warps), Some(0));
     }

@@ -142,6 +142,46 @@ fn warp_scheduler_policies_are_deterministic() {
     assert_eq!(run(lrr), run(lrr));
 }
 
+/// A deliberately broken warp policy: always picks the same view index,
+/// whether or not that warp is ready (or even exists).
+struct FixedPick(usize);
+
+impl WarpScheduler for FixedPick {
+    fn pick(&mut self, _: &[gpu_sim::WarpView]) -> Option<usize> {
+        Some(self.0)
+    }
+    fn name(&self) -> &str {
+        "fixed-pick"
+    }
+}
+
+fn run_with_fixed_pick(view: usize) {
+    let factory = move || Box::new(FixedPick(view)) as Box<dyn WarpScheduler>;
+    Simulator::new(GpuConfig::dac23_baseline())
+        .with_warp_scheduler_factory(Box::new(factory))
+        .run(simple_workload(1, 4));
+}
+
+/// The warp-scheduler contract is enforced: picking a warp that is not
+/// ready would issue it early, so it is fatal and names the policy, the
+/// cycle and the SM. The single warp issues at cycle 1, then the second
+/// issue slot picks it again while its load is in flight.
+#[test]
+#[should_panic(
+    expected = "warp scheduler 'fixed-pick' picked a stalled or out-of-range warp \
+                (view 0 of 1) at cycle 1 on sm 0"
+)]
+fn scheduler_picking_a_stalled_warp_is_fatal() {
+    run_with_fixed_pick(0);
+}
+
+/// Same contract for an index past the end of the views.
+#[test]
+#[should_panic(expected = "(view 3 of 1) at cycle 1 on sm 0")]
+fn scheduler_picking_out_of_range_is_fatal() {
+    run_with_fixed_pick(3);
+}
+
 /// L1 TLBs are flushed per kernel launch by default; disabling the flush
 /// preserves entries across kernels and can only help hit rates for a
 /// workload that re-touches the same pages.

@@ -1,7 +1,7 @@
 //! Property-based tests for the timing engine over randomly generated
 //! mini-workloads.
 
-use gpu_sim::{GpuConfig, Simulator};
+use gpu_sim::{GpuConfig, GtoWarpScheduler, LrrWarpScheduler, Simulator, WarpScheduler};
 use proptest::prelude::*;
 use vmem::{AddressSpace, PageSize};
 use workloads::{KernelTrace, LaneAccesses, TbTrace, WarpOp, Workload};
@@ -19,6 +19,18 @@ fn arb_workload() -> impl Strategy<Value = (RawOps, u8)> {
     let tb = proptest::collection::vec(warp, 1..4);
     let tbs = proptest::collection::vec(tb, 1..8);
     (tbs, 1u8..16)
+}
+
+/// Strategy: a mini-workload with the SM step's edge cases — warps with
+/// no ops and TBs with no warps, which [`arb_workload`] never generates —
+/// plus a machine shape: issue width 1..=4, a concurrent-TB cap 1..16,
+/// and the warp policy (`true`: LRR, `false`: GTO).
+fn arb_edge_case() -> impl Strategy<Value = (RawOps, u32, u8, bool)> {
+    let op = (0u8..3, 0u64..1 << 16);
+    let warp = proptest::collection::vec(op, 0..6);
+    let tb = proptest::collection::vec(warp, 0..4);
+    let tbs = proptest::collection::vec(tb, 1..10);
+    (tbs, 1u32..=4, 1u8..16, any::<bool>())
 }
 
 fn build(spec: &[Vec<Vec<(u8, u64)>>], max_tbs: u8) -> Workload {
@@ -79,6 +91,43 @@ proptest! {
         // Walks can never exceed L2 misses, and faults never exceed walks.
         prop_assert!(r.walker.walks <= r.l2_tlb.misses);
         prop_assert!(r.demand_faults <= r.walker.walks);
+    }
+
+    /// Zero-op warps, warp-less TBs and every issue width and TB cap run
+    /// to completion with the sanitizer on (which cross-checks each SM
+    /// step's wake queue against a full warp-table scan), and checking
+    /// does not move a single field of the report.
+    #[test]
+    fn edge_case_workloads_pass_the_sanitizer(
+        (spec, issue_width, max_tbs, lrr) in arb_edge_case()
+    ) {
+        let config = GpuConfig {
+            issue_width,
+            max_concurrent_tbs: max_tbs,
+            ..GpuConfig::dac23_baseline()
+        };
+        let run = |sanitize: bool| {
+            let factory = move || -> Box<dyn WarpScheduler> {
+                if lrr {
+                    Box::new(LrrWarpScheduler::new())
+                } else {
+                    Box::new(GtoWarpScheduler::new())
+                }
+            };
+            Simulator::new(config.clone())
+                .with_warp_scheduler_factory(Box::new(factory))
+                .with_sanitizer(sanitize)
+                .run(build(&spec, 16))
+        };
+        let checked = run(true);
+        let plain = run(false);
+        let wl = build(&spec, 16);
+        prop_assert_eq!(checked.instructions, wl.total_warp_ops() as u64);
+        prop_assert_eq!(
+            checked.tb_placements.iter().sum::<u32>(),
+            wl.kernels()[0].tbs.len() as u32
+        );
+        prop_assert_eq!(format!("{checked:?}"), format!("{plain:?}"));
     }
 
     /// Determinism: identical random workloads give identical reports.
