@@ -22,8 +22,14 @@
 //!   500-cycle walks) with about 500 walks live and a third of the
 //!   requests arriving out of cycle order, as the shared stage submits
 //!   them.
+//! - `l2_tlb_fill`: every lookup misses the 16-way shared L2 TLB and is
+//!   filled, so each op runs one LRU victim search over 16 ways.
+//! - `data_cache_access`: the dac23 L2 data cache (1536 sets x 8 ways,
+//!   the multiply-high set split) under a stream whose footprint is
+//!   far beyond its capacity, so nearly every access misses and evicts.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use mem_hier::{Cache, CacheConfig};
 use orchestrated_tlb::{PartitionedTlb, PartitionedTlbConfig};
 use std::time::Duration;
 use tlb::{
@@ -202,12 +208,68 @@ fn bench_walker_submit(c: &mut Criterion) {
     group.finish();
 }
 
+/// Fresh-page lookup + fill in the dac23 L2 TLB (512 entries, 16-way).
+/// One persistent TLB; each iteration moves to pages it has never seen.
+fn bench_l2_tlb_fill(c: &mut Criterion) {
+    let mut tlb = SetAssocTlb::new(TlbConfig::dac23_l2());
+    let mut base = 0u64;
+    let mut group = c.benchmark_group("l2_tlb_fill");
+    group.throughput(Throughput::Elements(OPS as u64));
+    group.bench_function("16_way_miss_insert", |b| {
+        b.iter(|| {
+            let mut acc = 0u64;
+            for i in 0..OPS as u64 {
+                let req = TlbRequest::new(Vpn::new(base + i * 3), 0);
+                let out = tlb.lookup(&req);
+                acc += out.latency + out.hit as u64;
+                tlb.insert(&req, Ppn::new(i));
+            }
+            base += OPS as u64 * 3;
+            std::hint::black_box(acc)
+        })
+    });
+    group.finish();
+}
+
+/// Accesses of the `data_cache_access` stream: pseudo-random 128-byte
+/// lines over 256 MiB (about 170x the cache), a quarter of them stores,
+/// so evictions also write dirty lines back.
+fn data_cache_script() -> Vec<(u64, bool)> {
+    let mut x = 0x3c6e_f372_fe94_f82bu64;
+    (0..OPS)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            ((x >> 8) % (1 << 28), x & 3 == 0)
+        })
+        .collect()
+}
+
+fn bench_data_cache_access(c: &mut Criterion) {
+    let script = data_cache_script();
+    let mut cache = Cache::new(CacheConfig::new(1536 * 1024, 8, 128));
+    let mut group = c.benchmark_group("data_cache_access");
+    group.throughput(Throughput::Elements(OPS as u64));
+    group.bench_function("dac23_l2_miss_heavy", |b| {
+        b.iter(|| {
+            let hits = script
+                .iter()
+                .filter(|&&(pa, write)| cache.access(pa, write))
+                .count();
+            std::hint::black_box(hits)
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = lookup_throughput;
     config = Criterion::default()
         .sample_size(20)
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_secs(1));
-    targets = bench_lookup_throughput, bench_partitioned_miss_fill, bench_walker_submit
+    targets = bench_lookup_throughput, bench_partitioned_miss_fill, bench_walker_submit,
+        bench_l2_tlb_fill, bench_data_cache_access
 }
 criterion_main!(lookup_throughput);

@@ -25,8 +25,8 @@
 use std::fmt::Write as _;
 use std::ops::Range;
 use tlb::{
-    CompressionConfig, InvariantViolation, PerAsidStats, TlbConfig, TlbOutcome, TlbRequest,
-    TlbStats, TranslationBuffer,
+    first_min, recency_key, CompressionConfig, InvariantViolation, PerAsidStats, TlbConfig,
+    TlbOutcome, TlbRequest, TlbStats, TranslationBuffer,
 };
 use vmem::{Asid, Ppn, Vpn};
 
@@ -575,10 +575,9 @@ impl PartitionedTlb {
             self.ways[w] = way;
             return;
         }
-        // 2. Evict the LRU way of the candidate set...
-        let victim = self
-            .ways_of_set(candidate)
-            .min_by_key(|&w| self.ways[w].stamp)
+        // 2. Evict the LRU way of the candidate set (all valid after
+        //    step 1, so the stamp alone orders them)...
+        let victim = first_min(self.ways_of_set(candidate).map(|w| (w, self.ways[w].stamp)))
             .expect("associativity is non-zero"); // simlint: allow(hot-unwrap, reason = "TlbConfig validates associativity > 0 at construction")
         // ...but first try to rescue it into another TB's sets (dynamic
         // sharing, Figure 9): an empty way if one exists, otherwise a way
@@ -590,9 +589,10 @@ impl PartitionedTlb {
         // lookups never consult that flag, so a cross-app rescue would be
         // permanently unreachable. Cross-app victims die in place instead.
         if self.cfg.sharing.spills() && self.ways[victim].asid == req.asid {
-            let slot = self
-                .ways_of_span(&self.spill_sets(req.tb_slot))
-                .min_by_key(|&w| (self.ways[w].valid, self.ways[w].stamp));
+            let slot = first_min(
+                self.ways_of_span(&self.spill_sets(req.tb_slot))
+                    .map(|w| (w, recency_key(self.ways[w].valid, self.ways[w].stamp))),
+            );
             let displaceable = slot.is_some_and(|w| {
                 !self.ways[w].valid
                     || self.ways[w]

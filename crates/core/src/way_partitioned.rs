@@ -9,7 +9,7 @@
 //! design, hot sets cannot borrow capacity from cold ones. Used by the
 //! partitioning-strategy ablation.
 
-use tlb::{TlbConfig, TlbOutcome, TlbRequest, TlbStats, TranslationBuffer};
+use tlb::{first_min, recency_key, TlbConfig, TlbOutcome, TlbRequest, TlbStats, TranslationBuffer};
 use vmem::{Ppn, Vpn};
 
 #[derive(Copy, Clone, Debug, Default)]
@@ -120,10 +120,11 @@ impl TranslationBuffer for WayPartitionedTlb {
         }
         self.stats.insertions += 1;
         // Replace only within the TB's own ways (LRU, invalid first).
-        let victim = self
-            .owned_ways(set, req.tb_slot)
-            .min_by_key(|&w| (self.ways[w].valid, self.ways[w].stamp))
-            .expect("every slot owns at least one way"); // simlint: allow(hot-unwrap, reason = "way_range clamps to at least one way per slot")
+        let victim = first_min(
+            self.owned_ways(set, req.tb_slot)
+                .map(|w| (w, recency_key(self.ways[w].valid, self.ways[w].stamp))),
+        )
+        .expect("every slot owns at least one way"); // simlint: allow(hot-unwrap, reason = "way_range clamps to at least one way per slot")
         if self.ways[victim].valid {
             self.stats.evictions += 1;
         }

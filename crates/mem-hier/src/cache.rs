@@ -2,6 +2,7 @@
 
 use crate::config::CacheConfig;
 use std::fmt;
+use tlb::{first_min, recency_key, RECENCY_VALID};
 
 /// Hit/miss counters for a data cache.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -43,18 +44,15 @@ impl fmt::Display for CacheStats {
     }
 }
 
-#[derive(Copy, Clone, Debug, Default)]
-struct Line {
-    valid: bool,
-    tag: u64,
-    stamp: u64,
-    dirty: bool,
-}
-
 /// An LRU set-associative cache over physical line addresses.
 ///
 /// The simulator tracks only line identities (no data), which is all the
-/// timing model needs.
+/// timing model needs. Lines are stored structure-of-arrays style, one
+/// set-major slice each for the tags, the packed recency keys
+/// ([`tlb::recency_key`]: validity above the LRU stamp) and the dirty
+/// bits, so the hit probe walks the tags and the victim search runs one
+/// branch-free minimum over the keys. A flush clears only the validity
+/// bit, keeping each line's stale stamp for the victim order.
 ///
 /// # Example
 ///
@@ -68,7 +66,12 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    lines: Vec<Line>,
+    /// Line tags, set-major; meaningful only where the key is valid.
+    tags: Vec<u64>,
+    /// Packed recency keys parallel to `tags`.
+    keys: Vec<u64>,
+    /// Dirty bits parallel to `tags`.
+    dirty: Vec<bool>,
     clock: u64,
     stats: CacheStats,
     /// `(line_shift, set_mask)` when both the line size and the set
@@ -80,6 +83,9 @@ pub struct Cache {
     /// `floor(2^64 / sets)` for the multiply-high division on non-pow2
     /// set counts (unused — zero — when `pow2` is `Some` or `sets == 1`).
     set_magic: u64,
+    /// The set count, kept so the per-access split does not re-derive it
+    /// from the geometry with two hardware divisions.
+    sets: u64,
 }
 
 /// Exact `(n / d, n % d)` via one widening multiply instead of hardware
@@ -113,12 +119,15 @@ impl Cache {
             0
         };
         Cache {
-            lines: vec![Line::default(); config.lines()],
+            tags: vec![0; config.lines()],
+            keys: vec![0; config.lines()],
+            dirty: vec![false; config.lines()],
             config,
             clock: 0,
             stats: CacheStats::default(),
             pow2,
             set_magic,
+            sets,
         }
     }
 
@@ -144,7 +153,7 @@ impl Cache {
                 } else {
                     pa / self.config.line_bytes as u64
                 };
-                let sets = self.config.sets() as u64;
+                let sets = self.sets;
                 if sets >= 2 {
                     let (tag, set) = divmod_by_magic(line_addr, sets, self.set_magic);
                     // The remainder sits below the set count, so the
@@ -158,35 +167,31 @@ impl Cache {
         let a = self.config.associativity;
         let range = set * a..(set + 1) * a;
         let clock = self.clock;
-        for line in &mut self.lines[range.clone()] {
-            if line.valid && line.tag == tag {
-                line.stamp = clock;
-                line.dirty |= write;
-                self.stats.hits += 1;
-                return true;
-            }
+        let hit = self.tags[range.clone()]
+            .iter()
+            .zip(&self.keys[range.clone()])
+            .position(|(&t, &k)| t == tag && k & RECENCY_VALID != 0);
+        if let Some(w) = hit {
+            let i = range.start + w;
+            self.keys[i] = recency_key(true, clock);
+            self.dirty[i] |= write;
+            self.stats.hits += 1;
+            return true;
         }
         self.stats.misses += 1;
         // Fill, evicting LRU.
-        let victim = self.lines[range.clone()]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| (l.valid, l.stamp))
-            .map(|(i, _)| i)
-            .expect("associativity is non-zero");
-        let line = &mut self.lines[range.start + victim];
-        if line.valid {
+        let victim = range.start
+            + first_min(self.keys[range].iter().copied().enumerate())
+                .expect("associativity is non-zero");
+        if self.keys[victim] & RECENCY_VALID != 0 {
             self.stats.evictions += 1;
-            if line.dirty {
+            if self.dirty[victim] {
                 self.stats.writebacks += 1;
             }
         }
-        *line = Line {
-            valid: true,
-            tag,
-            stamp: clock,
-            dirty: write,
-        };
+        self.tags[victim] = tag;
+        self.keys[victim] = recency_key(true, clock);
+        self.dirty[victim] = write;
         false
     }
 
@@ -202,14 +207,17 @@ impl Cache {
 
     /// Invalidates all lines.
     pub fn flush(&mut self) {
-        for l in &mut self.lines {
-            l.valid = false;
+        for k in &mut self.keys {
+            *k &= !RECENCY_VALID;
         }
     }
 
     /// Number of valid lines.
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.keys
+            .iter()
+            .filter(|&&k| k & RECENCY_VALID != 0)
+            .count()
     }
 }
 

@@ -18,13 +18,27 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics unless `bytes` divides evenly into whole sets of
-    /// `associativity` lines. (Set counts need not be powers of two: the
-    /// cache indexes by modulo, matching a sliced L2 whose 12 partitions
-    /// each hold a power-of-two number of sets.)
+    /// Panics unless `bytes` divides evenly into at least one whole set
+    /// of `associativity` lines: a zero field, a capacity that is not a
+    /// whole number of lines, or one smaller than a single set would
+    /// otherwise surface later as an out-of-range set index. (Set counts
+    /// need not be powers of two: the cache indexes by modulo, matching a
+    /// sliced L2 whose 12 partitions each hold a power-of-two number of
+    /// sets.)
     pub fn new(bytes: usize, associativity: usize, line_bytes: usize) -> Self {
-        assert!(bytes > 0 && associativity > 0 && line_bytes > 0);
+        assert!(
+            bytes > 0 && associativity > 0 && line_bytes > 0,
+            "cache geometry fields must be non-zero"
+        );
         let lines = bytes / line_bytes;
+        assert!(
+            lines >= associativity,
+            "capacity must hold at least one set"
+        );
+        assert!(
+            bytes.is_multiple_of(line_bytes),
+            "capacity must be a whole number of lines"
+        );
         assert!(lines.is_multiple_of(associativity), "lines must fill whole sets");
         CacheConfig {
             bytes,
@@ -127,6 +141,33 @@ mod tests {
     #[should_panic(expected = "whole sets")]
     fn bad_cache_geometry_rejected() {
         let _ = CacheConfig::new(129 * 3, 2, 129 /* 3 lines, assoc 2 */);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one set")]
+    fn cache_smaller_than_a_line_rejected() {
+        // 64 bytes of 128-byte lines: zero lines, which `is_multiple_of`
+        // alone would accept.
+        let _ = CacheConfig::new(64, 2, 128);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one set")]
+    fn cache_smaller_than_a_set_rejected() {
+        let _ = CacheConfig::new(256, 4, 128 /* 2 lines, assoc 4 */);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of lines")]
+    fn partial_line_capacity_rejected() {
+        // 1000 bytes is 7.8 lines; truncating to 7 would be silent.
+        let _ = CacheConfig::new(1000, 1, 128);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-zero")]
+    fn zero_field_rejected() {
+        let _ = CacheConfig::new(1024, 0, 128);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! paper's discussion.
 
 use crate::config::TlbConfig;
+use crate::replace::{first_min, recency_key};
 use crate::request::{TlbOutcome, TlbRequest, TranslationBuffer};
 use crate::sanitize::InvariantViolation;
 use crate::stats::{PerAsidStats, TlbStats};
@@ -64,6 +65,17 @@ struct CompressedWay {
     /// as `base + offset`, e.g. it would underflow).
     literal: bool,
     stamp: u64,
+}
+
+/// Position of the LRU victim within one set's ways: an invalid way
+/// first, else the oldest stamp, the first way on ties.
+fn lru_way(set: &[CompressedWay]) -> usize {
+    first_min(
+        set.iter()
+            .map(|w| recency_key(w.valid, w.stamp))
+            .enumerate(),
+    )
+    .expect("associativity is non-zero") // simlint: allow(hot-unwrap, reason = "TlbConfig validates associativity > 0 at construction")
 }
 
 /// A set-associative TLB whose entries each cover a run of contiguous
@@ -334,12 +346,7 @@ impl TranslationBuffer for CompressedTlb {
         // Allocate a fresh entry for this run.
         self.stats.insertions += 1;
         self.per_asid.entry(req.asid).insertions += 1;
-        let victim = self.ways[range.clone()]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| (w.valid, w.stamp))
-            .map(|(i, _)| i)
-            .expect("associativity is non-zero"); // simlint: allow(hot-unwrap, reason = "TlbConfig validates associativity > 0 at construction")
+        let victim = lru_way(&self.ways[range.clone()]);
         let widx = range.start + victim;
         if self.ways[widx].valid {
             self.stats.evictions += 1;
@@ -541,12 +548,7 @@ impl CompressedTlb {
         }
         self.stats.insertions += 1;
         self.per_asid.entry(asid).insertions += 1;
-        let victim = self.ways[range.clone()]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| (w.valid, w.stamp))
-            .map(|(i, _)| i)
-            .expect("associativity is non-zero"); // simlint: allow(hot-unwrap, reason = "TlbConfig validates associativity > 0 at construction")
+        let victim = lru_way(&self.ways[range.clone()]);
         let off = self.run_offset(vpn);
         let base_vpn = self.run_base(vpn);
         let widx = range.start + victim;

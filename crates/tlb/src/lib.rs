@@ -42,6 +42,7 @@
 
 mod compressed;
 mod config;
+mod replace;
 mod request;
 mod sanitize;
 mod set_assoc;
@@ -50,6 +51,7 @@ mod sub_entry;
 
 pub use compressed::{CompressedTlb, CompressionConfig};
 pub use config::TlbConfig;
+pub use replace::{first_min, recency_key, RECENCY_VALID};
 pub use request::{TlbOutcome, TlbRequest, TranslationBuffer};
 pub use sanitize::InvariantViolation;
 pub use set_assoc::SetAssocTlb;

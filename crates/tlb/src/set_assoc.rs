@@ -12,6 +12,7 @@
 //! hit or when replacement runs.
 
 use crate::config::TlbConfig;
+use crate::replace::{first_min, recency_key};
 use crate::request::{TlbOutcome, TlbRequest, TranslationBuffer};
 use crate::sanitize::InvariantViolation;
 use crate::stats::{PerAsidStats, TlbStats};
@@ -244,10 +245,11 @@ impl TranslationBuffer for SetAssocTlb {
         self.stats.insertions += 1;
         self.per_asid.entry(req.asid).insertions += 1;
         // Prefer an invalid way; otherwise evict LRU.
-        let victim = range
-            .clone()
-            .min_by_key(|&i| (self.tags[i] != 0, self.meta[i].stamp))
-            .expect("associativity is non-zero"); // simlint: allow(hot-unwrap, reason = "TlbConfig validates associativity > 0 at construction")
+        let keys = self.tags[range.clone()]
+            .iter()
+            .zip(&self.meta[range.clone()])
+            .map(|(&t, m)| recency_key(t != 0, m.stamp));
+        let victim = range.start + first_min(keys.enumerate()).expect("associativity is non-zero"); // simlint: allow(hot-unwrap, reason = "TlbConfig validates associativity > 0 at construction")
         if self.tags[victim] != 0 {
             self.stats.evictions += 1;
             let victim_asid = tag_asid(self.tags[victim]);

@@ -11,6 +11,7 @@
 //! the sub-entry count.
 
 use crate::config::TlbConfig;
+use crate::replace::{first_min, recency_key};
 use crate::request::{TlbOutcome, TlbRequest, TranslationBuffer};
 use crate::sanitize::InvariantViolation;
 use crate::stats::{PerAsidStats, TlbStats};
@@ -246,10 +247,10 @@ impl TranslationBuffer for SubEntryTlb {
         // sub-entry hanging off it, each charged to its owner).
         self.stats.insertions += 1;
         self.per_asid.entry(req.asid).insertions += 1;
-        let widx = range
-            .clone()
-            .min_by_key(|&i| (self.ways[i].valid, self.ways[i].stamp))
-            .expect("associativity is non-zero"); // simlint: allow(hot-unwrap, reason = "TlbConfig validates associativity > 0 at construction")
+        let keys = self.ways[range.clone()]
+            .iter()
+            .map(|w| recency_key(w.valid, w.stamp));
+        let widx = range.start + first_min(keys.enumerate()).expect("associativity is non-zero"); // simlint: allow(hot-unwrap, reason = "TlbConfig validates associativity > 0 at construction")
         if self.ways[widx].valid {
             for victim in self.ways[widx].slots.iter().filter(|s| s.valid) {
                 self.stats.evictions += 1;

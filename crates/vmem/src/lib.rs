@@ -12,7 +12,9 @@
 //! * a UVM [`AddressSpace`] with named buffer allocation and first-touch
 //!   demand paging,
 //! * a shared [`WalkerPool`] that models the paper's eight page-table
-//!   walkers with 500-cycle walks (Table III).
+//!   walkers with 500-cycle walks (Table III),
+//! * [`first_min`], the branch-free first-minimum pick behind the walker
+//!   pool's earliest-free choice and every LRU victim search.
 //!
 //! # Example
 //!
@@ -38,6 +40,7 @@ mod error;
 mod frame;
 mod page;
 mod page_table;
+mod select;
 mod space;
 mod walker;
 
@@ -46,5 +49,6 @@ pub use error::VmemError;
 pub use frame::FrameAllocator;
 pub use page::{PageSize, PAGE_SIZE_2M, PAGE_SIZE_4K};
 pub use page_table::{PageTable, PteFlags, WalkResult, PAGE_TABLE_LEVELS};
+pub use select::first_min;
 pub use space::{AddressSpace, Buffer, BufferId, FaultKind, SpaceStats};
 pub use walker::{WalkRequest, WalkerPool, WalkerStats};

@@ -8,7 +8,9 @@
 //! walk, as the MSHR-style merging in MASK/gem5-gpu does.
 
 use crate::addr::Vpn;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::select::first_min;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A submitted walk request.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -54,6 +56,123 @@ impl WalkerStats {
     }
 }
 
+/// Raw VPN marking a free [`WalkIndex`] slot. Real VPNs are at most 52
+/// bits (a 64-bit VA over a 4 KiB page), so none collides with it.
+const EMPTY: u64 = u64::MAX;
+
+/// Open-addressed VPN -> completion-cycle table (linear probing,
+/// backshift deletion, power-of-two capacity at most half full).
+///
+/// A plain `Vec` rather than a `HashMap`: the walker pool sits on the
+/// simulated-result path, where a per-process hash seed must not reach
+/// anything observable. Nothing iterates the table except the heap
+/// rebuild, whose output order does not matter (see
+/// [`WalkerPool::compact_heap`]).
+#[derive(Debug, Clone)]
+struct WalkIndex {
+    /// `(raw VPN, done)` per slot; `EMPTY` VPN = free slot.
+    slots: Vec<(u64, u64)>,
+    len: usize,
+}
+
+impl WalkIndex {
+    const INITIAL_SLOTS: usize = 64;
+
+    fn new() -> Self {
+        WalkIndex {
+            slots: vec![(EMPTY, 0); Self::INITIAL_SLOTS],
+            len: 0,
+        }
+    }
+
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    /// Home slot of `vpn`: Fibonacci hashing, top bits of the product.
+    fn home(&self, vpn: u64) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        // The shift leaves `bits` bits, so the narrowing is exact.
+        (vpn.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits)) as usize // simlint: allow(lossy-cast, reason = "shift leaves fewer bits than the slot count")
+    }
+
+    /// Slot holding `vpn`, or the free slot ending its probe sequence.
+    fn probe(&self, vpn: u64) -> usize {
+        let mask = self.mask();
+        let mut i = self.home(vpn);
+        while self.slots[i].0 != vpn && self.slots[i].0 != EMPTY {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    fn get(&self, vpn: u64) -> Option<u64> {
+        let (v, done) = self.slots[self.probe(vpn)];
+        (v != EMPTY).then_some(done)
+    }
+
+    /// Inserts or overwrites `vpn`'s completion cycle.
+    fn set(&mut self, vpn: u64, done: u64) {
+        let mut i = self.probe(vpn);
+        if self.slots[i].0 == EMPTY {
+            if 2 * (self.len + 1) > self.slots.len() {
+                self.grow();
+                i = self.probe(vpn);
+            }
+            self.len += 1;
+        }
+        self.slots[i] = (vpn, done);
+    }
+
+    /// Removes `vpn` if its entry still records `done`; a mismatch means
+    /// the heap entry naming it is stale (the VPN was walked again).
+    fn remove_if(&mut self, vpn: u64, done: u64) {
+        let mut hole = self.probe(vpn);
+        if self.slots[hole] != (vpn, done) {
+            return;
+        }
+        // Backshift: pull later members of the probe run into the hole
+        // whenever the hole lies between their home and their slot.
+        let mask = self.mask();
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let (v, _) = self.slots[j];
+            if v == EMPTY {
+                break;
+            }
+            let home = self.home(v);
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.slots[hole] = self.slots[j];
+                hole = j;
+            }
+        }
+        self.slots[hole] = (EMPTY, 0);
+        self.len -= 1;
+    }
+
+    fn grow(&mut self) {
+        let doubled = vec![(EMPTY, 0); 2 * self.slots.len()];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        for (v, done) in old {
+            if v != EMPTY {
+                let i = self.probe(v);
+                self.slots[i] = (v, done);
+            }
+        }
+    }
+
+    /// Live `(raw VPN, done)` entries, in slot order.
+    fn entries(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.slots.iter().copied().filter(|&(v, _)| v != EMPTY)
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill((EMPTY, 0));
+        self.len = 0;
+    }
+}
+
 /// A pool of hardware page-table walkers with fixed walk latency.
 ///
 /// # Example
@@ -78,10 +197,12 @@ pub struct WalkerPool {
     /// that already finished; under queueing it holds hundreds of entries
     /// (mean 300–500, max about 900 on bfs and the mvt+bfs co-run at
     /// `--scale large` with 8 walkers), far more than the walker count.
-    in_flight: BTreeMap<Vpn, u64>,
-    /// The same walks ordered by completion cycle, so a prune removes
-    /// exactly the finished walks without scanning the live ones.
-    by_done: BTreeSet<(u64, Vpn)>,
+    in_flight: WalkIndex,
+    /// Min-heap of `(done, raw VPN)` over the indexed walks, so a prune
+    /// removes exactly the finished walks without scanning the live ones.
+    /// Lazy: re-walking a VPN leaves its old entry behind, and the prune
+    /// skips entries the index no longer records.
+    by_done: BinaryHeap<Reverse<(u64, u64)>>,
     stats: WalkerStats,
 }
 
@@ -97,8 +218,8 @@ impl WalkerPool {
         WalkerPool {
             free_at: vec![0; walkers],
             latency,
-            in_flight: BTreeMap::new(),
-            by_done: BTreeSet::new(),
+            in_flight: WalkIndex::new(),
+            by_done: BinaryHeap::new(),
             stats: WalkerStats::default(),
         }
     }
@@ -120,43 +241,56 @@ impl WalkerPool {
         // request at an earlier cycle can miss a walk pruned here that was
         // still in flight at its own cycle (a known model artifact, see
         // DESIGN.md).
-        if self.in_flight.len() > 4 * self.free_at.len() {
-            while let Some(&(done, v)) = self.by_done.first() {
+        if self.in_flight.len > 4 * self.free_at.len() {
+            while let Some(&Reverse((done, v))) = self.by_done.peek() {
                 if done > cycle {
                     break;
                 }
-                self.by_done.pop_first();
-                self.in_flight.remove(&v);
+                self.by_done.pop();
+                self.in_flight.remove_if(v, done);
             }
         }
-        let prev = self.in_flight.get(&vpn).copied();
+        assert_ne!(
+            vpn.raw(),
+            EMPTY,
+            "VPN collides with the walk index's free-slot marker"
+        );
+        let prev = self.in_flight.get(vpn.raw());
         if let Some(done) = prev {
             if done > cycle {
                 self.stats.coalesced += 1;
                 return done;
             }
         }
-        // Pick the earliest-free walker.
-        let (idx, &start) = self
-            .free_at
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &c)| c)
-            .expect("pool is non-empty");
-        let begin = start.max(cycle);
+        // Pick the earliest-free walker (the first on ties).
+        let idx = first_min(self.free_at.iter().copied().enumerate()).expect("pool is non-empty");
+        let begin = self.free_at[idx].max(cycle);
         let wait = begin - cycle;
         let done = begin + latency;
         self.free_at[idx] = done;
-        // One entry per VPN: a finished walk's entry is replaced.
-        if let Some(old) = prev {
-            self.by_done.remove(&(old, vpn));
+        // One entry per VPN: a finished walk's entry is overwritten, and
+        // its heap entry goes stale.
+        self.in_flight.set(vpn.raw(), done);
+        self.by_done.push(Reverse((done, vpn.raw())));
+        if self.by_done.len() > 2 * self.in_flight.len + WalkIndex::INITIAL_SLOTS {
+            self.compact_heap();
         }
-        self.in_flight.insert(vpn, done);
-        self.by_done.insert((done, vpn));
         self.stats.walks += 1;
         self.stats.queue_wait_cycles += wait;
         self.stats.max_queue_wait = self.stats.max_queue_wait.max(wait);
         done
+    }
+
+    /// Rebuilds `by_done` from the index, dropping stale entries. Without
+    /// it, VPNs re-walked while the index stays under the prune threshold
+    /// would grow the heap without bound. The prune only asks which
+    /// walks have `done <= cycle`, so the rebuilt heap's internal order
+    /// (which follows the index's slot order) is unobservable.
+    fn compact_heap(&mut self) {
+        let mut heap = std::mem::take(&mut self.by_done).into_vec();
+        heap.clear();
+        heap.extend(self.in_flight.entries().map(|(v, done)| Reverse((done, v))));
+        self.by_done = BinaryHeap::from(heap);
     }
 
     /// Fixed per-walk latency in cycles.
@@ -288,9 +422,63 @@ mod tests {
         }
         // Lazy pruning keeps the index bounded (the 4x walker count
         // threshold triggers a prune; afterwards only live walks remain),
-        // and both views of the index agree.
-        assert!(p.in_flight.len() <= 8);
-        assert_eq!(p.by_done.len(), p.in_flight.len());
+        // every indexed walk still has its heap entry, and the heap holds
+        // nothing beyond the indexed walks once they are all distinct.
+        assert!(p.in_flight.len <= 8);
+        assert_eq!(p.in_flight.entries().count(), p.in_flight.len);
+        let mut heap: Vec<(u64, u64)> = p.by_done.iter().map(|&Reverse(e)| e).collect();
+        let mut indexed: Vec<(u64, u64)> = p.in_flight.entries().map(|(v, d)| (d, v)).collect();
+        heap.sort_unstable();
+        indexed.sort_unstable();
+        assert_eq!(heap, indexed);
+    }
+
+    #[test]
+    fn heap_stays_bounded_without_prunes() {
+        // Five VPNs re-walked after each walk finished: the index never
+        // passes the 4 x walkers threshold, so no prune ever pops the
+        // stale heap entries, and only compaction bounds the heap.
+        let mut p = WalkerPool::new(2, 10);
+        for i in 0..10_000u64 {
+            assert_eq!(p.submit(i * 100, Vpn::new(i % 5)), i * 100 + 10);
+        }
+        assert_eq!(p.in_flight.len, 5);
+        assert!(p.by_done.len() <= 2 * 5 + WalkIndex::INITIAL_SLOTS + 1);
+        assert_eq!(p.stats().walks, 10_000);
+    }
+
+    #[test]
+    fn walk_index_matches_btreemap_through_growth_and_deletes() {
+        use std::collections::BTreeMap;
+        let mut index = WalkIndex::new();
+        let mut model = BTreeMap::new();
+        let mut x = 0x243f_6a88_85a3_08d3u64;
+        for step in 0..50_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Clustered keys collide in the hash's top bits, so probe
+            // runs are long and deletes must backshift across them.
+            let vpn = (x >> 20) % 700 * 64;
+            if x & 3 == 0 {
+                let done = model.get(&vpn).copied().unwrap_or(x >> 40);
+                index.remove_if(vpn, done);
+                model.remove(&vpn);
+            } else {
+                index.set(vpn, step);
+                model.insert(vpn, step);
+            }
+            assert_eq!(index.len, model.len());
+            assert_eq!(index.get(vpn), model.get(&vpn).copied());
+        }
+        assert!(index.slots.len() > WalkIndex::INITIAL_SLOTS);
+        let mut entries: Vec<(u64, u64)> = index.entries().collect();
+        entries.sort_unstable();
+        assert_eq!(entries, model.into_iter().collect::<Vec<_>>());
+        // A stale `done` leaves the entry in place.
+        index.set(7, 70);
+        index.remove_if(7, 69);
+        assert_eq!(index.get(7), Some(70));
     }
 
     /// Pins a known model artifact (DESIGN.md §6, "Known model artifact:
