@@ -1,6 +1,6 @@
 //! Per-level translation-latency attribution (mem-hier breakdown).
 
-use gpu_sim::LatencyBreakdown;
+use mem_hier::LatencyBreakdown;
 
 /// Names of the breakdown components, in pipeline order. Matches the
 /// order of the fractions returned by [`latency_shares`].

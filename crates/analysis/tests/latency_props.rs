@@ -6,7 +6,7 @@
 //! the shares).
 
 use analysis::{latency_shares, LATENCY_COMPONENTS};
-use gpu_sim::LatencyBreakdown;
+use mem_hier::LatencyBreakdown;
 use proptest::prelude::*;
 
 /// Builds a breakdown from six per-component cycle counts, keeping the

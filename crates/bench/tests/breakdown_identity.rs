@@ -12,7 +12,8 @@
 //! equal serial accumulation exactly.
 
 use bench::SEED;
-use gpu_sim::{GpuConfig, LatencyBreakdown, SimReport, Simulator, TranslationBreakdown};
+use gpu_sim::{GpuConfig, SimReport, Simulator};
+use mem_hier::{LatencyBreakdown, TranslationBreakdown};
 use orchestrated_tlb::{
     run_benchmark, Mechanism, PartitionedTlb, PartitionedTlbConfig, SharingPolicy,
     TlbAwareScheduler,

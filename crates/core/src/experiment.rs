@@ -3,7 +3,8 @@
 
 use crate::partitioned::{PartitionedTlb, PartitionedTlbConfig};
 use crate::scheduler::TlbAwareScheduler;
-use gpu_sim::{GpuConfig, L2Policy, SimReport, Simulator};
+use gpu_sim::{GpuConfig, SimReport, Simulator};
+use mem_hier::L2Policy;
 use std::fmt;
 use tlb::{CompressedTlb, CompressionConfig, SetAssocTlb, TlbConfig, TranslationBuffer};
 use vmem::PageSize;

@@ -8,22 +8,19 @@
 //! next cycle at which any SM can make progress), which is exact for this
 //! model because all latencies are computed analytically at issue.
 //!
-//! # Two-phase execution
+//! # Execution order
 //!
-//! The engine is serial. Each event cycle runs in two phases. **Phase
-//! A** steps every event-ready SM, in SM-index order, against its own
-//! private state only: its [`SmRt`], its [`mem_hier::PerSmFront`] (L1
-//! TLB + VIPT L1 data cache) and a per-SM outbox. **Phase B** then
-//! drains the outboxes in SM-index order, applying every shared-stage
-//! request ([`mem_hier::SharedRequest`]: L2 TLB, walkers, L2/DRAM data
-//! path) and patching warp completion times.
-//!
-//! An SM step becomes *deferring* at its first private L1 TLB miss: from
-//! that point every translation and data access of the step is pushed to
-//! the outbox in program order and replayed in phase B. This fixed
-//! operation order — eager prefix in phase A, in-order deferred suffix
-//! in phase B, outboxes in SM order — is what every golden pins. Every
-//! policy is seeded or stateless, so runs are bit-reproducible.
+//! The engine is serial and owns one [`mem_hier::Hierarchy`]. Each event
+//! cycle steps every event-ready SM in SM-index order. A step issues up
+//! to `issue_width` warp instructions, and a memory instruction calls
+//! [`Hierarchy::translate`] once per distinct page and
+//! [`Hierarchy::data_access`] once per coalesced line, in program order,
+//! as it issues. So each SM's private L1 TLB and L1 data cache see that
+//! SM's operations in program order, and each shared structure
+//! (interconnect, L2 TLB slices, walkers, L2/DRAM) sees SM 0's operations
+//! of the cycle, then SM 1's, and so on. That order is what every golden
+//! pins. Every policy is seeded or stateless, so runs are
+//! bit-reproducible.
 //!
 //! # Event-driven SM step
 //!
@@ -43,12 +40,12 @@ use crate::report::{SimReport, TranslationEvent};
 use crate::sanitize::{sanitize_enabled, Sanitizer};
 use crate::tb_sched::{RoundRobinScheduler, SmSnapshot, TbScheduler};
 use crate::warp_sched::{GtoWarpScheduler, WarpScheduler, WarpView};
-use mem_hier::{Access, HierarchyBuilder, PerSmFront, SharedBack, SharedRequest, TranslationRef};
+use mem_hier::{Access, Hierarchy, HierarchyBuilder, HitLevel};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt::Write as _;
 use tlb::{SetAssocTlb, TranslationBuffer};
-use vmem::{AddressSpace, Asid, PageSize, PhysAddr, Ppn, VirtAddr};
+use vmem::{AddressSpace, Asid, PageSize, PhysAddr, Ppn, VirtAddr, Vpn};
 use workloads::format::{TraceError, TraceSource};
 use workloads::{TbTrace, WarpOp, Workload};
 
@@ -131,6 +128,9 @@ impl Simulator {
 
     /// Caps concurrent TBs per SM (e.g. `Some(1)` reproduces the paper's
     /// Figure 6 "one TB at a time" study).
+    ///
+    /// A cap of `Some(0)` leaves no room for any TB: running a kernel
+    /// with TBs under it panics.
     pub fn with_max_concurrent_tbs(mut self, cap: Option<u8>) -> Self {
         self.force_max_tbs = cap;
         self
@@ -163,13 +163,17 @@ impl Simulator {
     ///
     /// Panics if the workload references addresses outside its own
     /// buffers or exhausts the (64 GiB default) physical pool — both are
-    /// generator bugs, not simulation outcomes.
+    /// generator bugs, not simulation outcomes. Also panics if a kernel
+    /// with TBs has a TB occupancy bound of 0, from its
+    /// `max_concurrent_tbs_per_sm`, [`GpuConfig::max_concurrent_tbs`] or
+    /// [`Simulator::with_max_concurrent_tbs`]: no TB could be placed.
     pub fn run(&mut self, workload: Workload) -> SimReport {
         let (name, kernels, space) = workload.into_parts();
         match self.run_prepared(name, space, KernelSeq::Mem(kernels)) {
             Ok(report) => report,
-            // The in-memory feed has no I/O to fail on.
-            Err(e) => panic!("in-memory replay cannot fail: {e}"),
+            // The in-memory feed has no I/O to fail on; its only error is
+            // a zero TB occupancy bound in the kernel metadata.
+            Err(e) => panic!("invalid in-memory workload: {e}"),
         }
     }
 
@@ -183,7 +187,8 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics if `apps` is empty or the apps disagree on page size.
+    /// Panics if `apps` is empty or the apps disagree on page size, and
+    /// on a zero TB occupancy bound as [`Simulator::run`] does.
     pub fn run_corun(&mut self, apps: Vec<Workload>) -> SimReport {
         let merged = crate::corun::merge_apps(apps);
         let seq = KernelSeq::CoRun {
@@ -193,7 +198,7 @@ impl Simulator {
         match self.run_prepared_multi(merged.name, merged.app_names, merged.spaces, seq) {
             Ok(report) => report,
             // The in-memory feed has no I/O to fail on.
-            Err(e) => panic!("in-memory co-run replay cannot fail: {e}"),
+            Err(e) => panic!("invalid in-memory co-run: {e}"),
         }
     }
 
@@ -206,7 +211,14 @@ impl Simulator {
     /// # Errors
     ///
     /// Returns a [`TraceError`] if a file-backed source turns out to be
-    /// corrupt or unreadable mid-replay.
+    /// corrupt or unreadable mid-replay, or if a kernel with TBs has
+    /// `max_concurrent_tbs_per_sm` 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a kernel with TBs meets a zero TB cap from
+    /// [`GpuConfig::max_concurrent_tbs`] or
+    /// [`Simulator::with_max_concurrent_tbs`].
     pub fn run_source(&mut self, source: TraceSource) -> Result<SimReport, TraceError> {
         match source {
             TraceSource::Generated(workload) => {
@@ -256,10 +268,10 @@ impl Simulator {
         let page_size = spaces
             .first()
             .map_or(PageSize::default(), AddressSpace::page_size);
-        let (mut fronts, back) =
+        let (fronts, back) =
             HierarchyBuilder::new(self.config.hierarchy()).build_split_multi(spaces, l1_tlbs);
         let mut shared = SharedState {
-            back,
+            hier: Hierarchy::from_split(fronts, back),
             page_size,
             trace: self.trace_translations.then(Vec::new),
             sanitize,
@@ -294,7 +306,6 @@ impl Simulator {
                 &mut feed,
                 kernel_idx as u16,
                 cycle,
-                &mut fronts,
                 &mut shared,
                 &mut report,
                 &mut sanitizer,
@@ -305,33 +316,33 @@ impl Simulator {
         }
 
         report.total_cycles = cycle;
-        report.l1_tlb = fronts.iter().map(|f| f.tlb().stats()).collect();
-        report.l2_tlb = shared.back.l2_tlb_stats();
-        report.l1_cache = fronts.iter().map(PerSmFront::l1_cache_stats).collect();
-        report.l2_cache = shared.back.l2_cache_stats();
-        report.walker = shared.back.walker_stats();
-        report.demand_faults = shared.back.demand_faults();
-        report.transactions = fronts.iter().map(PerSmFront::transactions).sum();
+        report.translation_trace = shared.trace.take().unwrap_or_default();
+        let hier = &shared.hier;
+        report.l1_tlb = hier.fronts().iter().map(|f| f.tlb().stats()).collect();
+        report.l2_tlb = hier.l2_tlb_stats();
+        report.l1_cache = hier.l1_cache_stats();
+        report.l2_cache = hier.l2_cache_stats();
+        report.walker = hier.walker_stats();
+        report.demand_faults = hier.demand_faults();
+        report.transactions = hier.transactions();
         // Memo fast-path hits across every TLB in the hierarchy.
-        report.fastpath_hits = fronts
+        report.fastpath_hits = hier
+            .fronts()
             .iter()
             .map(|f| f.tlb().fastpath_hits())
-            .chain(shared.back.l2_slices().iter().map(|s| s.fastpath_hits()))
+            .chain(hier.l2_slices().iter().map(|s| s.fastpath_hits()))
             .sum();
-        report.latency = fronts
-            .iter()
-            .fold(*shared.back.breakdown(), |a, f| a + *f.breakdown());
-        report.translation_trace = shared.trace.take().unwrap_or_default();
+        report.latency = hier.breakdown();
         // Per-app TLB counters: sums over fronts and slices, keyed by
         // ASID.
-        for front in &fronts {
+        for front in hier.fronts() {
             for (asid, stats) in front.tlb().stats_by_asid() {
                 if let Some(app) = report.per_app.get_mut(asid.index()) {
                     app.l1_tlb += stats;
                 }
             }
         }
-        for (asid, stats) in shared.back.l2_tlb_stats_by_asid() {
+        for (asid, stats) in hier.l2_tlb_stats_by_asid() {
             if let Some(app) = report.per_app.get_mut(asid.index()) {
                 app.l2_tlb = stats;
             }
@@ -340,28 +351,27 @@ impl Simulator {
     }
 }
 
-/// The shared half of the run: the order-sensitive back of the memory
-/// hierarchy plus run-wide engine concerns (translation tracing,
-/// sanitizer enablement).
+/// Run-wide state every SM step shares: the memory hierarchy (each SM's
+/// private front plus the shared back) and run-wide engine concerns
+/// (translation tracing, sanitizer enablement).
 struct SharedState {
-    back: SharedBack,
+    hier: Hierarchy,
     page_size: PageSize,
     trace: Option<Vec<TranslationEvent>>,
-    /// Run full L1 TLB invariant checks after every fill.
+    /// Check the L1 TLB after every fill, and every SM step against a
+    /// full warp-table scan.
     sanitize: bool,
 }
 
-/// Everything one SM touches during phase A: its runtime state, its
-/// private slice of the memory hierarchy, and the per-cycle outbox phase
-/// B drains.
+/// One SM's engine-side state for the current kernel. Its slice of the
+/// memory hierarchy is front `sm_idx` of [`SharedState::hier`].
 struct Lane {
     sm_idx: usize,
     sm: SmRt,
-    front: PerSmFront,
-    outbox: Outbox,
     scratch: IssueScratch,
-    /// Instructions issued this kernel (merged into the report at kernel
-    /// end).
+    /// TBs placed and instructions issued this kernel (merged into the
+    /// report at kernel end).
+    placements: u32,
     instructions: u64,
     /// Per-app completion bound: the latest `ready_at` of any retired
     /// warp of each ASID on this SM, merged into the report by max at
@@ -369,61 +379,15 @@ struct Lane {
     app_done: Vec<u64>,
 }
 
-/// The phase-A -> phase-B boundary for one SM and one event cycle.
-#[derive(Default)]
-struct Outbox {
-    entries: Vec<OutboxEntry>,
-    /// Translate requests pushed so far (their phase-B results land at
-    /// the matching index of the per-lane `resolved` scratch).
-    n_translates: u32,
-    /// `Some(issue_limited)` when phase A left the step unsettled because
-    /// deferred completions may move its warps' `ready_at`; phase B
-    /// settles it after patching them.
-    settle: Option<bool>,
-}
-
-impl Outbox {
-    fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Queues a translate request; returns its index in the resolved-
-    /// translations sequence.
-    fn push_translate(&mut self, req: SharedRequest) -> u32 {
-        let idx = self.n_translates;
-        self.n_translates += 1;
-        self.entries.push(OutboxEntry { req, warp: None });
-        idx
-    }
-
-    /// Queues a data request whose completion cycle must fold into
-    /// `warp`'s ready time.
-    fn push_data(&mut self, req: SharedRequest, warp: usize) {
-        self.entries.push(OutboxEntry {
-            req,
-            warp: Some(warp),
-        });
-    }
-}
-
-struct OutboxEntry {
-    req: SharedRequest,
-    /// Slab index into `SmRt::warps` whose `ready_at` absorbs the
-    /// completion cycle (data requests); `None` for pure translations.
-    /// Stays valid through phase B: warps only retire at the start of a
-    /// later phase A.
-    warp: Option<usize>,
-}
-
 /// One dispatch pass: places TBs while some SM has a free slot and the
 /// TB scheduler picks one.
 fn dispatch_tbs(
     lanes: &mut [Lane],
+    hier: &Hierarchy,
     tb_scheduler: &mut Box<dyn TbScheduler>,
     feed: &mut KernelFeed<'_>,
     next_tb: &mut usize,
     cycle: u64,
-    placements: &mut [u32],
     snaps: &mut Vec<SmSnapshot>,
 ) -> Result<(), TraceError> {
     while *next_tb < feed.tb_count() {
@@ -434,8 +398,8 @@ fn dispatch_tbs(
             break;
         }
         snaps.clear();
-        snaps.extend(lanes.iter().map(|lane| {
-            let stats = lane.front.tlb().stats();
+        snaps.extend(lanes.iter().zip(hier.fronts()).map(|(lane, front)| {
+            let stats = front.tlb().stats();
             SmSnapshot {
                 free_slots: lane.sm.free_slots.len() as u8,
                 tlb_hits: stats.hits,
@@ -451,18 +415,67 @@ fn dispatch_tbs(
         );
         let asid = feed.asid_of(*next_tb);
         let tb = feed.tb(*next_tb)?;
-        lanes[target].sm.place_tb(tb, *next_tb as u32, cycle, asid);
-        placements[target] += 1;
+        let lane = &mut lanes[target];
+        lane.sm.place_tb(tb, *next_tb as u32, cycle, asid);
+        lane.placements += 1;
         *next_tb += 1;
     }
     Ok(())
 }
 
+/// Per-SM TB concurrency for one kernel: the compile-time TB limit, the
+/// hardware cap, the thread capacity and the simulator's cap all bound
+/// it.
+///
+/// # Errors
+///
+/// Returns a [`TraceError`] if the kernel has TBs but its metadata allows
+/// 0 of them per SM.
+///
+/// # Panics
+///
+/// Panics if the kernel has TBs but `config.max_concurrent_tbs` or
+/// `force_max_tbs` is 0: no TB could ever be placed.
+fn occupancy_bound(
+    config: &GpuConfig,
+    force_max_tbs: Option<u8>,
+    feed: &KernelFeed<'_>,
+) -> Result<u8, TraceError> {
+    if feed.tb_count() > 0 {
+        if feed.max_concurrent_tbs_per_sm() == 0 {
+            return Err(TraceError::NotATrace {
+                what: format!(
+                    "kernel '{}' has {} TBs but max_concurrent_tbs_per_sm 0",
+                    feed.name(),
+                    feed.tb_count()
+                ),
+            });
+        }
+        assert!(
+            config.max_concurrent_tbs > 0,
+            "GpuConfig::max_concurrent_tbs is 0: kernel '{}' could place no TB",
+            feed.name()
+        );
+        assert!(
+            force_max_tbs != Some(0),
+            "with_max_concurrent_tbs(Some(0)): kernel '{}' could place no TB",
+            feed.name()
+        );
+    }
+    // The thread bound can exceed `u8` (2048 threads / 8 per TB = 256):
+    // saturate it before taking the minimum.
+    let by_threads = (config.max_threads_per_sm / feed.threads_per_tb().max(1)).max(1);
+    let bound = u8::try_from(by_threads)
+        .unwrap_or(u8::MAX)
+        .min(feed.max_concurrent_tbs_per_sm())
+        .min(config.max_concurrent_tbs);
+    Ok(force_max_tbs.map_or(bound, |cap| bound.min(cap)))
+}
+
 /// Simulates one kernel launch; returns the cycle at which it completes.
 ///
 /// Each event cycle: dispatch TBs, jump to the next cycle at which any SM
-/// can make progress, run phase A on every ready SM in index order, then
-/// phase B over the outboxes in SM order.
+/// can make progress, then step every ready SM in index order.
 #[allow(clippy::too_many_arguments)]
 fn run_kernel(
     config: &GpuConfig,
@@ -472,58 +485,42 @@ fn run_kernel(
     feed: &mut KernelFeed<'_>,
     kernel_idx: u16,
     start_cycle: u64,
-    fronts: &mut Vec<PerSmFront>,
     shared: &mut SharedState,
     report: &mut SimReport,
     sanitizer: &mut Option<Sanitizer>,
 ) -> Result<u64, TraceError> {
     let n_sms = config.num_sms;
     let tb_count = feed.tb_count();
-    // Occupancy: the compile-time TB limit, the hardware cap, and the
-    // thread capacity all bound concurrency.
-    let by_threads = (config.max_threads_per_sm / feed.threads_per_tb().max(1)).max(1) as u8;
-    let mut max_tbs = feed
-        .max_concurrent_tbs_per_sm()
-        .min(config.max_concurrent_tbs)
-        .min(by_threads);
-    if let Some(cap) = force_max_tbs {
-        max_tbs = max_tbs.min(cap);
+    let max_tbs = occupancy_bound(config, force_max_tbs, feed)?;
+    for front in shared.hier.fronts_mut() {
+        front.tlb_mut().set_concurrent_tbs(max_tbs);
+        if config.flush_l1_tlb_on_kernel_launch {
+            front.tlb_mut().flush();
+        }
     }
-
-    let mut lanes: Vec<Lane> = fronts
-        .drain(..)
-        .enumerate()
-        .map(|(sm_idx, mut front)| {
-            front.tlb_mut().set_concurrent_tbs(max_tbs);
-            if config.flush_l1_tlb_on_kernel_launch {
-                front.tlb_mut().flush();
-            }
-            Lane {
-                sm_idx,
-                sm: SmRt::new(max_tbs, warp_scheduler_factory()),
-                front,
-                outbox: Outbox::default(),
-                scratch: IssueScratch::default(),
-                instructions: 0,
-                app_done: vec![0; report.per_app.len().max(1)],
-            }
+    let mut lanes: Vec<Lane> = (0..n_sms)
+        .map(|sm_idx| Lane {
+            sm_idx,
+            sm: SmRt::new(max_tbs, warp_scheduler_factory()),
+            scratch: IssueScratch::default(),
+            placements: 0,
+            instructions: 0,
+            app_done: vec![0; report.per_app.len().max(1)],
         })
         .collect();
     tb_scheduler.reset();
 
-    let page_size = shared.page_size;
     let mut next_tb = 0usize;
     let mut cycle = start_cycle;
-    let mut resolved: Vec<(Ppn, u64)> = Vec::new();
     let mut snaps: Vec<SmSnapshot> = Vec::with_capacity(n_sms);
     loop {
         dispatch_tbs(
             &mut lanes,
+            &shared.hier,
             tb_scheduler,
             feed,
             &mut next_tb,
             cycle,
-            &mut report.tb_placements,
             &mut snaps,
         )?;
 
@@ -534,116 +531,93 @@ fn run_kernel(
             .min()
             .filter(|&e| e < u64::MAX)
         else {
-            debug_assert!(next_tb >= tb_count, "idle GPU with pending TBs");
+            assert!(next_tb >= tb_count, "idle GPU with pending TBs");
             break;
         };
         cycle = cycle.max(event);
 
-        // Phase A: step every ready SM against private state only.
-        let mut deferred = false;
         for lane in lanes.iter_mut().filter(|l| l.sm.next_event() <= cycle) {
-            phase_a(
-                config,
-                cycle,
-                kernel_idx,
-                page_size,
-                shared.trace.as_mut(),
-                shared.sanitize,
-                lane,
-            );
-            deferred |= !lane.outbox.is_empty();
-        }
-
-        // Phase B: drain outboxes in SM-index order. Most rounds defer
-        // nothing; skip them outright (`phase_b` on an empty outbox is a
-        // no-op).
-        if deferred {
-            for lane in &mut lanes {
-                phase_b(lane, shared, cycle, &mut resolved);
-            }
+            step(config, cycle, kernel_idx, shared, lane);
         }
 
         if let Some(san) = sanitizer.as_mut() {
-            let tlbs: Vec<&dyn TranslationBuffer> = lanes.iter().map(|l| l.front.tlb()).collect();
+            let tlbs: Vec<&dyn TranslationBuffer> =
+                shared.hier.fronts().iter().map(|f| f.tlb()).collect();
             san.after_cycle(cycle, &tlbs, &**tb_scheduler, n_sms);
         }
     }
 
     if let Some(san) = sanitizer.as_mut() {
-        let tlbs: Vec<&dyn TranslationBuffer> = lanes.iter().map(|l| l.front.tlb()).collect();
-        san.end_of_kernel(
-            cycle,
-            &tlbs,
-            shared.back.l2_slices(),
-            report.per_app.len().max(1),
-        );
-        for lane in &lanes {
-            if let Err(e) = lane.front.check_accounting() {
+        let hier = &shared.hier;
+        let tlbs: Vec<&dyn TranslationBuffer> = hier.fronts().iter().map(|f| f.tlb()).collect();
+        san.end_of_kernel(cycle, &tlbs, hier.l2_slices(), report.per_app.len().max(1));
+        for front in hier.fronts() {
+            if let Err(e) = front.check_accounting() {
                 Sanitizer::accounting_failure(
-                    &format!("sm {} mem-hier front", lane.sm_idx),
+                    &format!("sm {} mem-hier front", front.sm()),
                     cycle,
                     e,
                 );
             }
         }
-        if let Err(e) = shared.back.check_accounting() {
+        if let Err(e) = hier.back().check_accounting() {
             Sanitizer::accounting_failure("mem-hier shared back", cycle, e);
         }
     }
 
     for lane in lanes {
-        debug_assert!(lane.outbox.is_empty());
         report.instructions += lane.instructions;
         report.sm_instructions[lane.sm_idx] += lane.instructions;
+        report.tb_placements[lane.sm_idx] += lane.placements;
         for (k, &done) in lane.app_done.iter().enumerate() {
             if let Some(app) = report.per_app.get_mut(k) {
                 app.cycles = app.cycles.max(done);
             }
         }
-        fronts.push(lane.front);
     }
     Ok(cycle)
 }
 
-/// Phase A for one SM: wake due warps (retiring finished ones and
-/// freeing their TB slots), then issue up to `issue_width` warp
-/// instructions at `cycle`, touching only the lane's private state.
+/// One SM step at `cycle`: wake due warps (retiring finished ones and
+/// freeing their TB slots), issue up to `issue_width` warp instructions,
+/// then settle.
 ///
-/// Until the first private L1 TLB miss, translations and data probes run
-/// eagerly (hits complete here). From that miss on the step *defers*:
-/// every remaining translation and data access of the step is pushed to
-/// the outbox in program order and replayed by phase B — including
-/// private L1 probes — so each private structure sees its operations
-/// in program order (eager prefix + in-order deferred suffix).
-fn phase_a(
+/// A memory instruction runs through the hierarchy as it issues: one
+/// [`Hierarchy::translate`] per distinct page and one
+/// [`Hierarchy::data_access`] per coalesced line, in program order, and
+/// the warp's `ready_at` is the latest completion among them.
+fn step(
     config: &GpuConfig,
     cycle: u64,
     kernel_idx: u16,
-    page_size: PageSize,
-    mut trace: Option<&mut Vec<TranslationEvent>>,
-    sanitize: bool,
+    shared: &mut SharedState,
     lane: &mut Lane,
 ) {
-    debug_assert!(lane.sm.next_event() <= cycle, "phase A on an idle lane");
-    debug_assert!(lane.outbox.is_empty(), "phase B must drain the outbox");
+    debug_assert!(lane.sm.next_event() <= cycle, "step on an idle lane");
+    let SharedState {
+        hier,
+        page_size,
+        trace,
+        sanitize,
+    } = shared;
+    let page_size = *page_size;
     let sm_idx = lane.sm_idx;
     let sm = &mut lane.sm;
-    let front = &mut lane.front;
-    let outbox = &mut lane.outbox;
     let app_done = &mut lane.app_done;
 
     sm.wake(cycle, |warp, freed_slot| {
         let app = warp.asid.index();
         app_done[app] = app_done[app].max(warp.ready_at);
         if let Some(slot) = freed_slot {
-            front.tlb_mut().on_tb_finish(warp.asid, slot);
+            hier.fronts_mut()[sm_idx]
+                .tlb_mut()
+                .on_tb_finish(warp.asid, slot);
         }
     });
 
     // GTO issue: stay greedy on the last-issued warp, then oldest. The
     // persistent views are patched in place per issue (only the issued
     // warp changes between picks).
-    let mut deferred = false;
     let mut issued = 0u32;
     while issued < config.issue_width {
         let Some((w, view_idx)) = sm.pick(sm_idx, cycle) else {
@@ -661,26 +635,22 @@ fn phase_a(
                 let write = op.is_store();
                 let mut done = cycle + 1;
                 // Per-instruction TLB coalescing (Power et al.,
-                // HPCA'14, the paper's reference [19]): one L1 TLB
-                // lookup per *distinct page* the warp instruction
-                // touches; the per-line transactions below share the
-                // translation.
+                // HPCA'14, the paper's reference [19]): one translation
+                // per *distinct page* the warp instruction touches; the
+                // per-line transactions below share it.
                 let IssueScratch {
                     lines,
                     translations,
                 } = &mut lane.scratch;
                 translations.clear();
-                let mut lookups = 0u64;
                 coalesce_into(acc, config.l1_cache.line_bytes as u64, lines);
                 for (i, &line) in lines.iter().enumerate() {
                     let vpn = line.vpn(page_size);
-                    let tref = match translations.iter().find(|(v, _)| *v == vpn) {
-                        Some(&(_, t)) => t,
+                    let (ppn, ready) = match translations.iter().find(|t| t.0 == vpn) {
+                        Some(&(_, ppn, ready)) => (ppn, ready),
                         None => {
-                            // Translation lookups leave one per cycle,
-                            // whether served eagerly or deferred.
-                            let at = cycle + lookups;
-                            lookups += 1;
+                            // Translation lookups leave one per cycle.
+                            let at = cycle + translations.len() as u64;
                             if let Some(trace) = trace.as_mut() {
                                 trace.push(TranslationEvent {
                                     sm: sm_idx as u8,
@@ -690,7 +660,7 @@ fn phase_a(
                                     vpn: vpn.raw(),
                                 });
                             }
-                            let acc = Access {
+                            let t = hier.translate(&Access {
                                 at,
                                 sm: sm_idx,
                                 asid: warp.asid,
@@ -698,71 +668,23 @@ fn phase_a(
                                 va: line,
                                 vpn,
                                 page_size,
-                            };
-                            let t = if deferred {
-                                TransRef::Pending(
-                                    outbox.push_translate(SharedRequest::TranslateReplay { acc }),
-                                )
-                            } else {
-                                let l1 = front.probe_translate(&acc);
-                                match l1.ppn {
-                                    Some(ppn) => TransRef::Done(ppn, l1.ready_at),
-                                    None => {
-                                        deferred = true;
-                                        TransRef::Pending(outbox.push_translate(
-                                            SharedRequest::TranslateMiss {
-                                                acc,
-                                                l1_ready_at: l1.ready_at,
-                                                l1_service_cycles: l1.service_cycles,
-                                            },
-                                        ))
-                                    }
-                                }
-                            };
-                            translations.push((vpn, t));
-                            t
+                            });
+                            // A resolution below the L1 filled the SM's
+                            // L1 TLB (the path that evicts, spills and
+                            // flips sharing flags): check it right after
+                            // the insert.
+                            if *sanitize && t.level != HitLevel::L1Tlb {
+                                Sanitizer::after_fill(sm_idx, at, hier.l1_tlb(sm_idx));
+                            }
+                            translations.push((vpn, t.ppn, t.ready_at));
+                            (t.ppn, t.ready_at)
                         }
                     };
                     // Transactions leave the LSU one per cycle.
-                    let min_start = cycle + i as u64;
-                    let page_offset = line.page_offset(page_size);
-                    match tref {
-                        TransRef::Done(ppn, ready) if !deferred => {
-                            let start = ready.max(min_start);
-                            let pa = PhysAddr::from_parts(ppn, page_offset, page_size);
-                            match front.probe_data(start, pa, write) {
-                                Some(d) => done = done.max(d),
-                                None => {
-                                    outbox.push_data(SharedRequest::DataBack { start, pa, write }, w)
-                                }
-                            }
-                        }
-                        // Once deferring, even resolved lines replay in
-                        // phase B so the private L1 data cache sees its
-                        // probes in program order.
-                        TransRef::Done(ppn, ready) => outbox.push_data(
-                            SharedRequest::DataReplay {
-                                translation: TranslationRef::Resolved { ppn, ready_at: ready },
-                                min_start,
-                                page_offset,
-                                write,
-                            },
-                            w,
-                        ),
-                        TransRef::Pending(idx) => outbox.push_data(
-                            SharedRequest::DataReplay {
-                                translation: TranslationRef::Pending(idx),
-                                min_start,
-                                page_offset,
-                                write,
-                            },
-                            w,
-                        ),
-                    }
+                    let start = ready.max(cycle + i as u64);
+                    let pa = PhysAddr::from_parts(ppn, line.page_offset(page_size), page_size);
+                    done = done.max(hier.data_access(start, sm_idx, pa, write));
                 }
-                // Deferred completions fold in during phase B; every one
-                // of them is >= cycle + 1, so the warp's not-ready status
-                // for the rest of this cycle is already final.
                 warp.ready_at = done;
             }
         }
@@ -774,70 +696,20 @@ fn phase_a(
     // which requires at least one issue this cycle — guaranteed by
     // `issued >= issue_width` only when the width is non-zero.
     let issue_limited = config.issue_width > 0 && issued >= config.issue_width;
-    if outbox.is_empty() {
-        sm.settle(cycle, issue_limited);
-        if sanitize {
-            sm.cross_check(sm_idx, cycle, issue_limited);
-        }
-    } else {
-        // The issued warps' `ready_at` may still move in phase B's
-        // folds; phase B settles the step after patching them.
-        outbox.settle = Some(issue_limited);
+    sm.settle(cycle, issue_limited);
+    if *sanitize {
+        sm.cross_check(sm_idx, cycle, issue_limited);
     }
-}
-
-/// Phase B for one SM: apply its deferred shared-stage requests in push
-/// order against the shared back (and its own front for replays), patch
-/// warp completion times, then settle the step.
-fn phase_b(lane: &mut Lane, shared: &mut SharedState, cycle: u64, resolved: &mut Vec<(Ppn, u64)>) {
-    if lane.outbox.is_empty() {
-        debug_assert!(lane.outbox.settle.is_none());
-        return;
-    }
-    resolved.clear();
-    let front = &mut lane.front;
-    for entry in lane.outbox.entries.drain(..) {
-        let resp = shared.back.apply(front, &entry.req, resolved);
-        if let Some(ppn) = resp.ppn {
-            resolved.push((ppn, resp.ready_at));
-            // Any resolution below the L1 filled the SM's L1 TLB (the
-            // path that evicts, spills and flips sharing flags):
-            // structurally check it right after the insert.
-            if shared.sanitize && resp.filled_l1 {
-                if let Some(acc) = entry.req.translate_acc() {
-                    Sanitizer::after_fill(acc.sm, acc.at, front.tlb());
-                }
-            }
-        }
-        if let Some(w) = entry.warp {
-            let warp = &mut lane.sm.warps[w];
-            warp.ready_at = warp.ready_at.max(resp.ready_at);
-        }
-    }
-    lane.outbox.n_translates = 0;
-    if let Some(issue_limited) = lane.outbox.settle.take() {
-        lane.sm.settle(cycle, issue_limited);
-        if shared.sanitize {
-            lane.sm.cross_check(lane.sm_idx, cycle, issue_limited);
-        }
-    }
-}
-
-/// A phase-A reference to a translation: resolved eagerly (L1 TLB hit)
-/// or pending at an outbox index.
-#[derive(Copy, Clone)]
-enum TransRef {
-    Done(Ppn, u64),
-    Pending(u32),
 }
 
 /// Reusable per-issue scratch buffers: one warp memory instruction's
-/// coalesced lines and page translations. Hoisted out of the issue loop
-/// so the hot path performs no heap allocation.
+/// coalesced lines and its distinct pages' translations as `(vpn, ppn,
+/// ready_at)`. Hoisted out of the issue loop so the hot path performs no
+/// heap allocation.
 #[derive(Default)]
 struct IssueScratch {
     lines: Vec<VirtAddr>,
-    translations: Vec<(vmem::Vpn, TransRef)>,
+    translations: Vec<(Vpn, Ppn, u64)>,
 }
 
 /// Runtime state of one resident warp.
@@ -877,8 +749,8 @@ type WakeEntry = Reverse<(u64, u32, usize)>;
 /// issued once their `ready_at` is final ([`SmRt::settle`]), so its work
 /// is O(warps woken × log n), not O(resident warps).
 struct SmRt {
-    /// Warp slab: stable indices (outbox entries name warps by them); a
-    /// retired warp's index goes on `free` for reuse.
+    /// Warp slab: stable indices (the views and the wake queue name warps
+    /// by them); a retired warp's index goes on `free` for reuse.
     warps: Vec<WarpRt>,
     free: Vec<usize>,
     free_slots: Vec<u8>,
@@ -896,8 +768,7 @@ struct SmRt {
     n_ready: usize,
     /// Every unretired warp that is not ready.
     wake: BinaryHeap<WakeEntry>,
-    /// Warps issued this step, queued on `wake` when the step settles
-    /// (phase B may still move their `ready_at` later).
+    /// Warps issued this step, queued on `wake` when the step settles.
     issued: Vec<usize>,
     /// Scratch for [`SmRt::wake`]: finished warps due this step.
     finished: Vec<usize>,
@@ -1198,7 +1069,8 @@ impl SmRt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::{registry, Scale};
+    use mem_hier::Translation;
+    use workloads::{registry, LaneAccesses, Scale};
 
     fn run_bench(name: &str) -> SimReport {
         let spec = registry().into_iter().find(|s| s.name == name).unwrap();
@@ -1343,6 +1215,103 @@ mod tests {
         let mut sm = placed_sm();
         sm.next_event = 12;
         sm.cross_check(3, 10, false);
+    }
+
+    /// The order contract of one memory instruction: each distinct page
+    /// is translated once, the n-th at `cycle + n`, and each line runs
+    /// through the data path at `max(its page's ready_at, cycle + line
+    /// index)`, all in program order. The lines here are page A (an L1
+    /// TLB miss that hits the L2 TLB, its line already in the L1 data
+    /// cache), page B (an L1 TLB hit), then second lines of A and of B
+    /// (duplicate pages: no second lookup). One of B's two lines misses
+    /// to DRAM and sets the completion time: the first pins B's lookup
+    /// cycle, the second its LSU slot.
+    #[test]
+    fn memory_op_calls_the_hierarchy_in_program_order() {
+        let config = GpuConfig::dac23_baseline();
+        let page = PageSize::Small;
+        let line = config.l1_cache.line_bytes as u64;
+        let access = |at, sm, va: VirtAddr| Access {
+            at,
+            sm,
+            asid: Asid::default(),
+            tb_slot: 0,
+            va,
+            vpn: va.vpn(page),
+            page_size: page,
+        };
+        let pa =
+            |t: &Translation, va: VirtAddr| PhysAddr::from_parts(t.ppn, va.page_offset(page), page);
+        // A hierarchy warmed so that SM 0's L1 TLB holds B, SM 1 walked
+        // A into the L2 TLB, and SM 0's L1 data cache holds both of A's
+        // lines and the B line `lines[cached_b]`.
+        let warmed = |cached_b: usize| {
+            let mut space = AddressSpace::new(page);
+            let buf = space.allocate("b", 2 * page.bytes()).expect("fresh space");
+            let tlbs = (0..config.num_sms)
+                .map(|_| Box::new(SetAssocTlb::new(config.l1_tlb)) as Box<dyn TranslationBuffer>)
+                .collect();
+            let (fronts, back) =
+                HierarchyBuilder::new(config.hierarchy()).build_split_multi(vec![space], tlbs);
+            let mut hier = Hierarchy::from_split(fronts, back);
+            let (a, b) = (buf.addr_of(0), buf.addr_of(page.bytes()));
+            let next = |va: VirtAddr| VirtAddr::new(va.raw() + line);
+            let lines = [a, b, next(a), next(b)];
+            let t_b = hier.translate(&access(0, 0, b));
+            let t_a = hier.translate(&access(0, 1, a));
+            for va in [lines[0], lines[2]] {
+                hier.data_access(0, 0, pa(&t_a, va), false);
+            }
+            hier.data_access(0, 0, pa(&t_b, lines[cached_b]), false);
+            (hier, lines)
+        };
+        let cycle = 10_000;
+        // Line `slot` of the instruction through the data path.
+        let data = |h: &mut Hierarchy, t: &Translation, slot: u64, va| {
+            h.data_access(t.ready_at.max(cycle + slot), 0, pa(t, va), false)
+        };
+
+        for cached_b in [3, 1] {
+            // Hand-driven reference calls, in program order.
+            let (mut reference, [a, b, a2, b2]) = warmed(cached_b);
+            let ta = reference.translate(&access(cycle, 0, a));
+            assert_eq!(ta.level, HitLevel::L2Tlb);
+            let mut done = cycle + 1;
+            done = done.max(data(&mut reference, &ta, 0, a));
+            let tb = reference.translate(&access(cycle + 1, 0, b));
+            assert_eq!(tb.level, HitLevel::L1Tlb);
+            done = done.max(data(&mut reference, &tb, 1, b));
+            done = done.max(data(&mut reference, &ta, 2, a2));
+            done = done.max(data(&mut reference, &tb, 3, b2));
+
+            // The engine: one step that issues the instruction.
+            let (hier, lines) = warmed(cached_b);
+            let mut shared = SharedState {
+                hier,
+                page_size: page,
+                trace: None,
+                sanitize: true,
+            };
+            let mut lane = Lane {
+                sm_idx: 0,
+                sm: SmRt::new(1, Box::new(GtoWarpScheduler::new())),
+                scratch: IssueScratch::default(),
+                placements: 0,
+                instructions: 0,
+                app_done: vec![0],
+            };
+            let mut tb_trace = TbTrace::with_warps(1);
+            tb_trace
+                .warp_mut(0)
+                .push(WarpOp::Load(LaneAccesses::Gather(lines.to_vec())));
+            lane.sm.place_tb(&tb_trace, 0, cycle - 1, Asid::default());
+            step(&config, cycle, 0, &mut shared, &mut lane);
+
+            assert_eq!(lane.sm.warps[0].ready_at, done, "B line {cached_b} cached");
+            assert_eq!(shared.hier.l1_tlb(0).stats(), reference.l1_tlb(0).stats());
+            assert_eq!(shared.hier.l1_cache_stats(), reference.l1_cache_stats());
+            assert_eq!(shared.hier.breakdown(), reference.breakdown());
+        }
     }
 
     #[test]

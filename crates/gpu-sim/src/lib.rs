@@ -45,11 +45,6 @@ pub mod sanitize;
 mod tb_sched;
 mod warp_sched;
 
-// The data caches and cache/hierarchy configuration moved to the
-// `mem-hier` crate; re-export them so downstream callers keep compiling
-// against `gpu_sim::{Cache, CacheConfig, ...}` unchanged.
-pub use mem_hier::{Cache, CacheConfig, CacheStats, L2Policy, LatencyBreakdown, TranslationBreakdown};
-
 pub use coalesce::{coalesce, coalesce_into};
 pub use config::GpuConfig;
 pub use corun::{jain_fairness, system_throughput};

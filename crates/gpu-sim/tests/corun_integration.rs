@@ -4,7 +4,8 @@
 //! (plain sharing, MASK-style fill tokens, sub-entry sharing) survives a
 //! sanitized co-run.
 
-use gpu_sim::{GpuConfig, L2Policy, Simulator};
+use gpu_sim::{GpuConfig, Simulator};
+use mem_hier::L2Policy;
 use tlb::TlbStats;
 use workloads::{extended_registry, Scale, Workload};
 

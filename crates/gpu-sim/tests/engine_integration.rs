@@ -6,6 +6,7 @@ use gpu_sim::{
     WarpScheduler,
 };
 use vmem::{AddressSpace, PageSize};
+use workloads::format::{self, TraceSource};
 use workloads::{KernelTrace, LaneAccesses, TbTrace, WarpOp, Workload, LANES_PER_WARP};
 
 /// Builds a workload with `tbs` thread blocks, each one warp issuing
@@ -344,6 +345,89 @@ fn empty_and_degenerate_workloads() {
     let r = Simulator::new(GpuConfig::dac23_baseline()).run(wl);
     assert_eq!(r.instructions, 0);
     assert_eq!(r.tb_placements.iter().sum::<u32>(), 1);
+}
+
+/// [`simple_workload`] with its kernel's occupancy metadata replaced.
+fn with_occupancy(wl: Workload, threads_per_tb: u32, max_concurrent_tbs_per_sm: u8) -> Workload {
+    let (name, kernels, space) = wl.into_parts();
+    let kernels = kernels
+        .iter()
+        .map(|k| KernelTrace {
+            threads_per_tb,
+            max_concurrent_tbs_per_sm,
+            ..k.clone()
+        })
+        .collect();
+    Workload::new(name, kernels, space)
+}
+
+/// The thread bound exceeds `u8` for small TBs (2048 threads / 8 per TB
+/// = 256). It must saturate rather than wrap: a bound wrapped to 0 would
+/// place no TB and report 0 cycles, and 7 threads per TB would wrap to
+/// a bound of 36.
+#[test]
+fn small_tbs_saturate_the_thread_occupancy_bound() {
+    let run = |threads_per_tb, cap| {
+        let config = GpuConfig {
+            num_sms: 1,
+            max_concurrent_tbs: cap,
+            ..GpuConfig::dac23_baseline()
+        };
+        let wl = with_occupancy(simple_workload(96, 2), threads_per_tb, cap);
+        Simulator::new(config).run(wl)
+    };
+    // 8 and 32 threads per TB are both capped at 16 TBs per SM.
+    let (r8, r32) = (run(8, 16), run(32, 16));
+    assert_eq!(r8.tb_placements, vec![96]);
+    assert!(r8.total_cycles > 0);
+    assert_eq!(format!("{r8:?}"), format!("{r32:?}"));
+    // With a cap of 64, every TB size up to 32 threads is bound by it.
+    let reference = format!("{:?}", run(32, 64));
+    for threads_per_tb in [1, 4, 7, 8] {
+        assert_eq!(
+            format!("{:?}", run(threads_per_tb, 64)),
+            reference,
+            "{threads_per_tb} threads"
+        );
+    }
+}
+
+#[test]
+#[should_panic(expected = "GpuConfig::max_concurrent_tbs is 0")]
+fn zero_config_tb_cap_panics() {
+    let config = GpuConfig {
+        max_concurrent_tbs: 0,
+        ..GpuConfig::dac23_baseline()
+    };
+    Simulator::new(config).run(simple_workload(4, 2));
+}
+
+#[test]
+#[should_panic(expected = "with_max_concurrent_tbs(Some(0))")]
+fn zero_simulator_tb_cap_panics() {
+    Simulator::new(GpuConfig::dac23_baseline())
+        .with_max_concurrent_tbs(Some(0))
+        .run(simple_workload(4, 2));
+}
+
+/// A `trace/v1` kernel that allows 0 TBs per SM is bad input: replaying
+/// it is an error, not an empty report.
+#[test]
+fn zero_occupancy_trace_kernel_is_an_error() {
+    let wl = with_occupancy(simple_workload(4, 2), 32, 0);
+    let path = std::env::temp_dir().join(format!(
+        "gpu-sim-zero-occupancy-{}.trace",
+        std::process::id()
+    ));
+    format::write_workload(&path, &wl, "simple", None, 0).expect("write trace");
+    let source = TraceSource::open(&path).expect("open trace");
+    let result = Simulator::new(GpuConfig::dac23_baseline()).run_source(source);
+    std::fs::remove_file(&path).expect("remove trace");
+    let err = result.expect_err("a kernel that can place no TB must not replay");
+    assert!(
+        err.to_string().contains("max_concurrent_tbs_per_sm 0"),
+        "{err}"
+    );
 }
 
 /// The benchmark harness still calls `with_sim_threads`, sets the shard

@@ -1,5 +1,5 @@
 //! Composition of the split pipeline ([`PerSmFront`]s + [`SharedBack`])
-//! behind the serial `translate`/`data_access` façade.
+//! behind one `translate` / `data_access` call per access.
 
 use crate::breakdown::{LatencyBreakdown, TranslationBreakdown};
 use crate::config::HierarchyConfig;
@@ -37,11 +37,12 @@ pub struct Translation {
 /// icnt -> L2 TLB -> walkers) and the data path (VIPT L1 -> L2 ->
 /// DRAM), with per-level latency attribution for every translation.
 ///
-/// Internally this is the [`PerSmFront`]/[`SharedBack`] split the
-/// two-phase engine works with directly (via
-/// [`HierarchyBuilder::build_split`]); this façade fuses the two halves
-/// back into one call per access for tests and simple callers. Both
-/// paths run the identical stage code.
+/// Internally this is the [`PerSmFront`]/[`SharedBack`] split: each SM's
+/// private L1 TLB and L1 data cache, and the shared stages behind them.
+/// The timing engine owns one `Hierarchy` and calls
+/// [`Hierarchy::translate`] and [`Hierarchy::data_access`] as each warp
+/// instruction issues, so SM `i`'s calls reach its own front and then
+/// the shared back in program order.
 ///
 /// Stage timing contract: each stage's outcome satisfies
 /// `ready_at == access.at + queue + service + fault` (debug-asserted
@@ -55,15 +56,10 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Reassembles a façade from split halves (the inverse of
-    /// [`Hierarchy::into_split`]).
+    /// Joins split halves, as built by
+    /// [`HierarchyBuilder::build_split_multi`], into one hierarchy.
     pub fn from_split(fronts: Vec<PerSmFront>, back: SharedBack) -> Self {
         Hierarchy { fronts, back }
-    }
-
-    /// Tears the façade into its phase-A/phase-B halves.
-    pub fn into_split(self) -> (Vec<PerSmFront>, SharedBack) {
-        (self.fronts, self.back)
     }
 
     /// Translates one page access; returns the frame, the cycle it is
@@ -208,7 +204,7 @@ impl HierarchyBuilder {
         HierarchyBuilder { config }
     }
 
-    /// Assembles the pipeline as its phase-A/phase-B halves around a
+    /// Assembles the pipeline as its private/shared halves around a
     /// workload's address space and externally built per-SM L1 TLBs (one
     /// per SM — the engine's pluggable-organization hook).
     ///
@@ -249,8 +245,7 @@ impl HierarchyBuilder {
         (fronts, back)
     }
 
-    /// [`HierarchyBuilder::build_split`] fused back into the serial
-    /// façade.
+    /// [`HierarchyBuilder::build_split`] joined into one [`Hierarchy`].
     ///
     /// # Panics
     ///
@@ -382,9 +377,9 @@ mod tests {
 
     #[test]
     fn facade_and_split_agree_per_sm() {
-        // The same accesses through the façade and through explicit
+        // The same accesses through the hierarchy and through explicit
         // split halves produce identical timing and identically merged
-        // stats — the serial/parallel equivalence in miniature.
+        // stats.
         let mut space_a = AddressSpace::new(PageSize::Small);
         let mut space_b = AddressSpace::new(PageSize::Small);
         let va = space_a.allocate("b", 1 << 20).expect("fresh space").addr_of(0);

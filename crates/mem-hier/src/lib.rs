@@ -11,14 +11,16 @@
 //!   contribution and every stage keeping [`StageStats`].
 //! * [`PerSmFront`] / [`SharedBack`] — the private/shared split of the
 //!   paper's Figure 1 pipeline. Each front owns one SM's L1 TLB and
-//!   VIPT L1 data cache; the back owns
-//!   the order-sensitive shared stages — [`IcntLink`], [`L2TlbStage`]
-//!   (with reusable [`Ports`] arbitration), [`WalkerStage`], and the
-//!   L2/DRAM data path — applied in deterministic SM order via
-//!   [`SharedRequest`]s.
+//!   VIPT L1 data cache; the back owns the order-sensitive shared
+//!   stages — [`IcntLink`], [`L2TlbStage`] (with reusable [`Ports`]
+//!   arbitration), [`WalkerStage`], and the L2/DRAM data path.
+//! * [`Hierarchy`] — the fronts and the back composed behind one
+//!   [`Hierarchy::translate`] / [`Hierarchy::data_access`] call per
+//!   access. The timing engine owns one and calls it as each warp
+//!   instruction issues.
 //! * [`HierarchyBuilder`] — config-driven composition into the split
-//!   halves ([`HierarchyBuilder::build_split`]) or the fused serial
-//!   [`Hierarchy`] façade.
+//!   halves ([`HierarchyBuilder::build_split`]), which
+//!   [`Hierarchy::from_split`] joins, or straight into a [`Hierarchy`].
 //! * [`LatencyBreakdown`] — per-level attribution (L1 TLB / icnt / L2
 //!   TLB queueing / L2 TLB lookup / walk / fault) whose stage sums are
 //!   cross-checked against independently accumulated end-to-end
@@ -88,6 +90,6 @@ pub use cache::{Cache, CacheStats};
 pub use config::{CacheConfig, HierarchyConfig, L2Policy};
 pub use hierarchy::{Hierarchy, HierarchyBuilder, HitLevel, Translation};
 pub use ports::Ports;
-pub use split::{PerSmFront, SharedBack, SharedRequest, SharedResponse, TranslationRef};
+pub use split::{PerSmFront, SharedBack};
 pub use stage::{Access, Outcome, Stage, StageStats};
 pub use stages::{IcntLink, L2Slice, L2TlbStage, SliceKind, WalkerStage};

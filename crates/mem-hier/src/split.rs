@@ -1,20 +1,18 @@
 //! The private/shared state split of the hierarchy.
 //!
 //! The paper's design keeps L1 TLBs SM-private while contention
-//! concentrates at the shared L2 TLB and walker pool. The engine's
-//! two-phase event loop follows that split, and this module factors the
-//! pipeline into:
+//! concentrates at the shared L2 TLB and walker pool. This module draws
+//! that ownership line; [`Hierarchy`](crate::Hierarchy) composes the two
+//! halves behind one call per translation or data access:
 //!
 //! * [`PerSmFront`] — everything one SM touches exclusively: its private
 //!   L1 TLB (plus that stage's activity stats and the L1-hit latency
-//!   attribution) and its private VIPT L1 data cache. Phase A steps it.
+//!   attribution) and its private VIPT L1 data cache.
 //! * [`SharedBack`] — the order-sensitive shared stages: the
 //!   interconnect, the sliced L2 TLB with port arbitration, the walker
 //!   pool over the (mutating, PPN-allocating) address space, and the
-//!   L2/DRAM data path. Phase B applies these in SM-index order; that
-//!   order is part of what the goldens pin.
-//! * [`SharedRequest`] — the explicit boundary type: the work a phase-A
-//!   step defers to phase B.
+//!   L2/DRAM data path. The order in which SMs reach it is part of what
+//!   the goldens pin.
 //!
 //! Per-front accumulators ([`StageStats`], [`LatencyBreakdown`]) are
 //! plain counter sums, so merging them over SMs is order-independent and
@@ -69,9 +67,8 @@ impl PerSmFront {
     }
 
     /// Probes the private L1 TLB. On a hit the translation is complete
-    /// (and attributed); on a miss the caller routes a
-    /// [`SharedRequest::TranslateMiss`] carrying this outcome to the
-    /// back.
+    /// (and attributed); on a miss the caller completes it with
+    /// [`SharedBack::translate_miss`], passing this outcome.
     pub fn probe_translate(&mut self, acc: &Access) -> Outcome {
         debug_assert_eq!(acc.sm, self.sm, "access routed to the wrong SM front");
         let out = self.l1_tlb.lookup(&request(acc));
@@ -192,101 +189,9 @@ impl PerSmFront {
     }
 }
 
-/// Reference to a translation a deferred data access depends on: either
-/// already resolved in phase A (an L1 TLB hit or a same-instruction
-/// duplicate), or the index of an earlier translate request in the same
-/// outbox.
-#[derive(Copy, Clone, Debug)]
-pub enum TranslationRef {
-    /// Resolved in phase A: the frame and the cycle it became available.
-    Resolved {
-        /// Translated frame.
-        ppn: Ppn,
-        /// Cycle the PPN was available back at the SM.
-        ready_at: u64,
-    },
-    /// Index into the outbox's translate-request results, in push order.
-    Pending(u32),
-}
-
-/// One unit of shared-stage work a phase-A SM step defers to phase B.
-/// Drained in SM-index order (and in push order within an SM), which
-/// reproduces the serial engine's operation order on every shared
-/// structure exactly.
-#[derive(Copy, Clone, Debug)]
-pub enum SharedRequest {
-    /// Complete a translation whose private L1 probe already ran (and
-    /// missed) in phase A: icnt hop, L2 TLB, walk if needed, fills, icnt
-    /// back.
-    TranslateMiss {
-        /// The original access.
-        acc: Access,
-        /// When the phase-A L1 probe's miss verdict was ready.
-        l1_ready_at: u64,
-        /// Service cycles the phase-A L1 probe consumed.
-        l1_service_cycles: u64,
-    },
-    /// Replay a translation in full (its L1 probe was deferred behind an
-    /// earlier miss in the same SM step, preserving per-TLB operation
-    /// order).
-    TranslateReplay {
-        /// The original access.
-        acc: Access,
-    },
-    /// The shared L2/DRAM leg of a data access whose private L1 probe
-    /// missed in phase A.
-    DataBack {
-        /// Cycle the transaction left the SM.
-        start: u64,
-        /// Translated line address.
-        pa: PhysAddr,
-        /// Store (true) or load.
-        write: bool,
-    },
-    /// Replay a data access in full: its start cycle depends on a
-    /// translation resolved in phase B.
-    DataReplay {
-        /// The translation this line waits on.
-        translation: TranslationRef,
-        /// Lower bound on the start cycle (the LSU's one-per-cycle
-        /// transaction slot).
-        min_start: u64,
-        /// Byte offset of the line within its page.
-        page_offset: u64,
-        /// Store (true) or load.
-        write: bool,
-    },
-}
-
-impl SharedRequest {
-    /// The access of a translate request (`None` for data requests);
-    /// used by the engine's phase-B sanitizer hook.
-    pub fn translate_acc(&self) -> Option<&Access> {
-        match self {
-            SharedRequest::TranslateMiss { acc, .. } | SharedRequest::TranslateReplay { acc } => {
-                Some(acc)
-            }
-            _ => None,
-        }
-    }
-}
-
-/// What applying one [`SharedRequest`] produced.
-#[derive(Copy, Clone, Debug)]
-pub struct SharedResponse {
-    /// Resolved frame for translate requests, `None` for data requests.
-    pub ppn: Option<Ppn>,
-    /// Completion cycle: PPN availability for translations, transaction
-    /// completion for data accesses.
-    pub ready_at: u64,
-    /// Whether this request filled the SM's private L1 TLB (drives the
-    /// engine's post-fill sanitizer check, exactly as the serial path).
-    pub filled_l1: bool,
-}
-
 /// The shared, order-sensitive half of the hierarchy: interconnect,
 /// sliced L2 TLB, walker pool (owning the address space), and the
-/// L2/DRAM data path. Phase B applies it in SM-index order.
+/// L2/DRAM data path.
 pub struct SharedBack {
     icnt: IcntLink,
     l2_tlb: L2TlbStage,
@@ -404,79 +309,6 @@ impl SharedBack {
             at_l2 + self.l2_hit_latency + self.icnt_latency
         } else {
             at_l2 + self.l2_hit_latency + self.dram_latency + self.icnt_latency
-        }
-    }
-
-    /// Applies one deferred request against this back and the issuing
-    /// SM's front. `resolved` holds the results of this outbox's earlier
-    /// translate requests, in push order (the engine appends each
-    /// translate response before applying later requests).
-    pub fn apply(
-        &mut self,
-        front: &mut PerSmFront,
-        req: &SharedRequest,
-        resolved: &[(Ppn, u64)],
-    ) -> SharedResponse {
-        match *req {
-            SharedRequest::TranslateMiss {
-                ref acc,
-                l1_ready_at,
-                l1_service_cycles,
-            } => {
-                let t = self.translate_miss(front, acc, l1_ready_at, l1_service_cycles);
-                SharedResponse {
-                    ppn: Some(t.ppn),
-                    ready_at: t.ready_at,
-                    filled_l1: true,
-                }
-            }
-            SharedRequest::TranslateReplay { ref acc } => {
-                let l1 = front.probe_translate(acc);
-                match l1.ppn {
-                    Some(ppn) => SharedResponse {
-                        ppn: Some(ppn),
-                        ready_at: l1.ready_at,
-                        filled_l1: false,
-                    },
-                    None => {
-                        let t =
-                            self.translate_miss(front, acc, l1.ready_at, l1.service_cycles);
-                        SharedResponse {
-                            ppn: Some(t.ppn),
-                            ready_at: t.ready_at,
-                            filled_l1: true,
-                        }
-                    }
-                }
-            }
-            SharedRequest::DataBack { start, pa, write } => SharedResponse {
-                ppn: None,
-                ready_at: self.data_miss(start, pa, write),
-                filled_l1: false,
-            },
-            SharedRequest::DataReplay {
-                translation,
-                min_start,
-                page_offset,
-                write,
-            } => {
-                let (ppn, t_ready) = match translation {
-                    TranslationRef::Resolved { ppn, ready_at } => (ppn, ready_at),
-                    TranslationRef::Pending(i) => resolved[i as usize],
-                };
-                let start = t_ready.max(min_start);
-                let page_size = self.page_size();
-                let pa = PhysAddr::from_parts(ppn, page_offset, page_size);
-                let done = match front.probe_data(start, pa, write) {
-                    Some(done) => done,
-                    None => self.data_miss(start, pa, write),
-                };
-                SharedResponse {
-                    ppn: None,
-                    ready_at: done,
-                    filled_l1: false,
-                }
-            }
         }
     }
 
@@ -736,49 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_replay_reproduces_the_direct_path() {
-        let mut space = AddressSpace::new(PageSize::Small);
-        let buf = space.allocate("b", 1 << 20).expect("fresh space");
-        let va = buf.addr_of(0);
-        let mut f = front(0);
-        let mut b = SharedBack::new(&config(1), space);
-        let a = Access {
-            va,
-            vpn: va.vpn(PageSize::Small),
-            ..acc(0, 0)
-        };
-        // A deferred full replay of a cold translation resolves and
-        // fills exactly like probe + translate_miss would.
-        let r = b.apply(&mut f, &SharedRequest::TranslateReplay { acc: a }, &[]);
-        assert!(r.filled_l1);
-        assert_eq!(r.ready_at, 1 + 20 + 10 + 500 + 2000 + 20);
-        let ppn = r.ppn.expect("translations resolve");
-        // A data replay waiting on it starts at max(ready, min_start).
-        let d = b.apply(
-            &mut f,
-            &SharedRequest::DataReplay {
-                translation: TranslationRef::Pending(0),
-                min_start: 3,
-                page_offset: va.page_offset(PageSize::Small),
-                write: false,
-            },
-            &[(ppn, r.ready_at)],
-        );
-        assert!(d.ppn.is_none());
-        assert_eq!(d.ready_at, r.ready_at + 20 + 30 + 200 + 20, "cold data line");
-        // Warm replay: front hit, no fill.
-        let warm = b.apply(
-            &mut f,
-            &SharedRequest::TranslateReplay {
-                acc: a.arriving_at(10_000),
-            },
-            &[],
-        );
-        assert!(!warm.filled_l1);
-        assert_eq!(warm.ready_at, 10_001);
-    }
-
-    #[test]
     fn accounting_holds_through_a_cold_walk_and_warm_hit() {
         let mut space = AddressSpace::new(PageSize::Small);
         let buf = space.allocate("b", 1 << 20).expect("fresh space");
@@ -826,9 +615,8 @@ mod tests {
 
     #[test]
     fn virt_addr_page_offset_helper_consistency() {
-        // DataReplay reconstructs the PA from ppn + page offset; confirm
-        // the offset round-trips through VirtAddr the way the engine
-        // computes it.
+        // The engine builds each line's PA from its ppn + page offset;
+        // confirm the offset round-trips through VirtAddr.
         let va = VirtAddr::new(0x1234);
         assert_eq!(va.page_offset(PageSize::Small), 0x234);
     }
