@@ -1,20 +1,23 @@
 //! Raw TLB lookup throughput: how fast `TranslationBuffer::lookup`
 //! itself runs, per organization, under the three access mixes the
 //! engine actually produces. This isolates the serial hot path the
-//! memo fast path targets — no engine, no memory hierarchy, just the
-//! lookup loop — so a regression here is a lookup regression, not a
-//! scheduling artifact.
+//! lookup memo (`tlb::Memo`) targets — no engine, no memory hierarchy,
+//! just the lookup loop — so a regression here is a lookup regression,
+//! not a scheduling artifact. The memo remembers the last hitting way
+//! per set in `set_assoc` and `compressed`, and per TB slot in
+//! `partitioned`.
 //!
 //! Mixes:
 //! - `reuse`: long same-page runs per TB slot (warp instructions
-//!   re-touching their MRU page line after line) — the memo fast
-//!   path's home turf.
+//!   re-touching their MRU page line after line) — the memo's home
+//!   turf.
 //! - `hit`: resident working set cycled page by page — tag-walk hits;
-//!   the memo rarely matches because consecutive lookups differ.
+//!   the memo rarely matches because a set's (or slot's) consecutive
+//!   lookups differ.
 //! - `miss`: a fresh page nearly every lookup, with the miss filled
 //!   (lookup + insert), exercising eviction and memo invalidation.
 //!
-//! Two more groups cover the rest of the translation-miss path:
+//! Four more groups cover the rest of the translation-miss path:
 //! - `partitioned_miss_fill`: every lookup misses and is filled in the
 //!   partitioned TLB at the paper's 16 concurrent TBs with adjacent
 //!   sharing, so set selection, eviction and spilling run on every op.

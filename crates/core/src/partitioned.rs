@@ -25,7 +25,7 @@
 use std::fmt::Write as _;
 use std::ops::Range;
 use tlb::{
-    first_min, recency_key, CompressionConfig, InvariantViolation, PerAsidStats, TlbConfig,
+    first_min, recency_key, CompressionConfig, InvariantViolation, Memo, PerAsidStats, TlbConfig,
     TlbOutcome, TlbRequest, TlbStats, TranslationBuffer,
 };
 use vmem::{Asid, Ppn, Vpn};
@@ -111,36 +111,20 @@ impl Default for PartitionedTlbConfig {
     }
 }
 
-/// Per-TB-slot record of the last slow-path lookup hit. The memo is only
-/// trusted while `epoch` still equals the TLB's `struct_epoch`: every
-/// operation that can change *anything* a tag walk observes — residency,
-/// sharing flags, spill counters, set groups — bumps the epoch, so a
-/// matching memo proves the walk would find the same way with the same
-/// probe count. Purely a host-side accelerator; never architectural.
+/// What a TB slot's memo stores beside the hitting way. The way is
+/// trusted only while `epoch` still equals the TLB's `struct_epoch`:
+/// everything a tag walk observes — residency, sharing flags, spill
+/// counters, set groups — bumps the epoch when it changes.
 #[derive(Copy, Clone, Debug)]
-struct LookupMemo {
-    /// Address space the memo was armed for; a slot re-used by another
-    /// app must never replay a stale memo.
+struct MemoHint {
+    /// The app and page the walk hit for.
     asid: Asid,
     vpn: Vpn,
-    way: u32,
-    /// `searchable_sets(asid, tb).len()` at memo time (reproduces the
-    /// multi-set probe latency without recomputing the set list).
+    /// `searchable_sets(asid, tb).len()`: the probe count the walk
+    /// charged.
     sets_probed: u32,
-    /// `struct_epoch` at memo time; 0 never matches (epochs start at 1).
+    /// `struct_epoch` at arming time.
     epoch: u64,
-}
-
-impl LookupMemo {
-    fn invalid() -> Self {
-        LookupMemo {
-            asid: Asid::default(),
-            vpn: Vpn::new(0),
-            way: 0,
-            sets_probed: 0,
-            epoch: 0,
-        }
-    }
 }
 
 /// A set of TLB sets as at most two ascending, disjoint ranges, iterated
@@ -267,15 +251,10 @@ pub struct PartitionedTlb {
     /// Victims rescued into a neighbour's way.
     spills: u64,
     /// Bumped by every structural mutation (insert, flush, TB lifecycle);
-    /// guards the per-TB lookup memos. Starts at 1 so the all-zero
-    /// [`LookupMemo::invalid`] never matches.
+    /// guards the memo hints.
     struct_epoch: u64,
-    /// Last slow-path hit per TB slot (index = normalized slot).
-    memo: Vec<LookupMemo>,
-    /// Lookups served by the memo fast path.
-    fastpath: u64,
-    /// Fast path enable (the differential twin runs with it off).
-    fastpath_on: bool,
+    /// Last hitting way per TB slot (index = normalized slot).
+    memo: Memo<MemoHint>,
 }
 
 impl PartitionedTlb {
@@ -302,10 +281,8 @@ impl PartitionedTlb {
             stats: TlbStats::default(),
             per_asid: PerAsidStats::default(),
             spills: 0,
-            struct_epoch: 1,
-            memo: vec![LookupMemo::invalid(); 16],
-            fastpath: 0,
-            fastpath_on: true,
+            struct_epoch: 0,
+            memo: Memo::new(16),
         }
     }
 
@@ -315,11 +292,10 @@ impl PartitionedTlb {
         (0..n).map(|tb| group_span(sets, n, tb)).collect()
     }
 
-    /// Enables or disables the exact MRU lookup fast path (on by default;
-    /// the differential proptest drives a disabled twin to prove the two
-    /// paths are bit-identical).
+    /// Enables or disables the lookup memo: a wall-clock knob only, as
+    /// `crates/core/tests/fastpath_diff.rs` proves.
     pub fn set_fastpath(&mut self, on: bool) {
-        self.fastpath_on = on;
+        self.memo.set_enabled(on);
     }
 
     /// The configuration in use.
@@ -376,14 +352,17 @@ impl PartitionedTlb {
     pub fn peek(&self, asid: Asid, vpn: Vpn, tb_slot: u8) -> Option<Ppn> {
         let tb = self.norm_slot(tb_slot);
         let sets = self.searchable_sets(asid, tb);
-        self.find(asid, &sets, vpn).map(|w| {
-            let way = &self.ways[w];
-            if way.literal {
-                way.base_ppn
-            } else {
-                Ppn::new(way.base_ppn.raw() + self.run_offset(vpn) as u64)
-            }
-        })
+        self.find(asid, &sets, vpn).map(|w| self.ppn_at(w, vpn))
+    }
+
+    /// The frame way `w` maps `vpn` to.
+    fn ppn_at(&self, w: usize, vpn: Vpn) -> Ppn {
+        let way = &self.ways[w];
+        if way.literal {
+            way.base_ppn
+        } else {
+            Ppn::new(way.base_ppn.raw() + self.run_offset(vpn) as u64)
+        }
     }
 
     fn degree(&self) -> u64 {
@@ -639,63 +618,39 @@ impl TranslationBuffer for PartitionedTlb {
         };
         self.clock += 1;
         let tb = req.tb_slot as usize;
-        if self.fastpath_on {
-            let m = self.memo[tb];
-            if m.epoch == self.struct_epoch && m.asid == req.asid && m.vpn == req.vpn {
-                // Nothing structural changed since the slow path hit this
-                // VPN for this TB: the tag walk would find the same way
-                // after probing the same set list. Replay the identical
-                // bookkeeping (LRU touch, stats, latency, PPN decode) and
-                // skip the walk. The PPN is re-read from the way below, so
-                // an in-place refresh is observed exactly as the slow path
-                // would observe it.
-                let w = m.way as usize;
-                let compressed = self.ways[w].mask.count_ones() > 1;
-                let latency = self.lookup_latency(m.sets_probed as usize, compressed);
-                self.ways[w].stamp = self.clock;
-                let way = &self.ways[w];
-                let off = self.run_offset(req.vpn);
-                let ppn = if way.literal {
-                    way.base_ppn
-                } else {
-                    Ppn::new(way.base_ppn.raw() + off as u64)
+        // Nothing structural changed since the walk that armed the hint
+        // hit this VPN for this app's TB: the walk would find the same way
+        // after probing the same set list. The PPN is re-read from the
+        // way, so an in-place refresh is observed exactly.
+        let epoch = self.struct_epoch;
+        let valid =
+            |_: usize, h: &MemoHint| h.epoch == epoch && h.asid == req.asid && h.vpn == req.vpn;
+        let (w, sets_probed) = match self.memo.serve(tb, valid) {
+            Some((w, h)) => (w, h.sets_probed as usize),
+            None => {
+                let sets = self.searchable_sets(req.asid, req.tb_slot);
+                let Some(w) = self.find(req.asid, &sets, req.vpn) else {
+                    self.stats.record(false);
+                    self.per_asid.entry(req.asid).record(false);
+                    return TlbOutcome::miss(self.lookup_latency(sets.len(), false));
                 };
-                self.stats.record(true);
-                self.per_asid.entry(req.asid).record(true);
-                self.fastpath += 1;
-                return TlbOutcome::hit(ppn, latency);
-            }
-        }
-        let sets = self.searchable_sets(req.asid, req.tb_slot);
-        match self.find(req.asid, &sets, req.vpn) {
-            Some(w) => {
-                let compressed = self.ways[w].mask.count_ones() > 1;
-                let latency = self.lookup_latency(sets.len(), compressed);
-                self.ways[w].stamp = self.clock;
-                let way = &self.ways[w];
-                let off = self.run_offset(req.vpn);
-                let ppn = if way.literal {
-                    way.base_ppn
-                } else {
-                    Ppn::new(way.base_ppn.raw() + off as u64)
-                };
-                self.stats.record(true);
-                self.per_asid.entry(req.asid).record(true);
-                self.memo[tb] = LookupMemo {
+                let hint = MemoHint {
                     asid: req.asid,
                     vpn: req.vpn,
-                    way: w as u32,
                     sets_probed: sets.len() as u32,
-                    epoch: self.struct_epoch,
+                    epoch,
                 };
-                TlbOutcome::hit(ppn, latency)
+                self.memo.arm(tb, w, hint);
+                (w, sets.len())
             }
-            None => {
-                self.stats.record(false);
-                self.per_asid.entry(req.asid).record(false);
-                TlbOutcome::miss(self.lookup_latency(sets.len(), false))
-            }
-        }
+        };
+        let compressed = self.ways[w].mask.count_ones() > 1;
+        let latency = self.lookup_latency(sets_probed, compressed);
+        self.ways[w].stamp = self.clock;
+        let ppn = self.ppn_at(w, req.vpn);
+        self.stats.record(true);
+        self.per_asid.entry(req.asid).record(true);
+        TlbOutcome::hit(ppn, latency)
     }
 
     fn insert(&mut self, req: &TlbRequest, ppn: Ppn) {
@@ -831,7 +786,7 @@ impl TranslationBuffer for PartitionedTlb {
     }
 
     fn fastpath_hits(&self) -> u64 {
-        self.fastpath
+        self.memo.served()
     }
 
     fn capacity(&self) -> usize {
@@ -882,7 +837,7 @@ impl TranslationBuffer for PartitionedTlb {
         if tbs as usize != self.groups() {
             self.groups = Self::group_table(&self.cfg, tbs);
             self.struct_epoch += 1;
-            self.memo = vec![LookupMemo::invalid(); self.groups()];
+            self.memo.reset(self.groups());
             // Geometry changed: sharing relationships are stale, and set
             // groups moved under the resident entries — re-home everything
             // to its set's natural owner.
@@ -944,35 +899,31 @@ impl TranslationBuffer for PartitionedTlb {
         if self.share.windows(2).any(|w| w[0].asid >= w[1].asid) {
             return fail("sharing register table not strictly sorted by ASID".into());
         }
-        if self.memo.len() != n {
-            return fail(format!(
-                "memo table has {} slots for {n} TB groups",
-                self.memo.len()
-            ));
+        // A TB's hint points into the sets its lookups can probe: its own
+        // group or its neighbour's, or anywhere under all-to-all.
+        let assoc = self.cfg.geometry.associativity;
+        let reachable = |tb: usize, w: usize| match self.cfg.sharing {
+            SharingPolicy::AllToAll => w < self.ways.len(),
+            _ => [tb as u8, self.neighbour(tb as u8)]
+                .iter()
+                .any(|&g| self.group_of(g).contains(&(w / assoc))),
+        };
+        if let Err(e) = self.memo.check(n, reachable) {
+            return fail(e);
         }
-        for (tb, m) in self.memo.iter().enumerate() {
-            if m.epoch > self.struct_epoch {
+        // Only a hint from the current epoch is ever trusted; it must
+        // point at a valid way still holding its VPN.
+        for (tb, w, h) in self.memo.armed() {
+            let way = &self.ways[w];
+            if h.epoch == self.struct_epoch
+                && !(way.valid && way.asid == h.asid && way.base_vpn == self.run_base(h.vpn))
+            {
                 return fail(format!(
-                    "memo for TB {tb} claims epoch {} ahead of struct epoch {}",
-                    m.epoch, self.struct_epoch
+                    "live memo for TB {tb} (asid {} vpn {:#x}) points at way {w} \
+                     which no longer holds it",
+                    h.asid,
+                    h.vpn.raw()
                 ));
-            }
-            // Only a memo from the *current* epoch is ever trusted; it
-            // must point at a valid way still holding its VPN.
-            if m.epoch == self.struct_epoch {
-                let w = m.way as usize;
-                if w >= self.ways.len()
-                    || !self.ways[w].valid
-                    || self.ways[w].asid != m.asid
-                    || self.ways[w].base_vpn != self.run_base(m.vpn)
-                {
-                    return fail(format!(
-                        "live memo for TB {tb} (asid {} vpn {:#x}) points at way {w} \
-                         which no longer holds it",
-                        m.asid,
-                        m.vpn.raw()
-                    ));
-                }
             }
         }
         if self.cfg.sharing == SharingPolicy::None && self.sharing_flags() != 0 {

@@ -82,9 +82,11 @@ pub struct SimReport {
     /// it; the next benchmark change removes it (see DESIGN.md,
     /// "Retained for the benchmark harness").
     pub sharded_rounds: u64,
-    /// TLB lookups (all levels) served by the exact MRU memo fast path
-    /// instead of a tag walk. Pure wall-clock accounting: the fast path
-    /// is byte-identical to the walk it skips.
+    /// TLB lookups (all levels) served by a lookup memo (per set in the
+    /// set-associative and compressed TLBs, per TB slot in the
+    /// partitioned TLB) instead of a tag walk. Pure wall-clock
+    /// accounting: a served lookup is byte-identical to the walk it
+    /// skips.
     pub fastpath_hits: u64,
     /// Per-application results in ASID order (a single entry for solo
     /// runs). Populated by the engine from per-ASID counter merges.

@@ -3,9 +3,9 @@
 //!
 //! The optimized implementations in `tlb`, `orchestrated-tlb` and
 //! `gpu-sim` carry performance machinery — packed probe tags,
-//! structure-of-arrays storage, maintained counters, MRU lookup memos —
-//! that the paper never mentions. This crate re-states the
-//! paper's mechanisms as *clarity-first reference models* (no
+//! structure-of-arrays storage, maintained counters, the lookup memo
+//! ([`tlb::Memo`]) — that the paper never mentions. This crate
+//! re-states the paper's mechanisms as *clarity-first reference models* (no
 //! optimizations, data layouts chosen for obviousness) and checks the
 //! optimized code against them:
 //!

@@ -93,10 +93,11 @@ pub const RESULT_CRATES: [&str; 8] = [
 
 /// Files forming the engine hot path (scope of `hot-unwrap` and
 /// `engine-lock`): the cycle loop plus every TLB organization's
-/// lookup/insert code and the private/shared hierarchy split. Kept for
+/// lookup/insert code, the lookup memo they share, and the
+/// private/shared hierarchy split. Kept for
 /// one release cycle as a cross-check against graph-derived facts (every
 /// `TranslationBuffer` impl must live in one of these files).
-pub const HOT_PATHS: [&str; 12] = [
+pub const HOT_PATHS: [&str; 13] = [
     "crates/gpu-sim/src/engine.rs",
     "crates/gpu-sim/src/feed.rs",
     "crates/gpu-sim/src/corun.rs",
@@ -107,6 +108,7 @@ pub const HOT_PATHS: [&str; 12] = [
     "crates/tlb/src/set_assoc.rs",
     "crates/tlb/src/compressed.rs",
     "crates/tlb/src/sub_entry.rs",
+    "crates/tlb/src/memo.rs",
     "crates/core/src/partitioned.rs",
     "crates/core/src/way_partitioned.rs",
 ];
@@ -1161,11 +1163,13 @@ mod tests {
             "crates/mem-hier/src/split.rs",
             "crates/mem-hier/src/stages.rs",
             "crates/mem-hier/src/ports.rs",
-            // The partitioned `insert`/`place` paths and the
-            // per-organization MRU memos all live in these files and must
-            // stay under hot-path scrutiny.
+            // The partitioned `insert`/`place` paths, every memoizing
+            // organization's `lookup` and the one lookup memo they share
+            // all live in these files and must stay under hot-path
+            // scrutiny.
             "crates/tlb/src/set_assoc.rs",
             "crates/tlb/src/compressed.rs",
+            "crates/tlb/src/memo.rs",
             "crates/core/src/partitioned.rs",
             // Multi-tenant hot paths: the app-interleaved co-run merge
             // runs per TB launch, and the sub-entry-sharing L2 TLB sits

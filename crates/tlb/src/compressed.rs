@@ -13,11 +13,13 @@
 //! paper's discussion.
 
 use crate::config::TlbConfig;
+use crate::memo::Memo;
 use crate::replace::{first_min, recency_key};
 use crate::request::{TlbOutcome, TlbRequest, TranslationBuffer};
 use crate::sanitize::InvariantViolation;
 use crate::stats::{PerAsidStats, TlbStats};
 use std::fmt::Write as _;
+use std::ops::Range;
 use vmem::{Asid, Ppn, Vpn};
 
 /// Parameters of the compression scheme.
@@ -65,6 +67,14 @@ struct CompressedWay {
     /// as `base + offset`, e.g. it would underflow).
     literal: bool,
     stamp: u64,
+}
+
+impl CompressedWay {
+    /// Whether this way holds `asid`'s translation of page `off` of the
+    /// run based at `base`.
+    fn holds(&self, asid: Asid, base: Vpn, off: u32) -> bool {
+        self.valid && self.asid == asid && self.base_vpn == base && self.mask & (1 << off) != 0
+    }
 }
 
 /// Position of the LRU victim within one set's ways: an invalid way
@@ -116,15 +126,8 @@ pub struct CompressedTlb {
     /// Count of resident page translations (set mask bits over valid
     /// entries), maintained alongside `occupied`.
     resident: u32,
-    /// Per-set way index of the last lookup hit (`u32::MAX` = none).
-    /// Trusted only after re-checking the full match condition (valid +
-    /// base VPN + run bit), so stale memos fall back to the set walk and
-    /// the fast path stays bit-equal to it.
-    memo: Vec<u32>,
-    /// Lookups served via `memo` (host-side observability only).
-    fastpath: u64,
-    /// Fast path enabled (differential proptest runs a memo-less twin).
-    fastpath_on: bool,
+    /// Last hitting way per set.
+    memo: Memo<()>,
 }
 
 impl CompressedTlb {
@@ -148,9 +151,7 @@ impl CompressedTlb {
             compressed_fills: 0,
             occupied: 0,
             resident: 0,
-            memo: vec![u32::MAX; config.sets()],
-            fastpath: 0,
-            fastpath_on: true,
+            memo: Memo::new(config.sets()),
         }
     }
 
@@ -159,11 +160,10 @@ impl CompressedTlb {
         &self.config
     }
 
-    /// Enables or disables the MRU lookup fast path. Purely a wall-clock
-    /// knob — outcomes, stats and LRU state are bit-equal either way
-    /// (proven by the differential proptest in `tests/fastpath_diff.rs`).
+    /// Enables or disables the lookup memo: a wall-clock knob only, as
+    /// `crates/core/tests/fastpath_diff.rs` proves.
     pub fn set_fastpath(&mut self, on: bool) {
-        self.fastpath_on = on;
+        self.memo.set_enabled(on);
     }
 
     /// The compression parameters.
@@ -185,7 +185,7 @@ impl CompressedTlb {
         ((vpn.raw() / self.compression.degree as u64) as usize) & (self.config.sets() - 1)
     }
 
-    fn set_range(&self, set: usize) -> std::ops::Range<usize> {
+    fn set_range(&self, set: usize) -> Range<usize> {
         let a = self.config.associativity;
         set * a..(set + 1) * a
     }
@@ -229,68 +229,41 @@ impl TranslationBuffer for CompressedTlb {
         let base = self.run_base(req.vpn);
         let off = self.run_offset(req.vpn);
         let set = self.set_of(req.vpn);
-        let clock = self.clock;
-        // Exact MRU fast path: re-validate the memoized way against the
-        // full match condition; the hit bookkeeping below mirrors the
-        // set-walk hit statement for statement. Insert's coherence scan
-        // guarantees at most one valid way holds a given (base, offset),
-        // so a revalidated memo and the walk find the same way.
-        if self.fastpath_on {
-            let m = self.memo[set];
-            if m != u32::MAX {
-                let way = &mut self.ways[m as usize];
-                if way.valid
-                    && way.asid == req.asid
-                    && way.base_vpn == base
-                    && way.mask & (1 << off) != 0
-                {
-                    way.stamp = clock;
-                    self.stats.record(true);
-                    self.per_asid.entry(req.asid).record(true);
-                    self.fastpath += 1;
-                    let ppn = if way.literal {
-                        way.base_ppn
-                    } else {
-                        Ppn::new(way.base_ppn.raw() + off as u64)
-                    };
-                    let latency = self.config.lookup_latency
-                        + if way.mask.count_ones() > 1 {
-                            self.compression.decompress_latency
-                        } else {
-                            0
-                        };
-                    return TlbOutcome::hit(ppn, latency);
-                }
-            }
-        }
-        let range = self.set_range(set);
-        for (i, way) in self.ways[range.clone()].iter_mut().enumerate() {
-            if way.valid
-                && way.asid == req.asid
-                && way.base_vpn == base
-                && way.mask & (1 << off) != 0
-            {
-                self.memo[set] = (range.start + i) as u32;
-                way.stamp = clock;
-                self.stats.record(true);
-                self.per_asid.entry(req.asid).record(true);
-                let ppn = if way.literal {
-                    way.base_ppn
-                } else {
-                    Ppn::new(way.base_ppn.raw() + off as u64)
+        // The memoized way is trusted only if it still holds the page.
+        // Insert's coherence scan keeps at most one valid way per (asid,
+        // base, offset), so a revalidated memo and the walk agree.
+        let ways = &self.ways;
+        let w = match self
+            .memo
+            .serve(set, |w, ()| ways[w].holds(req.asid, base, off))
+        {
+            Some((w, ())) => w,
+            None => {
+                let range = self.set_range(set);
+                let Some(i) = self.ways[range.clone()]
+                    .iter()
+                    .position(|w| w.holds(req.asid, base, off))
+                else {
+                    self.stats.record(false);
+                    self.per_asid.entry(req.asid).record(false);
+                    return TlbOutcome::miss(self.config.lookup_latency);
                 };
-                let latency = self.config.lookup_latency
-                    + if way.mask.count_ones() > 1 {
-                        self.compression.decompress_latency
-                    } else {
-                        0
-                    };
-                return TlbOutcome::hit(ppn, latency);
+                self.memo.arm(set, range.start + i, ());
+                range.start + i
             }
-        }
-        self.stats.record(false);
-        self.per_asid.entry(req.asid).record(false);
-        TlbOutcome::miss(self.config.lookup_latency)
+        };
+        let way = &mut self.ways[w];
+        way.stamp = self.clock;
+        self.stats.record(true);
+        self.per_asid.entry(req.asid).record(true);
+        let ppn = if way.literal {
+            way.base_ppn
+        } else {
+            Ppn::new(way.base_ppn.raw() + off as u64)
+        };
+        // Only a run holding more than one page needs decompressing.
+        let decompress = u64::from(way.mask.count_ones() > 1) * self.compression.decompress_latency;
+        TlbOutcome::hit(ppn, self.config.lookup_latency + decompress)
     }
 
     fn insert(&mut self, req: &TlbRequest, ppn: Ppn) {
@@ -311,21 +284,9 @@ impl TranslationBuffer for CompressedTlb {
         // different PPN (coherence on remap): clear its run bit and drop
         // the entry entirely when it empties. Scoped to the requesting
         // ASID — another app's identical VPN is a distinct translation.
-        for way in &mut self.ways[range.clone()] {
-            if way.valid
-                && way.asid == req.asid
-                && way.base_vpn == base
-                && way.mask & (1 << off) != 0
-                && (way.literal || way.base_ppn != Ppn::new(expected_base_ppn))
-            {
-                way.mask &= !(1 << off);
-                self.resident -= 1;
-                if way.mask == 0 {
-                    way.valid = false;
-                    self.occupied -= 1;
-                }
-            }
-        }
+        self.clear_page(range.clone(), req.asid, base, off, |w| {
+            w.literal || w.base_ppn != Ppn::new(expected_base_ppn)
+        });
         // Try to compress into an existing compatible entry (same app
         // only: runs never span address spaces).
         if let Some(way) = self.ways[range.clone()].iter_mut().find(|w| {
@@ -344,28 +305,18 @@ impl TranslationBuffer for CompressedTlb {
             return;
         }
         // Allocate a fresh entry for this run.
-        self.stats.insertions += 1;
-        self.per_asid.entry(req.asid).insertions += 1;
-        let victim = lru_way(&self.ways[range.clone()]);
-        let widx = range.start + victim;
-        if self.ways[widx].valid {
-            self.stats.evictions += 1;
-            self.resident -= self.ways[widx].mask.count_ones();
-            let victim_asid = self.ways[widx].asid;
-            self.per_asid.entry(victim_asid).evictions += 1;
-        } else {
-            self.occupied += 1;
-        }
-        self.resident += 1;
-        self.ways[widx] = CompressedWay {
-            valid: true,
-            asid: req.asid,
-            base_vpn: base,
-            base_ppn: Ppn::new(expected_base_ppn),
-            mask: 1 << off,
-            literal: false,
-            stamp: clock,
-        };
+        self.allocate(
+            range,
+            CompressedWay {
+                valid: true,
+                asid: req.asid,
+                base_vpn: base,
+                base_ppn: Ppn::new(expected_base_ppn),
+                mask: 1 << off,
+                literal: false,
+                stamp: clock,
+            },
+        );
     }
 
     fn stats(&self) -> TlbStats {
@@ -388,14 +339,12 @@ impl TranslationBuffer for CompressedTlb {
         }
         self.occupied = 0;
         self.resident = 0;
-        // The invalidated ways already fail memo revalidation (hygiene).
-        for m in &mut self.memo {
-            *m = u32::MAX;
-        }
+        // The invalidated ways already fail validation (hygiene only).
+        self.memo.reset(self.config.sets());
     }
 
     fn fastpath_hits(&self) -> u64 {
-        self.fastpath
+        self.memo.served()
     }
 
     fn capacity(&self) -> usize {
@@ -425,13 +374,12 @@ impl TranslationBuffer for CompressedTlb {
         } else {
             (1u64 << self.compression.degree) - 1
         };
+        if let Err(e) = self.memo.check(self.config.sets(), |set, w| {
+            self.set_range(set).contains(&w)
+        }) {
+            return fail(e);
+        }
         for set in 0..self.config.sets() {
-            let m = self.memo[set];
-            if m != u32::MAX && !self.set_range(set).contains(&(m as usize)) {
-                return fail(format!(
-                    "set {set}: MRU memo {m} points outside the set's way range"
-                ));
-            }
             let ways = &self.ways[self.set_range(set)];
             for (i, w) in ways.iter().enumerate().filter(|(_, w)| w.valid) {
                 if w.mask == 0 {
@@ -535,10 +483,36 @@ impl CompressedTlb {
         // Coherence on remap: clear any existing translation this app
         // holds for the page.
         let base = self.run_base(vpn);
-        let off_bit = 1u32 << self.run_offset(vpn);
-        for way in &mut self.ways[range.clone()] {
-            if way.valid && way.asid == asid && way.base_vpn == base && way.mask & off_bit != 0 {
-                way.mask &= !off_bit;
+        let off = self.run_offset(vpn);
+        self.clear_page(range.clone(), asid, base, off, |_| true);
+        let stamp = self.clock;
+        self.allocate(
+            range,
+            CompressedWay {
+                valid: true,
+                asid,
+                base_vpn: base,
+                base_ppn: ppn,
+                mask: 1 << off,
+                literal: true,
+                stamp,
+            },
+        );
+    }
+
+    /// Clears `asid`'s page `off` of the run at `base` from every way in
+    /// `range` that `stale` selects, dropping entries that empty.
+    fn clear_page(
+        &mut self,
+        range: Range<usize>,
+        asid: Asid,
+        base: Vpn,
+        off: u32,
+        stale: impl Fn(&CompressedWay) -> bool,
+    ) {
+        for way in &mut self.ways[range] {
+            if way.holds(asid, base, off) && stale(way) {
+                way.mask &= !(1 << off);
                 self.resident -= 1;
                 if way.mask == 0 {
                     way.valid = false;
@@ -546,30 +520,24 @@ impl CompressedTlb {
                 }
             }
         }
+    }
+
+    /// Stores the one-page `entry` over the LRU way of `range`, counting
+    /// the insertion and any eviction.
+    fn allocate(&mut self, range: Range<usize>, entry: CompressedWay) {
         self.stats.insertions += 1;
-        self.per_asid.entry(asid).insertions += 1;
-        let victim = lru_way(&self.ways[range.clone()]);
-        let off = self.run_offset(vpn);
-        let base_vpn = self.run_base(vpn);
-        let widx = range.start + victim;
-        if self.ways[widx].valid {
+        self.per_asid.entry(entry.asid).insertions += 1;
+        let widx = range.start + lru_way(&self.ways[range]);
+        let victim = self.ways[widx];
+        if victim.valid {
             self.stats.evictions += 1;
-            self.resident -= self.ways[widx].mask.count_ones();
-            let victim_asid = self.ways[widx].asid;
-            self.per_asid.entry(victim_asid).evictions += 1;
+            self.resident -= victim.mask.count_ones();
+            self.per_asid.entry(victim.asid).evictions += 1;
         } else {
             self.occupied += 1;
         }
         self.resident += 1;
-        self.ways[widx] = CompressedWay {
-            valid: true,
-            asid,
-            base_vpn,
-            base_ppn: ppn,
-            mask: 1 << off,
-            literal: true,
-            stamp: self.clock,
-        };
+        self.ways[widx] = entry;
     }
 }
 

@@ -17,6 +17,8 @@
 //!   the shared L2: ways are tagged by VPN alone and hold per-ASID
 //!   sub-entries, so co-running apps that map the same VPNs share tags
 //!   without ever seeing each other's frames.
+//! * [`Memo`] — the exact lookup memo the set-associative, compressed and
+//!   partitioned TLBs share.
 //!
 //! Every organization tags its entries with the requesting [`vmem::Asid`]
 //! and includes it in the tag compare, so concurrent address spaces are
@@ -42,6 +44,7 @@
 
 mod compressed;
 mod config;
+mod memo;
 mod replace;
 mod request;
 mod sanitize;
@@ -51,6 +54,7 @@ mod sub_entry;
 
 pub use compressed::{CompressedTlb, CompressionConfig};
 pub use config::TlbConfig;
+pub use memo::Memo;
 pub use replace::{first_min, recency_key, RECENCY_VALID};
 pub use request::{TlbOutcome, TlbRequest, TranslationBuffer};
 pub use sanitize::InvariantViolation;

@@ -175,13 +175,13 @@ pub trait TranslationBuffer: Send {
         false
     }
 
-    /// Lookups served by the organization's exact MRU fast path (a
-    /// per-set last-hit-way memo that skips the tag walk when it still
-    /// matches). The fast path is byte-identical to the slow path in
-    /// every architectural observable — outcome, [`TlbStats`], LRU
-    /// state — so this counter is pure host-side observability and is
-    /// deliberately *not* part of [`TlbStats`]. Organizations without a
-    /// fast path report 0.
+    /// Lookups served by the organization's lookup memo ([`crate::Memo`]:
+    /// the last hitting way per set, or per TB slot in the partitioned
+    /// TLB) instead of a tag walk. A served lookup is byte-identical to
+    /// the walk in every architectural observable — outcome,
+    /// [`TlbStats`], LRU state — so this counter is pure host-side
+    /// observability and is deliberately *not* part of [`TlbStats`].
+    /// Organizations without a memo report 0.
     fn fastpath_hits(&self) -> u64 {
         0
     }

@@ -12,6 +12,7 @@
 //! hit or when replacement runs.
 
 use crate::config::TlbConfig;
+use crate::memo::Memo;
 use crate::replace::{first_min, recency_key};
 use crate::request::{TlbOutcome, TlbRequest, TranslationBuffer};
 use crate::sanitize::InvariantViolation;
@@ -93,17 +94,8 @@ pub struct SetAssocTlb {
     /// are recovered from the packed tag on eviction). The MASK-style
     /// token policy reads this to bound how many entries an app may hold.
     resident_by_asid: Vec<u32>,
-    /// Per-set way index of the last lookup hit (`u32::MAX` = none): the
-    /// exact MRU fast path. A memoized way is trusted only after its tag
-    /// re-matches the probe, so a stale memo (the way was since evicted
-    /// or refilled) silently falls back to the tag walk — state
-    /// transitions and stats are bit-equal either way.
-    memo: Vec<u32>,
-    /// Lookups served via `memo` (host-side observability only).
-    fastpath: u64,
-    /// Fast path enabled (the differential proptest runs a memo-less
-    /// twin to prove the two paths are indistinguishable).
-    fastpath_on: bool,
+    /// Last hitting way per set.
+    memo: Memo<()>,
 }
 
 impl SetAssocTlb {
@@ -118,9 +110,7 @@ impl SetAssocTlb {
             per_asid: PerAsidStats::default(),
             resident: 0,
             resident_by_asid: Vec::new(),
-            memo: vec![u32::MAX; config.sets()],
-            fastpath: 0,
-            fastpath_on: true,
+            memo: Memo::new(config.sets()),
         }
     }
 
@@ -129,11 +119,10 @@ impl SetAssocTlb {
         &self.config
     }
 
-    /// Enables or disables the MRU lookup fast path. Purely a wall-clock
-    /// knob — outcomes, stats and LRU state are bit-equal either way
-    /// (proven by the differential proptest in `tests/fastpath_diff.rs`).
+    /// Enables or disables the lookup memo: a wall-clock knob only, as
+    /// `crates/core/tests/fastpath_diff.rs` proves.
     pub fn set_fastpath(&mut self, on: bool) {
-        self.fastpath_on = on;
+        self.memo.set_enabled(on);
     }
 
     fn set_of(&self, vpn: Vpn) -> usize {
@@ -197,37 +186,29 @@ impl TranslationBuffer for SetAssocTlb {
         self.clock += 1;
         let set = self.set_of(req.vpn);
         let tag = tag_of(req.asid, req.vpn);
-        // Exact MRU fast path: the last way that hit in this set, trusted
-        // only if its tag still matches (the tag packs the ASID, so a
-        // memo armed by another app's hit never serves this one). The
-        // updates below are the same statements the tag-walk hit
-        // performs, so the two paths are bit-equal in every
-        // architectural observable.
-        if self.fastpath_on {
-            let m = self.memo[set];
-            if m != u32::MAX && self.tags[m as usize] == tag {
-                let way = &mut self.meta[m as usize];
-                way.stamp = self.clock;
-                self.stats.record(true);
-                self.per_asid.entry(req.asid).record(true);
-                self.fastpath += 1;
-                return TlbOutcome::hit(way.ppn, self.config.lookup_latency);
+        // The memoized way is trusted only if its tag still matches (the
+        // tag packs the ASID, so another app's hit never serves this one).
+        let tags = &self.tags;
+        let w = match self.memo.serve(set, |w, ()| tags[w] == tag) {
+            Some((w, ())) => w,
+            None => {
+                let range = self.set_range(set);
+                // Hot probe loop: compare against the contiguous tag slice
+                // only; the ppn/stamp payload is touched solely on a hit.
+                let Some(i) = self.tags[range.clone()].iter().position(|&t| t == tag) else {
+                    self.stats.record(false);
+                    self.per_asid.entry(req.asid).record(false);
+                    return TlbOutcome::miss(self.config.lookup_latency);
+                };
+                self.memo.arm(set, range.start + i, ());
+                range.start + i
             }
-        }
-        let range = self.set_range(set);
-        // Hot probe loop: compare against the contiguous tag slice only;
-        // the ppn/stamp payload is touched solely on a hit.
-        if let Some(i) = self.tags[range.clone()].iter().position(|&t| t == tag) {
-            self.memo[set] = (range.start + i) as u32;
-            let way = &mut self.meta[range.start + i];
-            way.stamp = self.clock;
-            self.stats.record(true);
-            self.per_asid.entry(req.asid).record(true);
-            return TlbOutcome::hit(way.ppn, self.config.lookup_latency);
-        }
-        self.stats.record(false);
-        self.per_asid.entry(req.asid).record(false);
-        TlbOutcome::miss(self.config.lookup_latency)
+        };
+        let way = &mut self.meta[w];
+        way.stamp = self.clock;
+        self.stats.record(true);
+        self.per_asid.entry(req.asid).record(true);
+        TlbOutcome::hit(way.ppn, self.config.lookup_latency)
     }
 
     fn insert(&mut self, req: &TlbRequest, ppn: Ppn) {
@@ -289,14 +270,12 @@ impl TranslationBuffer for SetAssocTlb {
         }
         self.resident = 0;
         self.resident_by_asid.clear();
-        // The cleared tags already invalidate every memo (hygiene only).
-        for m in &mut self.memo {
-            *m = u32::MAX;
-        }
+        // The cleared tags already fail validation (hygiene only).
+        self.memo.reset(self.config.sets());
     }
 
     fn fastpath_hits(&self) -> u64 {
-        self.fastpath
+        self.memo.served()
     }
 
     fn capacity(&self) -> usize {
@@ -357,14 +336,13 @@ impl TranslationBuffer for SetAssocTlb {
                 ));
             }
         }
+        if let Err(e) = self.memo.check(self.config.sets(), |set, w| {
+            self.set_range(set).contains(&w)
+        }) {
+            return fail(e);
+        }
         for set in 0..self.config.sets() {
             let range = self.set_range(set);
-            let m = self.memo[set];
-            if m != u32::MAX && !range.contains(&(m as usize)) {
-                return fail(format!(
-                    "set {set}: MRU memo {m} points outside the set's way range {range:?}"
-                ));
-            }
             for i in range.clone() {
                 if self.tags[i] == 0 {
                     continue;

@@ -35,6 +35,10 @@ type Key = (&'static str, Scale, u64, PageSize);
 /// (the scale is its display tag so hand-written traces can join in).
 type DiskKey = (String, String, u64, PageSize);
 
+/// Numbers each trace write in this process, so concurrent writers of
+/// one entry never share a temp file.
+static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
 fn disk_key(bench: &str, scale: Scale, seed: u64, page_size: PageSize) -> DiskKey {
     (bench.to_owned(), scale.to_string(), seed, page_size)
 }
@@ -166,7 +170,10 @@ impl WorkloadCache {
     /// Ensures a trace file for `spec` exists on disk and returns its
     /// path, generating and writing it if needed. Writes go through a
     /// temp file + rename, so two processes sharing a directory never
-    /// see a half-written trace.
+    /// see a half-written trace. Each writer gets its own temp file
+    /// (process id plus a per-process sequence number), so two threads
+    /// that miss on the same entry both succeed: the second rename
+    /// replaces the first writer's identical bytes.
     ///
     /// # Errors
     ///
@@ -194,13 +201,20 @@ impl WorkloadCache {
             })?;
         }
         let workload = spec.generate_with_page_size(scale, seed, page_size);
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        format::write_workload(&tmp, &workload, spec.name, Some(scale), seed)?;
-        std::fs::rename(&tmp, &path).map_err(|source| TraceError::Io {
-            context: format!("rename {} into place", tmp.display()),
-            source,
-        })?;
-        Ok(path)
+        let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
+        let written = format::write_workload(&tmp, &workload, spec.name, Some(scale), seed)
+            .and_then(|_| {
+                std::fs::rename(&tmp, &path).map_err(|source| TraceError::Io {
+                    context: format!("rename {} into place", tmp.display()),
+                    source,
+                })
+            });
+        if written.is_err() {
+            // Best effort: the error below is what the caller acts on.
+            let _ = std::fs::remove_file(&tmp);
+        }
+        written.map(|()| path)
     }
 
     /// Returns a [`TraceSource`] for `spec` with 4 KiB pages: a
@@ -443,6 +457,38 @@ mod tests {
             TraceSource::Generated(w) => assert!(w.total_warp_ops() > 0),
             TraceSource::File(_) => panic!("no disk dir, no file source"),
         }
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_entry_both_succeed() {
+        let dir = temp_dir("race");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = WorkloadCache::with_disk(&dir);
+        let gemm = spec("gemm");
+        let barrier = std::sync::Barrier::new(2);
+        let paths: Vec<PathBuf> = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        cache.ensure_trace_file(&gemm, Scale::Test, 42, PageSize::Small)
+                    })
+                })
+                .collect();
+            writers
+                .into_iter()
+                .map(|w| w.join().unwrap().expect("both writers succeed"))
+                .collect()
+        });
+        assert_eq!(paths[0], paths[1]);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names.len(), 1, "a temp file was left behind: {names:?}");
+        let reader = TraceReader::open(&paths[0]).expect("the trace opens");
+        assert_eq!(reader.seed(), 42);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
