@@ -51,17 +51,12 @@ pub struct Fig2Row {
 
 /// Figure 2: baseline L1 TLB hit rates at 64 vs 256 entries.
 pub fn fig2(scale: Scale) -> Vec<Fig2Row> {
-    fig2_for(&registry(), scale)
+    fig2_grid(&registry(), scale, &Grid::serial())
 }
 
 /// [`fig2`] over an explicit benchmark set (e.g.
-/// [`workloads::extended_registry`]).
-pub fn fig2_for(specs: &[BenchmarkSpec], scale: Scale) -> Vec<Fig2Row> {
-    fig2_grid(specs, scale, &Grid::serial())
-}
-
-/// [`fig2`] over a parallel [`Grid`] (one cell per benchmark ×
-/// mechanism; output identical to the serial run).
+/// [`workloads::extended_registry`]) and a parallel [`Grid`] (one cell
+/// per benchmark × mechanism; output identical to the serial run).
 pub fn fig2_grid(specs: &[BenchmarkSpec], scale: Scale, grid: &Grid) -> Vec<Fig2Row> {
     let mechs = [Mechanism::Baseline, Mechanism::LargeTlb];
     let hits = grid.map(&cells(specs.len(), &mechs), |&(i, m)| {
@@ -102,19 +97,10 @@ pub struct Fig34Row {
 /// TB pairs are subsampled to at most `max_tbs` TBs per benchmark
 /// (`None` = exhaustive, quadratic).
 pub fn fig3_4(scale: Scale, max_tbs: Option<usize>) -> Vec<Fig34Row> {
-    fig3_4_for(&registry(), scale, max_tbs)
+    fig3_4_grid(&registry(), scale, max_tbs, &Grid::serial())
 }
 
-/// [`fig3_4`] over an explicit benchmark set.
-pub fn fig3_4_for(
-    specs: &[BenchmarkSpec],
-    scale: Scale,
-    max_tbs: Option<usize>,
-) -> Vec<Fig34Row> {
-    fig3_4_grid(specs, scale, max_tbs, &Grid::serial())
-}
-
-/// [`fig3_4`] over a parallel [`Grid`] (one cell per benchmark — the
+/// [`fig3_4`] over an explicit benchmark set and a parallel [`Grid`] (one cell per benchmark — the
 /// study is trace analysis, not simulation).
 pub fn fig3_4_grid(
     specs: &[BenchmarkSpec],
@@ -158,15 +144,10 @@ pub const DISTANCE_EXPONENTS: (u32, u32) = (3, 14);
 /// Figures 5 and 6: intra-TB reuse-distance CDFs with and without
 /// inter-TB interference.
 pub fn fig5_6(scale: Scale) -> Vec<Fig56Row> {
-    fig5_6_for(&registry(), scale)
+    fig5_6_grid(&registry(), scale, &Grid::serial())
 }
 
-/// [`fig5_6`] over an explicit benchmark set.
-pub fn fig5_6_for(specs: &[BenchmarkSpec], scale: Scale) -> Vec<Fig56Row> {
-    fig5_6_grid(specs, scale, &Grid::serial())
-}
-
-/// [`fig5_6`] over a parallel [`Grid`] (one cell per benchmark ×
+/// [`fig5_6`] over an explicit benchmark set and a parallel [`Grid`] (one cell per benchmark ×
 /// concurrency cap).
 pub fn fig5_6_grid(specs: &[BenchmarkSpec], scale: Scale, grid: &Grid) -> Vec<Fig56Row> {
     let caps: [Option<u8>; 2] = [None, Some(1)];
@@ -212,15 +193,10 @@ pub struct Fig1011Row {
 
 /// Figures 10 and 11: the four evaluated configurations per benchmark.
 pub fn fig10_11(scale: Scale) -> Vec<Fig1011Row> {
-    fig10_11_for(&registry(), scale)
+    fig10_11_grid(&registry(), scale, &Grid::serial())
 }
 
-/// [`fig10_11`] over an explicit benchmark set.
-pub fn fig10_11_for(specs: &[BenchmarkSpec], scale: Scale) -> Vec<Fig1011Row> {
-    fig10_11_grid(specs, scale, &Grid::serial())
-}
-
-/// [`fig10_11`] over a parallel [`Grid`] (one cell per benchmark ×
+/// [`fig10_11`] over an explicit benchmark set and a parallel [`Grid`] (one cell per benchmark ×
 /// mechanism — the main 40-cell grid of the evaluation).
 pub fn fig10_11_grid(specs: &[BenchmarkSpec], scale: Scale, grid: &Grid) -> Vec<Fig1011Row> {
     let mechs = Mechanism::figure10();
@@ -273,15 +249,10 @@ pub struct Fig12Row {
 /// Figure 12: the proposal combined with PACT'20 TLB compression,
 /// normalized to compression alone.
 pub fn fig12(scale: Scale) -> Vec<Fig12Row> {
-    fig12_for(&registry(), scale)
+    fig12_grid(&registry(), scale, &Grid::serial())
 }
 
-/// [`fig12`] over an explicit benchmark set.
-pub fn fig12_for(specs: &[BenchmarkSpec], scale: Scale) -> Vec<Fig12Row> {
-    fig12_grid(specs, scale, &Grid::serial())
-}
-
-/// [`fig12`] over a parallel [`Grid`] (one cell per benchmark ×
+/// [`fig12`] over an explicit benchmark set and a parallel [`Grid`] (one cell per benchmark ×
 /// mechanism).
 pub fn fig12_grid(specs: &[BenchmarkSpec], scale: Scale, grid: &Grid) -> Vec<Fig12Row> {
     let mechs = [Mechanism::Compression, Mechanism::FullWithCompression];
@@ -319,15 +290,10 @@ pub struct HugePageRow {
 
 /// Section V huge-page study: 2 MiB pages, baseline vs the full proposal.
 pub fn hugepage(scale: Scale) -> Vec<HugePageRow> {
-    hugepage_for(&registry(), scale)
+    hugepage_grid(&registry(), scale, &Grid::serial())
 }
 
-/// [`hugepage`] over an explicit benchmark set.
-pub fn hugepage_for(specs: &[BenchmarkSpec], scale: Scale) -> Vec<HugePageRow> {
-    hugepage_grid(specs, scale, &Grid::serial())
-}
-
-/// [`hugepage`] over a parallel [`Grid`] (one cell per benchmark ×
+/// [`hugepage`] over an explicit benchmark set and a parallel [`Grid`] (one cell per benchmark ×
 /// mechanism, 2 MiB pages).
 pub fn hugepage_grid(specs: &[BenchmarkSpec], scale: Scale, grid: &Grid) -> Vec<HugePageRow> {
     let mechs = [Mechanism::Baseline, Mechanism::Full];
@@ -367,12 +333,7 @@ pub struct VarianceRow {
 
 /// Seed-sensitivity study: reruns the Figure 11 headline comparison under
 /// several workload seeds and reports mean ± std of the full proposal's
-/// normalized time.
-pub fn fig11_variance(scale: Scale, seeds: &[u64]) -> Vec<VarianceRow> {
-    fig11_variance_grid(scale, seeds, &Grid::serial())
-}
-
-/// [`fig11_variance`] over a parallel [`Grid`] (one cell per benchmark ×
+/// normalized time, on a parallel [`Grid`] (one cell per benchmark ×
 /// seed × mechanism).
 pub fn fig11_variance_grid(scale: Scale, seeds: &[u64], grid: &Grid) -> Vec<VarianceRow> {
     let specs = registry();
@@ -427,12 +388,8 @@ pub struct WarpStudyRow {
 }
 
 /// The paper's §VII future work: reuse distances at warp granularity,
-/// side by side with the TB-granularity Figure 5 numbers.
-pub fn warp_study(scale: Scale) -> Vec<WarpStudyRow> {
-    warp_study_grid(scale, &Grid::serial())
-}
-
-/// [`warp_study`] over a parallel [`Grid`] (one cell per benchmark).
+/// side by side with the TB-granularity Figure 5 numbers, on a parallel
+/// [`Grid`] (one cell per benchmark).
 pub fn warp_study_grid(scale: Scale, grid: &Grid) -> Vec<WarpStudyRow> {
     let specs = registry();
     let idx: Vec<usize> = (0..specs.len()).collect();
@@ -484,13 +441,8 @@ pub const CORUN_MECHANISMS: [Mechanism; 4] = [
 /// spaces sharing the GPU under each of [`CORUN_MECHANISMS`]. Each app's
 /// solo baseline is a 1-app co-run through the same merged path, so the
 /// slowdown's numerator and denominator share dispatch semantics (see
-/// `gpu_sim`'s co-run module docs).
-pub fn corun_study(apps: &[BenchmarkSpec], scale: Scale) -> Vec<CorunRow> {
-    corun_study_grid(apps, scale, &Grid::serial())
-}
-
-/// [`corun_study`] over a parallel [`Grid`] (one cell per mechanism ×
-/// {co-run, each solo baseline}).
+/// `gpu_sim`'s co-run module docs). Runs on a parallel [`Grid`] (one
+/// cell per mechanism × {co-run, each solo baseline}).
 pub fn corun_study_grid(apps: &[BenchmarkSpec], scale: Scale, grid: &Grid) -> Vec<CorunRow> {
     let cells: Vec<(Mechanism, Option<usize>)> = CORUN_MECHANISMS
         .iter()
@@ -547,7 +499,7 @@ mod tests {
     fn spec_filtered_variants_respect_the_set() {
         let ext = extended_registry();
         let just_two = &ext[10..];
-        let rows = fig2_for(just_two, Scale::Test);
+        let rows = fig2_grid(just_two, Scale::Test, &Grid::serial());
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].bench, "embedding");
         assert_eq!(rows[1].bench, "mlp");
@@ -588,7 +540,7 @@ mod tests {
 
     #[test]
     fn variance_rows_have_small_spread_on_regular_kernels() {
-        let rows = fig11_variance(Scale::Test, &[1, 2]);
+        let rows = fig11_variance_grid(Scale::Test, &[1, 2], &Grid::serial());
         assert_eq!(rows.len(), 10);
         let gemm = rows.iter().find(|r| r.bench == "gemm").unwrap();
         // gemm's generator ignores the seed entirely.
@@ -597,7 +549,7 @@ mod tests {
 
     #[test]
     fn warp_study_bounds() {
-        for r in warp_study(Scale::Test) {
+        for r in warp_study_grid(Scale::Test, &Grid::serial()) {
             assert!((0.0..=1.0).contains(&r.tb_at_reach), "{}", r.bench);
             assert!((0.0..=1.0).contains(&r.warp_at_reach), "{}", r.bench);
             // Intra-warp pairs are a subset of intra-TB pairs with equal

@@ -263,16 +263,12 @@ impl Simulator {
         let l1_tlbs: Vec<Box<dyn TranslationBuffer>> = (0..n_sms)
             .map(|_| (self.l1_tlb_factory)(&self.config))
             .collect();
-        // A run with no address spaces has no traffic either; the page
-        // size is then irrelevant, so default rather than panic here.
-        let page_size = spaces
-            .first()
-            .map_or(PageSize::default(), AddressSpace::page_size);
         let (fronts, back) =
             HierarchyBuilder::new(self.config.hierarchy()).build_split_multi(spaces, l1_tlbs);
+        let hier = Hierarchy::from_split(fronts, back);
         let mut shared = SharedState {
-            hier: Hierarchy::from_split(fronts, back),
-            page_size,
+            page_size: hier.page_size(),
+            hier,
             trace: self.trace_translations.then(Vec::new),
             sanitize,
         };

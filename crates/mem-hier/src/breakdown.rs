@@ -172,7 +172,13 @@ mod tests {
         let mut agg = LatencyBreakdown::default();
         let b = walk_breakdown();
         agg.record(&b, b.total());
-        agg.record(&TranslationBreakdown { l1_tlb: 1, ..Default::default() }, 1);
+        agg.record(
+            &TranslationBreakdown {
+                l1_tlb: 1,
+                ..Default::default()
+            },
+            1,
+        );
         assert_eq!(agg.translations, 2);
         assert_eq!(agg.stage_sum(), b.total() + 1);
         assert!(agg.check().is_ok());

@@ -110,8 +110,13 @@ fn divmod_by_magic(n: u64, d: u64, magic: u64) -> (u64, u64) {
 impl Cache {
     /// Creates an empty cache.
     pub fn new(config: CacheConfig) -> Self {
-        let pow2 = (config.line_bytes.is_power_of_two() && config.sets().is_power_of_two())
-            .then(|| (config.line_bytes.trailing_zeros(), config.sets().trailing_zeros()));
+        let pow2 =
+            (config.line_bytes.is_power_of_two() && config.sets().is_power_of_two()).then(|| {
+                (
+                    config.line_bytes.trailing_zeros(),
+                    config.sets().trailing_zeros(),
+                )
+            });
         let sets = config.sets() as u64;
         let set_magic = if pow2.is_none() && sets >= 2 {
             u64::MAX / sets
@@ -278,7 +283,7 @@ mod tests {
         // Fill set 0 (2 ways) with one dirty and one clean line.
         c.access(0, true); // dirty
         c.access(2 * 128, false); // clean
-        // Two more fills evict both.
+                                  // Two more fills evict both.
         c.access(4 * 128, false);
         c.access(6 * 128, false);
         assert_eq!(c.stats().evictions, 2);

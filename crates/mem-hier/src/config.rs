@@ -39,7 +39,10 @@ impl CacheConfig {
             bytes.is_multiple_of(line_bytes),
             "capacity must be a whole number of lines"
         );
-        assert!(lines.is_multiple_of(associativity), "lines must fill whole sets");
+        assert!(
+            lines.is_multiple_of(associativity),
+            "lines must fill whole sets"
+        );
         CacheConfig {
             bytes,
             associativity,

@@ -1,28 +1,26 @@
 //! # mem-hier — composable GPU memory-hierarchy stages with per-level
 //! latency attribution
 //!
-//! This crate factors the translation and data paths of the DAC'23
+//! This crate models the translation and data paths of the DAC'23
 //! reproduction (*Orchestrated Scheduling and Partitioning for Improved
-//! Address Translation in GPUs*) out of the timing engine into explicit,
-//! individually replaceable stages:
+//! Address Translation in GPUs*): the paper's Figure 1 pipeline, split at
+//! the line between SM-private and shared state.
 //!
-//! * [`Stage`] — the uniform interface: an [`Access`] in, an [`Outcome`]
-//!   out, each outcome carrying its own queue/service/fault latency
-//!   contribution and every stage keeping [`StageStats`].
-//! * [`PerSmFront`] / [`SharedBack`] — the private/shared split of the
-//!   paper's Figure 1 pipeline. Each front owns one SM's L1 TLB and
-//!   VIPT L1 data cache; the back owns the order-sensitive shared
-//!   stages — [`IcntLink`], [`L2TlbStage`] (with reusable [`Ports`]
-//!   arbitration), [`WalkerStage`], and the L2/DRAM data path.
-//! * [`Hierarchy`] — the fronts and the back composed behind one
+//! * [`PerSmFront`] — one SM's private L1 TLB and VIPT L1 data cache.
+//! * [`SharedBack`] — the order-sensitive shared stages: the
+//!   interconnect hop, the VPN-interleaved L2 TLB slices ([`L2Slice`],
+//!   organized per [`L2Policy`]) behind their lookup ports, the
+//!   page-table-walker pool over the address spaces, and the L2/DRAM
+//!   data path.
+//! * [`Hierarchy`] — the fronts and the back joined behind one
 //!   [`Hierarchy::translate`] / [`Hierarchy::data_access`] call per
-//!   access. The timing engine owns one and calls it as each warp
-//!   instruction issues.
-//! * [`HierarchyBuilder`] — config-driven composition into the split
-//!   halves ([`HierarchyBuilder::build_split`]), which
-//!   [`Hierarchy::from_split`] joins, or straight into a [`Hierarchy`].
+//!   [`Access`], and the one accessor layer over both. The timing engine
+//!   owns one and calls it as each warp instruction issues.
+//! * [`HierarchyBuilder`] — config-driven construction of the two halves
+//!   ([`HierarchyBuilder::build_split_multi`]), which
+//!   [`Hierarchy::from_split`] joins.
 //! * [`LatencyBreakdown`] — per-level attribution (L1 TLB / icnt / L2
-//!   TLB queueing / L2 TLB lookup / walk / fault) whose stage sums are
+//!   TLB queueing / L2 TLB lookup / walk / fault) whose level sums are
 //!   cross-checked against independently accumulated end-to-end
 //!   translation latency; fronts and back each hold their share, merged
 //!   by order-independent counter sums.
@@ -30,7 +28,7 @@
 //! # Example
 //!
 //! ```
-//! use mem_hier::{Access, HierarchyBuilder, HierarchyConfig, CacheConfig};
+//! use mem_hier::{Access, CacheConfig, Hierarchy, HierarchyBuilder, HierarchyConfig};
 //! use tlb::{SetAssocTlb, TlbConfig, TranslationBuffer};
 //! use vmem::{AddressSpace, PageSize};
 //!
@@ -56,7 +54,8 @@
 //! };
 //! let l1s: Vec<Box<dyn TranslationBuffer>> =
 //!     vec![Box::new(SetAssocTlb::new(TlbConfig::dac23_l1()))];
-//! let mut hier = HierarchyBuilder::new(config).build(space, l1s);
+//! let (fronts, back) = HierarchyBuilder::new(config).build_split_multi(vec![space], l1s);
+//! let mut hier = Hierarchy::from_split(fronts, back);
 //!
 //! let va = buf.addr_of(0);
 //! let t = hier.translate(&Access {
@@ -81,15 +80,12 @@ mod cache;
 mod config;
 mod hierarchy;
 mod ports;
-mod split;
 mod stage;
 mod stages;
 
 pub use breakdown::{LatencyBreakdown, TranslationBreakdown};
 pub use cache::{Cache, CacheStats};
 pub use config::{CacheConfig, HierarchyConfig, L2Policy};
-pub use hierarchy::{Hierarchy, HierarchyBuilder, HitLevel, Translation};
-pub use ports::Ports;
-pub use split::{PerSmFront, SharedBack};
-pub use stage::{Access, Outcome, Stage, StageStats};
-pub use stages::{IcntLink, L2Slice, L2TlbStage, SliceKind, WalkerStage};
+pub use hierarchy::{Hierarchy, HierarchyBuilder, HitLevel, PerSmFront, SharedBack, Translation};
+pub use stage::Access;
+pub use stages::L2Slice;

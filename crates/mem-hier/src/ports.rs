@@ -7,23 +7,11 @@
 /// This models the L2 TLB's lookup ports (Table III gives each slice 2):
 /// when L1 TLB miss floods from all 16 SMs converge on one slice, the
 /// grant queue is what turns poor L1 hit rates into execution-time loss.
-///
-/// # Example
-///
-/// ```
-/// use mem_hier::Ports;
-///
-/// let mut p = Ports::new(1, 1);
-/// assert_eq!(p.acquire(10), 10); // free port: immediate grant
-/// assert_eq!(p.acquire(10), 11); // port busy for 1 cycle: queued
-/// assert_eq!(p.waited_cycles(), 1);
-/// ```
 #[derive(Debug, Clone)]
 pub struct Ports {
     /// Next-free cycle per port.
     free_at: Vec<u64>,
     occupancy: u64,
-    waited: u64,
 }
 
 impl Ports {
@@ -34,7 +22,6 @@ impl Ports {
         Ports {
             free_at: vec![0; ports.max(1)],
             occupancy: occupancy.max(1),
-            waited: 0,
         }
     }
 
@@ -48,23 +35,7 @@ impl Ports {
             .expect("port banks are sized max(1) at construction"); // simlint: allow(hot-unwrap, reason = "port banks are sized max(1) at construction")
         let grant = at.max(*slot);
         *slot = grant + self.occupancy;
-        self.waited += grant - at;
         grant
-    }
-
-    /// Number of ports in the bank.
-    pub fn ports(&self) -> usize {
-        self.free_at.len()
-    }
-
-    /// Cycles a grant holds a port.
-    pub fn occupancy(&self) -> u64 {
-        self.occupancy
-    }
-
-    /// Total cycles requests waited for a grant.
-    pub fn waited_cycles(&self) -> u64 {
-        self.waited
     }
 }
 
@@ -73,12 +44,18 @@ mod tests {
     use super::*;
 
     #[test]
+    fn busy_port_queues_the_next_request() {
+        let mut p = Ports::new(1, 1);
+        assert_eq!(p.acquire(10), 10, "free port: immediate grant");
+        assert_eq!(p.acquire(10), 11, "port busy for 1 cycle: queued");
+    }
+
+    #[test]
     fn parallel_ports_grant_same_cycle() {
         let mut p = Ports::new(2, 1);
         assert_eq!(p.acquire(5), 5);
         assert_eq!(p.acquire(5), 5);
         assert_eq!(p.acquire(5), 6, "third request queues");
-        assert_eq!(p.waited_cycles(), 1);
     }
 
     #[test]
@@ -87,7 +64,6 @@ mod tests {
         assert_eq!(p.acquire(0), 0);
         assert_eq!(p.acquire(0), 10);
         assert_eq!(p.acquire(0), 20);
-        assert_eq!(p.waited_cycles(), 30);
     }
 
     #[test]
@@ -96,14 +72,13 @@ mod tests {
         assert_eq!(p.acquire(0), 0);
         // Long idle gap: the port freed long ago.
         assert_eq!(p.acquire(1000), 1000);
-        assert_eq!(p.waited_cycles(), 0);
     }
 
     #[test]
     fn zero_geometry_clamps_to_usable() {
         let mut p = Ports::new(0, 0);
-        assert_eq!(p.ports(), 1);
-        assert_eq!(p.occupancy(), 1);
+        assert_eq!(p.free_at.len(), 1);
+        assert_eq!(p.occupancy, 1);
         assert_eq!(p.acquire(0), 0);
         assert_eq!(p.acquire(0), 1);
     }

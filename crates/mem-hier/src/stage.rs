@@ -1,13 +1,14 @@
-//! The uniform stage interface: `Access` in, `Outcome` out.
+//! What flows between the levels of the translation path: an [`Access`]
+//! in, an [`Outcome`] out, and the [`StageStats`] each level keeps.
 //!
-//! Every level of the translation path — the per-SM L1 TLB, the
-//! interconnect hop, the sliced L2 TLB, the walker pool — implements
-//! [`Stage`]. An [`Outcome`] carries the stage's *own* latency
-//! contribution split into queueing / service / fault cycles, so the
-//! hierarchy can attribute every cycle of a translation to exactly one
-//! level (the invariant checked by
+//! Every level — the per-SM L1 TLB, the interconnect hop, the sliced L2
+//! TLB, the walker pool — answers an access with an outcome carrying the
+//! level's *own* latency contribution split into queueing / service /
+//! fault cycles, so the hierarchy can attribute every cycle of a
+//! translation to exactly one level (the invariant checked by
 //! [`LatencyBreakdown`](crate::LatencyBreakdown)).
 
+use tlb::TlbRequest;
 use vmem::{Asid, PageSize, Ppn, VirtAddr, Vpn};
 
 /// One translation request traversing the hierarchy.
@@ -38,6 +39,11 @@ impl Access {
     pub fn arriving_at(&self, at: u64) -> Access {
         Access { at, ..*self }
     }
+}
+
+/// The TLB request an access makes at every TLB level.
+pub(crate) fn request(acc: &Access) -> TlbRequest {
+    TlbRequest::with_page_size(acc.vpn, acc.tb_slot, acc.page_size).with_asid(acc.asid)
 }
 
 /// What a stage did with an access.
@@ -94,9 +100,9 @@ impl StageStats {
         self.service_cycles += out.service_cycles;
     }
 
-    /// Component-wise sum: merges per-SM accumulators (the parallel
-    /// engine keeps one per front) into the stage total. Pure u64
-    /// addition, so the merge is order-independent.
+    /// Component-wise sum: merges the per-SM L1 TLB counters (each
+    /// front keeps its own) into the stage total. Pure u64 addition, so
+    /// the merge is order-independent.
     pub fn merged(self, other: StageStats) -> StageStats {
         StageStats {
             accesses: self.accesses + other.accesses,
@@ -105,22 +111,6 @@ impl StageStats {
             service_cycles: self.service_cycles + other.service_cycles,
         }
     }
-}
-
-/// A level of the memory hierarchy with uniform access semantics.
-///
-/// Implementations are free to keep arbitrary internal state (TLB
-/// arrays, port schedules, walker occupancy); the composition layer
-/// ([`Hierarchy`](crate::Hierarchy)) only sees requests in and timed
-/// outcomes out, which is what lets MASK- or Mosaic-style variants
-/// replace a single level without rewiring the engine.
-pub trait Stage {
-    /// Short stable name for reports and debugging.
-    fn name(&self) -> &'static str;
-    /// Processes one access, advancing internal state.
-    fn access(&mut self, acc: &Access) -> Outcome;
-    /// Cumulative activity counters.
-    fn stats(&self) -> StageStats;
 }
 
 #[cfg(test)]

@@ -1,27 +1,24 @@
 //! The shared pipeline's concrete stages (the back half of the paper's
 //! Figure 1): the interconnect hop, the VPN-interleaved L2 TLB, and the
-//! shared walker pool. The SM-private stages (L1 TLB, VIPT L1 data
-//! cache) live on [`PerSmFront`](crate::PerSmFront) in `split.rs`.
+//! shared walker pool. Each answers an [`Access`] with an [`Outcome`] and
+//! keeps its own [`StageStats`]. The SM-private stages (L1 TLB, VIPT L1
+//! data cache) live on [`PerSmFront`](crate::PerSmFront).
 
 use crate::config::L2Policy;
 use crate::ports::Ports;
-use crate::stage::{Access, Outcome, Stage, StageStats};
+use crate::stage::{request, Access, Outcome, StageStats};
 use tlb::{
     InvariantViolation, SetAssocTlb, SubEntryTlb, TlbConfig, TlbOutcome, TlbRequest, TlbStats,
     TranslationBuffer,
 };
-use vmem::{AddressSpace, Asid, FaultKind, PageSize, Ppn, Vpn, WalkerPool, WalkerStats};
-
-fn request(acc: &Access) -> TlbRequest {
-    TlbRequest::with_page_size(acc.vpn, acc.tb_slot, acc.page_size).with_asid(acc.asid)
-}
+use vmem::{AddressSpace, Asid, FaultKind, Ppn, Vpn, WalkerPool};
 
 /// One direction of the SM-to-partition interconnect: a fixed-latency
 /// hop with no arbitration (the engine models contention at the L2 TLB
 /// ports and the walker pool, not on the network itself).
 pub struct IcntLink {
-    latency: u64,
-    stats: StageStats,
+    pub(crate) latency: u64,
+    pub(crate) stats: StageStats,
 }
 
 impl IcntLink {
@@ -33,18 +30,8 @@ impl IcntLink {
         }
     }
 
-    /// The hop latency in cycles.
-    pub fn latency(&self) -> u64 {
-        self.latency
-    }
-}
-
-impl Stage for IcntLink {
-    fn name(&self) -> &'static str {
-        "icnt"
-    }
-
-    fn access(&mut self, acc: &Access) -> Outcome {
+    /// Forwards one access after the hop latency.
+    pub fn access(&mut self, acc: &Access) -> Outcome {
         let o = Outcome {
             ppn: None,
             ready_at: acc.at + self.latency,
@@ -54,10 +41,6 @@ impl Stage for IcntLink {
         };
         self.stats.record(&o);
         o
-    }
-
-    fn stats(&self) -> StageStats {
-        self.stats
     }
 }
 
@@ -102,10 +85,10 @@ struct Tokens {
     bypasses: u64,
 }
 
-/// One slice of the shared L2 TLB: a [`SliceKind`] structure, optionally
-/// guarded by MASK-style fill tokens. The token gate lives *inside*
-/// [`L2Slice::insert`] and reads only resident-entry state, never the
-/// payload.
+/// One slice of the shared L2 TLB: a set-associative or sub-entry-sharing
+/// structure (per [`L2Policy`]), optionally guarded by MASK-style fill
+/// tokens. The token gate lives *inside* [`L2Slice::insert`] and reads
+/// only resident-entry state, never the payload.
 pub struct L2Slice {
     kind: SliceKind,
     tokens: Option<Tokens>,
@@ -205,9 +188,9 @@ impl L2Slice {
 /// by a [`Ports`] bank. Requests first win a port (queueing under miss
 /// floods), then probe the slice.
 pub struct L2TlbStage {
-    slices: Vec<L2Slice>,
+    pub(crate) slices: Vec<L2Slice>,
     ports: Vec<Ports>,
-    stats: StageStats,
+    pub(crate) stats: StageStats,
 }
 
 impl L2TlbStage {
@@ -251,11 +234,6 @@ impl L2TlbStage {
         self.slices[s].insert(&request(acc), ppn);
     }
 
-    /// The slices, in interleave order.
-    pub fn slices(&self) -> &[L2Slice] {
-        &self.slices
-    }
-
     /// Aggregate TLB counters summed over slices.
     pub fn tlb_stats(&self) -> TlbStats {
         self.slices
@@ -265,7 +243,8 @@ impl L2TlbStage {
 
     /// Per-ASID TLB counters merged over slices, sorted by ASID.
     pub fn tlb_stats_by_asid(&self) -> Vec<(Asid, TlbStats)> {
-        let mut merged: std::collections::BTreeMap<Asid, TlbStats> = std::collections::BTreeMap::new();
+        let mut merged: std::collections::BTreeMap<Asid, TlbStats> =
+            std::collections::BTreeMap::new();
         for slice in &self.slices {
             for (asid, s) in slice.stats_by_asid() {
                 let e = merged.entry(asid).or_default();
@@ -275,18 +254,8 @@ impl L2TlbStage {
         merged.into_iter().collect()
     }
 
-    /// Fills that bypassed a slice on exhausted MASK tokens, summed.
-    pub fn token_bypasses(&self) -> u64 {
-        self.slices.iter().map(L2Slice::token_bypasses).sum()
-    }
-}
-
-impl Stage for L2TlbStage {
-    fn name(&self) -> &'static str {
-        "l2_tlb"
-    }
-
-    fn access(&mut self, acc: &Access) -> Outcome {
+    /// Wins a port on the slice owning the access's VPN, then probes it.
+    pub fn access(&mut self, acc: &Access) -> Outcome {
         let s = self.slice_of(acc);
         let grant = self.ports[s].acquire(acc.at);
         let out = self.slices[s].lookup(&request(acc));
@@ -305,10 +274,6 @@ impl Stage for L2TlbStage {
         self.stats.record(&o);
         o
     }
-
-    fn stats(&self) -> StageStats {
-        self.stats
-    }
 }
 
 /// The shared page-table-walker pool plus the UVM address spaces it
@@ -317,34 +282,16 @@ impl Stage for L2TlbStage {
 /// penalty as `fault_cycles`, attributed separately from the walk
 /// itself.
 pub struct WalkerStage {
-    pool: WalkerPool,
-    spaces: Vec<AddressSpace>,
+    pub(crate) pool: WalkerPool,
+    pub(crate) spaces: Vec<AddressSpace>,
     base_latency: u64,
     per_level_latency: u64,
     fault_latency: u64,
-    demand_faults: u64,
-    stats: StageStats,
+    pub(crate) demand_faults: u64,
+    pub(crate) stats: StageStats,
 }
 
 impl WalkerStage {
-    /// Builds the pool over a single address space (the solo-run shape;
-    /// see [`WalkerStage::new_multi`] for co-runs).
-    pub fn new(
-        space: AddressSpace,
-        walkers: usize,
-        walk_latency: u64,
-        per_level_latency: u64,
-        fault_latency: u64,
-    ) -> Self {
-        Self::new_multi(
-            vec![space],
-            walkers,
-            walk_latency,
-            per_level_latency,
-            fault_latency,
-        )
-    }
-
     /// Builds the pool over one address space per co-running app (ASID
     /// `i` walks `spaces[i]`'s page table) with the paper's analytic walk
     /// model: `walk_latency` flat, plus `per_level_latency` per radix
@@ -378,43 +325,9 @@ impl WalkerStage {
         }
     }
 
-    /// UVM demand faults taken so far.
-    pub fn demand_faults(&self) -> u64 {
-        self.demand_faults
-    }
-
-    /// Walker-pool activity counters.
-    pub fn walker_stats(&self) -> WalkerStats {
-        self.pool.stats()
-    }
-
-    /// The address space of ASID 0 (the solo-run accessor).
-    pub fn space(&self) -> &AddressSpace {
-        &self.spaces[0]
-    }
-
-    /// All address spaces, indexed by ASID.
-    pub fn spaces(&self) -> &[AddressSpace] {
-        &self.spaces
-    }
-
-    /// `asid`'s address space.
-    pub fn space_of(&self, asid: Asid) -> &AddressSpace {
-        &self.spaces[asid.index()]
-    }
-
-    /// Page size of the address spaces (identical across apps).
-    pub fn page_size(&self) -> PageSize {
-        self.spaces[0].page_size()
-    }
-}
-
-impl Stage for WalkerStage {
-    fn name(&self) -> &'static str {
-        "walker"
-    }
-
-    fn access(&mut self, acc: &Access) -> Outcome {
+    /// Walks `acc`'s page in its ASID's address space on the pool,
+    /// demand-paging it on first touch.
+    pub fn access(&mut self, acc: &Access) -> Outcome {
         // One radix traversal serves both the translation (first touch
         // demand-pages the frame in, mutating the space) and the walk's
         // measured depth — `translate_with_walk_info` reports the level
@@ -459,16 +372,12 @@ impl Stage for WalkerStage {
         self.stats.record(&o);
         o
     }
-
-    fn stats(&self) -> StageStats {
-        self.stats
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vmem::Vpn;
+    use vmem::{PageSize, Vpn};
 
     fn acc(at: u64, vpn: u64) -> Access {
         Access {
@@ -502,7 +411,7 @@ mod tests {
     fn l2_stage_queues_on_ports_and_interleaves_slices() {
         // 4 slices, 1 port each, occupancy 1.
         let mut l2 = L2TlbStage::new(TlbConfig::dac23_l2(), 4, 1, 1, L2Policy::Shared);
-        assert_eq!(l2.slices().len(), 4);
+        assert_eq!(l2.slices.len(), 4);
         // VPNs 0 and 4 both map to slice 0; back-to-back lookups at the
         // same cycle serialize on the single port.
         let first = l2.access(&acc(0, 0));
@@ -554,8 +463,12 @@ mod tests {
         for vpn in 0..3u64 {
             l2.fill(&acc_as(1, 0, vpn), Ppn::new(100 + vpn));
         }
-        assert_eq!(l2.token_bypasses(), 1, "third fill exceeded the quota");
-        assert_eq!(l2.slices()[0].resident_of(Asid::new(1)), 2);
+        assert_eq!(
+            l2.slices[0].token_bypasses(),
+            1,
+            "third fill exceeded the quota"
+        );
+        assert_eq!(l2.slices[0].resident_of(Asid::new(1)), 2);
         assert!(
             l2.access(&acc_as(1, 10, 2)).ppn.is_none(),
             "bypassed fill left no entry"
@@ -563,7 +476,7 @@ mod tests {
         // Another app still has its own tokens.
         l2.fill(&acc_as(2, 0, 7), Ppn::new(900));
         assert_eq!(l2.access(&acc_as(2, 20, 7)).ppn, Some(Ppn::new(900)));
-        for s in l2.slices() {
+        for s in &l2.slices {
             s.check_invariants().expect("token quota invariant holds");
         }
     }
@@ -593,7 +506,7 @@ mod tests {
         let mut space = AddressSpace::new(PageSize::Small);
         let buf = space.allocate("b", 1 << 16).expect("fresh space");
         let va = buf.addr_of(0);
-        let mut w = WalkerStage::new(space, 8, 500, 0, 2000);
+        let mut w = WalkerStage::new_multi(vec![space], 8, 500, 0, 2000);
         let a = Access {
             va,
             vpn: va.vpn(PageSize::Small),
@@ -602,12 +515,12 @@ mod tests {
         let first = w.access(&a);
         assert_eq!(first.fault_cycles, 2000, "first touch demand-pages");
         assert_eq!(first.ready_at, 2500);
-        assert_eq!(w.demand_faults(), 1);
+        assert_eq!(w.demand_faults, 1);
         // Same page later: walk only, no fault.
         let again = w.access(&a.arriving_at(10_000));
         assert_eq!(again.fault_cycles, 0);
         assert_eq!(again.ready_at, 10_500);
-        assert_eq!(w.walker_stats().walks, 2);
+        assert_eq!(w.pool.stats().walks, 2);
     }
 
     #[test]
@@ -634,16 +547,16 @@ mod tests {
         let b = w.access(&mk(1, 0));
         assert_eq!(a.fault_cycles, 2000, "app 0 first touch");
         assert_eq!(b.fault_cycles, 2000, "app 1 first touch is its own");
-        assert_eq!(w.demand_faults(), 2);
+        assert_eq!(w.demand_faults, 2);
         assert_eq!(
-            w.walker_stats().coalesced,
+            w.pool.stats().coalesced,
             0,
             "same VPN, different ASIDs: no shared walk"
         );
         // Same app re-walking the same page does coalesce.
         let _ = w.access(&mk(0, 1));
         let _ = w.access(&mk(0, 2));
-        assert!(w.walker_stats().coalesced >= 1);
+        assert!(w.pool.stats().coalesced >= 1);
     }
 
     #[test]
@@ -651,7 +564,7 @@ mod tests {
         let mut space = AddressSpace::new(PageSize::Small);
         let buf = space.allocate("b", 1 << 16).expect("fresh space");
         let va = buf.addr_of(0);
-        let mut w = WalkerStage::new(space, 8, 500, 0, 0);
+        let mut w = WalkerStage::new_multi(vec![space], 8, 500, 0, 0);
         let a = Access {
             va,
             vpn: va.vpn(PageSize::Small),
@@ -664,6 +577,6 @@ mod tests {
         let coalesced = w.access(&b);
         assert_eq!(coalesced.ready_at, first.ready_at);
         assert_eq!(coalesced.ready_at, b.at + coalesced.latency());
-        assert_eq!(w.walker_stats().coalesced, 1);
+        assert_eq!(w.pool.stats().coalesced, 1);
     }
 }

@@ -499,14 +499,14 @@ mod tests {
     #[test]
     fn module_qualified_calls_filter_by_crate() {
         let w = ws(&[
-            ("crates/mem-hier/src/split.rs", "pub fn apply() {}\n"),
+            ("crates/mem-hier/src/hierarchy.rs", "pub fn apply() {}\n"),
             ("crates/a/src/lib.rs", "pub fn apply() {}\n\
               pub fn top() { mem_hier::apply(); }\n"),
         ]);
         let top = find(&w, "top");
         let t = w.calls[top].clone();
         assert_eq!(t.len(), 1);
-        assert_eq!(w.rel(t[0]), "crates/mem-hier/src/split.rs");
+        assert_eq!(w.rel(t[0]), "crates/mem-hier/src/hierarchy.rs");
     }
 
     #[test]

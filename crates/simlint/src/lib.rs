@@ -93,16 +93,15 @@ pub const RESULT_CRATES: [&str; 8] = [
 
 /// Files forming the engine hot path (scope of `hot-unwrap` and
 /// `engine-lock`): the cycle loop plus every TLB organization's
-/// lookup/insert code, the lookup memo they share, and the
-/// private/shared hierarchy split. Kept for
+/// lookup/insert code, the lookup memo they share, and the memory
+/// hierarchy's per-access pipeline. Kept for
 /// one release cycle as a cross-check against graph-derived facts (every
 /// `TranslationBuffer` impl must live in one of these files).
-pub const HOT_PATHS: [&str; 13] = [
+pub const HOT_PATHS: [&str; 12] = [
     "crates/gpu-sim/src/engine.rs",
     "crates/gpu-sim/src/feed.rs",
     "crates/gpu-sim/src/corun.rs",
     "crates/mem-hier/src/hierarchy.rs",
-    "crates/mem-hier/src/split.rs",
     "crates/mem-hier/src/stages.rs",
     "crates/mem-hier/src/ports.rs",
     "crates/tlb/src/set_assoc.rs",
@@ -938,8 +937,8 @@ mod tests {
         let v = lint_source("crates/gpu-sim/src/engine.rs", src);
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().all(|v| v.rule == "engine-lock"), "{v:?}");
-        // The private/shared split is hot too.
-        let v = lint_source("crates/mem-hier/src/split.rs", "use std::sync::Mutex;\n");
+        // The memory hierarchy is hot too.
+        let v = lint_source("crates/mem-hier/src/hierarchy.rs", "use std::sync::Mutex;\n");
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "engine-lock");
         // Outside the hot path, locks are allowed.
@@ -958,8 +957,11 @@ mod tests {
         let v = lint_source("crates/gpu-sim/src/engine.rs", src);
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().all(|v| v.rule == "engine-spawn"), "{v:?}");
-        // The hierarchy split is hot too; no file is exempt.
-        let v = lint_source("crates/mem-hier/src/split.rs", "fn f() { std::thread::spawn(|| {}); }\n");
+        // The memory hierarchy is hot too; no file is exempt.
+        let v = lint_source(
+            "crates/mem-hier/src/hierarchy.rs",
+            "fn f() { std::thread::spawn(|| {}); }\n",
+        );
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "engine-spawn");
         // Unrelated identifiers named `scope`/`spawn` are fine.
@@ -1160,7 +1162,6 @@ mod tests {
         assert!(RESULT_CRATES.contains(&"crates/sim-oracle/"));
         for f in [
             "crates/mem-hier/src/hierarchy.rs",
-            "crates/mem-hier/src/split.rs",
             "crates/mem-hier/src/stages.rs",
             "crates/mem-hier/src/ports.rs",
             // The partitioned `insert`/`place` paths, every memoizing

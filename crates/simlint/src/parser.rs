@@ -774,7 +774,7 @@ mod tests {
 
     #[test]
     fn crate_of_paths() {
-        assert_eq!(crate_of("crates/mem-hier/src/split.rs"), "mem-hier");
+        assert_eq!(crate_of("crates/mem-hier/src/hierarchy.rs"), "mem-hier");
         assert_eq!(crate_of("src/lib.rs"), "orchestrated-tlb-repro");
     }
 }

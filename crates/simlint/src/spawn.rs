@@ -81,7 +81,7 @@ mod tests {
                 "pub fn run() { std::thread::spawn(|| {}); }\n",
             ),
             (
-                "crates/mem-hier/src/split.rs",
+                "crates/mem-hier/src/hierarchy.rs",
                 "pub fn drain() { std::thread::scope(|_s| {}); }\n",
             ),
         ]);
