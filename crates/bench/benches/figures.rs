@@ -5,7 +5,7 @@
 //! times the underlying harness at `Scale::Test` so `cargo bench` also
 //! reports simulator throughput.
 
-use bench::{fig10_11, fig12, fig2, fig3_4, fig5_6, geomean, hugepage, SEED};
+use bench::{fig10_11, fig12, fig2, fig3_4, fig5_6, geomean, hugepage, Grid, SEED};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 use workloads::{registry, Scale};
@@ -117,7 +117,8 @@ fn bench_fig10_11(c: &mut Criterion) {
     config(c).bench_function("fig10_11_mechanisms", |b| {
         b.iter(|| {
             let spec = registry().into_iter().find(|s| s.name == "mvt").unwrap();
-            std::hint::black_box(bench::fig10_11_one(&spec, Scale::Test))
+            let specs = std::slice::from_ref(&spec);
+            std::hint::black_box(bench::fig10_11_grid(specs, Scale::Test, &Grid::serial()))
         })
     });
 }

@@ -5,7 +5,8 @@
 //! just the lookup loop — so a regression here is a lookup regression,
 //! not a scheduling artifact. The memo remembers the last hitting way
 //! per set in `set_assoc` and `compressed`, and per TB slot in
-//! `partitioned`.
+//! `partitioned`; `partitioned` also remembers its latest miss, so the
+//! fill right after it skips the refresh probe (DESIGN.md §6).
 //!
 //! Mixes:
 //! - `reuse`: long same-page runs per TB slot (warp instructions
@@ -15,7 +16,8 @@
 //!   the memo rarely matches because a set's (or slot's) consecutive
 //!   lookups differ.
 //! - `miss`: a fresh page nearly every lookup, with the miss filled
-//!   (lookup + insert), exercising eviction and memo invalidation.
+//!   (lookup + insert), exercising eviction, memo invalidation and the
+//!   partitioned miss hint.
 //!
 //! Four more groups cover the rest of the translation-miss path:
 //! - `partitioned_miss_fill`: every lookup misses and is filled in the

@@ -230,13 +230,6 @@ pub fn fig10_11_grid(specs: &[BenchmarkSpec], scale: Scale, grid: &Grid) -> Vec<
         .collect()
 }
 
-/// One benchmark's Figure 10/11 bars.
-pub fn fig10_11_one(spec: &BenchmarkSpec, scale: Scale) -> Fig1011Row {
-    fig10_11_grid(std::slice::from_ref(spec), scale, &Grid::serial())
-        .pop()
-        .expect("one spec in, one row out")
-}
-
 /// Per-benchmark result of the Figure 12 compression study.
 #[derive(Clone, Debug)]
 pub struct Fig12Row {
@@ -531,9 +524,12 @@ mod tests {
     #[test]
     fn fig10_rows_are_normalized_to_baseline() {
         let spec = registry().into_iter().find(|s| s.name == "gemm").unwrap();
-        let row = fig10_11_one(&spec, Scale::Test);
+        let rows = fig10_11_grid(std::slice::from_ref(&spec), Scale::Test, &Grid::serial());
+        let [row] = rows.as_slice() else {
+            panic!("one spec in, {} rows out", rows.len())
+        };
         assert!((row.norm_time[0] - 1.0).abs() < 1e-12);
-        for t in row.norm_time {
+        for &t in &row.norm_time {
             assert!(t > 0.0);
         }
     }

@@ -107,7 +107,9 @@ impl Mechanism {
         let geometry = config.l1_tlb;
         let sim = Simulator::new(config);
         let sim = match self {
-            Mechanism::Baseline | Mechanism::LargeTlb | Mechanism::PartitionOnly
+            Mechanism::Baseline
+            | Mechanism::LargeTlb
+            | Mechanism::PartitionOnly
             | Mechanism::Compression => sim,
             Mechanism::Scheduling
             | Mechanism::SchedPartition
@@ -127,11 +129,10 @@ impl Mechanism {
             _ => sim,
         };
         match self {
-            Mechanism::Baseline | Mechanism::LargeTlb | Mechanism::Scheduling => {
-                sim.with_l1_tlb_factory(Box::new(move |_| {
+            Mechanism::Baseline | Mechanism::LargeTlb | Mechanism::Scheduling => sim
+                .with_l1_tlb_factory(Box::new(move |_| {
                     Box::new(SetAssocTlb::new(geometry)) as Box<dyn TranslationBuffer>
-                }))
-            }
+                })),
             Mechanism::SchedPartition | Mechanism::PartitionOnly => {
                 sim.with_l1_tlb_factory(Box::new(move |_| {
                     Box::new(PartitionedTlb::new(PartitionedTlbConfig {
@@ -143,14 +144,12 @@ impl Mechanism {
             Mechanism::Full
             | Mechanism::FullWithWarpClustering
             | Mechanism::MaskTokens
-            | Mechanism::SubEntrySharing => {
-                sim.with_l1_tlb_factory(Box::new(move |_| {
-                    Box::new(PartitionedTlb::new(PartitionedTlbConfig {
-                        geometry,
-                        ..PartitionedTlbConfig::with_sharing()
-                    })) as Box<dyn TranslationBuffer>
-                }))
-            }
+            | Mechanism::SubEntrySharing => sim.with_l1_tlb_factory(Box::new(move |_| {
+                Box::new(PartitionedTlb::new(PartitionedTlbConfig {
+                    geometry,
+                    ..PartitionedTlbConfig::with_sharing()
+                })) as Box<dyn TranslationBuffer>
+            })),
             Mechanism::Compression => sim.with_l1_tlb_factory(Box::new(move |_| {
                 Box::new(CompressedTlb::new(geometry, CompressionConfig::pact20()))
                     as Box<dyn TranslationBuffer>
@@ -193,7 +192,11 @@ pub fn run_benchmark_with_page_size(
     config: GpuConfig,
     page_size: PageSize,
 ) -> SimReport {
-    run_workload(spec.generate_with_page_size(scale, seed, page_size), mechanism, config)
+    run_workload(
+        spec.generate_with_page_size(scale, seed, page_size),
+        mechanism,
+        config,
+    )
 }
 
 /// [`run_benchmark`], but serving the workload from `cache` — the
@@ -275,7 +278,13 @@ mod tests {
     #[test]
     fn all_mechanisms_run_gemm() {
         for m in Mechanism::all() {
-            let r = run_benchmark(&spec("gemm"), Scale::Test, 42, m, GpuConfig::dac23_baseline());
+            let r = run_benchmark(
+                &spec("gemm"),
+                Scale::Test,
+                42,
+                m,
+                GpuConfig::dac23_baseline(),
+            );
             assert!(r.total_cycles > 0, "{m} produced no cycles");
             assert!(r.l1_tlb_hit_rate() >= 0.0);
         }

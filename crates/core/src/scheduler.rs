@@ -75,7 +75,10 @@ impl TlbAwareScheduler {
         }
         for (i, s) in sms.iter().enumerate() {
             let (h0, a0) = self.last_seen[i];
-            let (dh, da) = (s.tlb_hits.saturating_sub(h0), s.tlb_accesses.saturating_sub(a0));
+            let (dh, da) = (
+                s.tlb_hits.saturating_sub(h0),
+                s.tlb_accesses.saturating_sub(a0),
+            );
             if da > 0 {
                 let inst = 1.0 - dh as f64 / da as f64;
                 self.ewma[i] = EWMA_ALPHA * inst + (1.0 - EWMA_ALPHA) * self.ewma[i];

@@ -62,10 +62,7 @@ impl WarpScheduler for TbClusteredWarpScheduler {
                 return Some(i);
             }
             // ...then on any ready warp of the same TB, oldest first.
-            if let Some(i) = warps
-                .iter()
-                .position(|w| w.tb_slot == last_tb && w.ready)
-            {
+            if let Some(i) = warps.iter().position(|w| w.tb_slot == last_tb && w.ready) {
                 return Some(i);
             }
         }

@@ -59,8 +59,7 @@ impl WayPartitionedTlb {
 
     /// Way-owner groups: one per TB up to the associativity.
     fn groups(&self) -> usize {
-        (self.concurrent_tbs as usize)
-            .clamp(1, self.config.associativity)
+        (self.concurrent_tbs as usize).clamp(1, self.config.associativity)
     }
 
     fn set_of(&self, vpn: Vpn) -> usize {
@@ -212,7 +211,11 @@ mod tests {
         // second insert used the same group but the set has one way per
         // group... both pages map to the same set (vpn % 16 == 1).
         let hits = [t.lookup(&req(1, 0)).hit, t.lookup(&req(17, 0)).hit];
-        assert_eq!(hits.iter().filter(|&&h| h).count(), 1, "shared way holds one");
+        assert_eq!(
+            hits.iter().filter(|&&h| h).count(),
+            1,
+            "shared way holds one"
+        );
     }
 
     #[test]

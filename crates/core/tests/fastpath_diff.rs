@@ -11,6 +11,12 @@
 //! LRU touch or a missed stats update, fails here long before it could
 //! perturb a simulation.
 //!
+//! A second stream pairs every lookup with the fill for the same key
+//! and puts other traffic and TB events between the two, so the
+//! partitioned TLB's miss hint (a fill right after the miss for the same
+//! app, page and TB skips its refresh probe) is checked against the same
+//! memo-off reference, which never uses the hint.
+//!
 //! The test lives in `core` because `tlb` cannot see `PartitionedTlb`.
 
 use orchestrated_tlb::{PartitionedTlb, PartitionedTlbConfig, SharingPolicy};
@@ -65,6 +71,40 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
         Just(Op::Flush),
     ];
     proptest::collection::vec(op, 1..300)
+}
+
+/// Lookup-then-fill pairs for one key, with zero to three ops between
+/// the two. Most gap ops touch the pair's own page from another TB slot
+/// or another app (the keys the hint must not be mistaken for); the rest
+/// are unrelated lookups, TB finishes, concurrency changes and flushes.
+/// An empty gap is the path the miss hint serves; every other gap must
+/// invalidate the hint or leave it true.
+fn miss_fill_pairs() -> impl Strategy<Value = Vec<Op>> {
+    let gap = prop_oneof![
+        Just(Vec::new()),
+        Just(Vec::new()),
+        proptest::collection::vec((0u8..8, 1u8..8, 0u64..16), 1..4),
+    ];
+    let pair = (0..ASIDS, 0u64..16, 0u8..8, gap, 0u64..32).prop_map(|(a, v, t, gap, p)| {
+        // Half the fills follow the VPN (runs compress), half scatter.
+        let fill = |p: u64| if p < 16 { p } else { v + 64 };
+        let other_slot = |d: u8| (t + d) % 8;
+        let other_app = |d: u8| (a + u16::from(d)) % ASIDS;
+        let mut ops = vec![Op::Lookup(a, v, t)];
+        ops.extend(gap.into_iter().map(|(kind, d, x)| match kind {
+            0 => Op::Lookup(a, v, other_slot(d)),
+            1 => Op::Insert(a, v, other_slot(d), fill(x)),
+            2 => Op::Lookup(other_app(d), v, t),
+            3 => Op::Insert(other_app(d), v, t, fill(x)),
+            4 => Op::Lookup(other_app(d), x, d),
+            5 => Op::TbFinish(other_app(d), d),
+            6 => Op::SetTbs(d + 1),
+            _ => Op::Flush,
+        }));
+        ops.push(Op::Insert(a, v, t, fill(p)));
+        ops
+    });
+    proptest::collection::vec(pair, 1..120).prop_map(|pairs| pairs.concat())
 }
 
 /// Replaces each [`Op::Again`] with the lookup it repeats (dropping those
@@ -209,6 +249,24 @@ proptest! {
             let (fast, slow) = compressed_twins(degree);
             assert_exact(fast, slow, &stream);
         }
+        for sharing in [
+            SharingPolicy::None,
+            SharingPolicy::Adjacent,
+            SharingPolicy::AdjacentCounter { threshold: 2 },
+            SharingPolicy::AllToAll,
+        ] {
+            for compression in [None, Some(CompressionConfig::pact20())] {
+                let (fast, slow) = partitioned_twins(sharing, compression);
+                assert_exact(fast, slow, &stream);
+            }
+        }
+    }
+
+    /// The miss hint is exact: a fill that skips its refresh probe leaves
+    /// the same state as one that probes, whatever ran between the miss
+    /// and the fill, with compression on and off.
+    #[test]
+    fn miss_hint_is_exact_across_interleavings(stream in miss_fill_pairs()) {
         for sharing in [
             SharingPolicy::None,
             SharingPolicy::Adjacent,

@@ -188,18 +188,6 @@ impl Hierarchy {
             .iter()
             .fold(self.back.breakdown, |acc, f| acc + f.breakdown)
     }
-
-    /// Activity counters per translation stage, in pipeline order. The
-    /// `l1_tlb` entry is the fronts' per-SM stage stats merged.
-    pub fn stage_stats(&self) -> Vec<(&'static str, StageStats)> {
-        let l1 = self
-            .fronts
-            .iter()
-            .fold(StageStats::default(), |acc, f| acc.merged(f.l1_stats));
-        let mut stats = vec![("l1_tlb", l1)];
-        stats.extend(self.back.stage_stats());
-        stats
-    }
 }
 
 /// Config-driven constructor for the split halves of a [`Hierarchy`].
@@ -891,12 +879,29 @@ mod tests {
         assert!(h.breakdown().check().is_ok());
     }
 
+    /// Activity counters per translation stage, in pipeline order, the
+    /// per-SM L1 TLB counters summed into one `l1_tlb` entry.
+    fn stage_stats(h: &Hierarchy) -> Vec<(&'static str, StageStats)> {
+        let l1 = h.fronts.iter().fold(StageStats::default(), |acc, f| {
+            let s = f.l1_stats;
+            StageStats {
+                accesses: acc.accesses + s.accesses,
+                resolved: acc.resolved + s.resolved,
+                queue_cycles: acc.queue_cycles + s.queue_cycles,
+                service_cycles: acc.service_cycles + s.service_cycles,
+            }
+        });
+        let mut stats = vec![("l1_tlb", l1)];
+        stats.extend(h.back.stage_stats());
+        stats
+    }
+
     #[test]
     fn stage_stats_cover_the_pipeline() {
         let (mut h, va) = build(1);
         h.translate(&access(va, 0, 0));
         h.translate(&access(va, 5000, 0));
-        let stats = h.stage_stats();
+        let stats = stage_stats(&h);
         let names: Vec<&str> = stats.iter().map(|(n, _)| *n).collect();
         assert_eq!(names, ["l1_tlb", "icnt", "l2_tlb", "walker"]);
         assert_eq!(stats[0].1.accesses, 2, "both translations probe L1");

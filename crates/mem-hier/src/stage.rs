@@ -99,18 +99,6 @@ impl StageStats {
         self.queue_cycles += out.queue_cycles;
         self.service_cycles += out.service_cycles;
     }
-
-    /// Component-wise sum: merges the per-SM L1 TLB counters (each
-    /// front keeps its own) into the stage total. Pure u64 addition, so
-    /// the merge is order-independent.
-    pub fn merged(self, other: StageStats) -> StageStats {
-        StageStats {
-            accesses: self.accesses + other.accesses,
-            resolved: self.resolved + other.resolved,
-            queue_cycles: self.queue_cycles + other.queue_cycles,
-            service_cycles: self.service_cycles + other.service_cycles,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -150,26 +138,6 @@ mod tests {
         assert_eq!(s.resolved, 1);
         assert_eq!(s.queue_cycles, 2);
         assert_eq!(s.service_cycles, 4);
-    }
-
-    #[test]
-    fn merged_is_a_componentwise_sum() {
-        let a = StageStats {
-            accesses: 3,
-            resolved: 1,
-            queue_cycles: 4,
-            service_cycles: 9,
-        };
-        let b = StageStats {
-            accesses: 2,
-            resolved: 2,
-            queue_cycles: 0,
-            service_cycles: 5,
-        };
-        assert_eq!(a.merged(b), b.merged(a), "order-independent");
-        assert_eq!(a.merged(b).accesses, 5);
-        assert_eq!(a.merged(b).service_cycles, 14);
-        assert_eq!(a.merged(StageStats::default()), a);
     }
 
     #[test]

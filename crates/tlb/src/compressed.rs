@@ -110,6 +110,12 @@ fn lru_way(set: &[CompressedWay]) -> usize {
 pub struct CompressedTlb {
     config: TlbConfig,
     compression: CompressionConfig,
+    /// log2 of the compression degree: a VPN's run number is `vpn >>
+    /// run_shift`.
+    run_shift: u32,
+    /// `sets() - 1`: the set index is the low run-number bits under this
+    /// mask.
+    set_mask: u64,
     ways: Vec<CompressedWay>,
     clock: u64,
     stats: TlbStats,
@@ -144,6 +150,8 @@ impl CompressedTlb {
         CompressedTlb {
             config,
             compression,
+            run_shift: compression.degree.trailing_zeros(),
+            set_mask: config.sets() as u64 - 1,
             ways: vec![CompressedWay::default(); config.entries],
             clock: 0,
             stats: TlbStats::default(),
@@ -181,8 +189,10 @@ impl CompressedTlb {
 
     /// Sets are indexed by the run number so a run always lands in one set.
     fn set_of(&self, vpn: Vpn) -> usize {
-        // simlint: allow(lossy-cast, reason = "the power-of-two set mask commutes with the narrowing: masking after truncation keeps the same low bits as masking in u64 first")
-        ((vpn.raw() / self.compression.degree as u64) as usize) & (self.config.sets() - 1)
+        // Mask in u64 before narrowing so the set index is identical on
+        // 32-bit hosts.
+        // simlint: allow(lossy-cast, reason = "masked to the set count before narrowing")
+        ((vpn.raw() >> self.run_shift) & self.set_mask) as usize
     }
 
     fn set_range(&self, set: usize) -> Range<usize> {

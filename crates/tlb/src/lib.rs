@@ -19,6 +19,8 @@
 //!   without ever seeing each other's frames.
 //! * [`Memo`] — the exact lookup memo the set-associative, compressed and
 //!   partitioned TLBs share.
+//! * [`tag_of`] — the packed `(valid, ASID, VPN)` probe tag the
+//!   set-associative and partitioned TLBs scan.
 //!
 //! Every organization tags its entries with the requesting [`vmem::Asid`]
 //! and includes it in the tag compare, so concurrent address spaces are
@@ -51,6 +53,7 @@ mod sanitize;
 mod set_assoc;
 mod stats;
 mod sub_entry;
+mod tag;
 
 pub use compressed::{CompressedTlb, CompressionConfig};
 pub use config::TlbConfig;
@@ -61,3 +64,4 @@ pub use sanitize::InvariantViolation;
 pub use set_assoc::SetAssocTlb;
 pub use stats::{PerAsidStats, TlbStats};
 pub use sub_entry::SubEntryTlb;
+pub use tag::{tag_asid, tag_of, tag_vpn};

@@ -31,6 +31,13 @@ impl<H: Copy> Memo<H> {
         self.on = on;
     }
 
+    /// Whether serving is enabled. An organization gates its other exact
+    /// shortcuts on the same switch, so the memo-off twin is their
+    /// reference too.
+    pub fn enabled(&self) -> bool {
+        self.on
+    }
+
     /// Lookups served so far.
     pub fn served(&self) -> u64 {
         self.served

@@ -69,6 +69,7 @@ pub struct TlbOutcome {
 
 impl TlbOutcome {
     /// A hit returning `ppn` after `latency` cycles.
+    #[inline]
     pub fn hit(ppn: Ppn, latency: u64) -> Self {
         TlbOutcome {
             hit: true,
@@ -78,6 +79,7 @@ impl TlbOutcome {
     }
 
     /// A miss detected after `latency` cycles.
+    #[inline]
     pub fn miss(latency: u64) -> Self {
         TlbOutcome {
             hit: false,

@@ -17,6 +17,7 @@ use crate::replace::{first_min, recency_key};
 use crate::request::{TlbOutcome, TlbRequest, TranslationBuffer};
 use crate::sanitize::InvariantViolation;
 use crate::stats::{PerAsidStats, TlbStats};
+use crate::tag::{tag_asid, tag_of, tag_vpn};
 use std::fmt::Write as _;
 use vmem::{Asid, Ppn, Vpn};
 
@@ -27,34 +28,6 @@ struct WayMeta {
     ppn: Ppn,
     /// Monotone use-stamp for LRU (larger = more recent).
     stamp: u64,
-}
-
-/// Bit position of the ASID field inside a packed probe tag.
-const TAG_ASID_SHIFT: u32 = 53;
-
-/// Packed probe tag: `(asid << 53) | (vpn << 1) | 1` for a valid way, `0`
-/// for invalid. VPNs are at most 52 bits (64-bit VA minus the 12-bit
-/// small-page offset) and ASIDs at most 11 bits ([`Asid::MAX_ASIDS`]), so
-/// the whole tag packs losslessly in a `u64` and a single integer compare
-/// covers both the page and the owning address space — a cross-ASID hit
-/// is impossible by construction.
-fn tag_of(asid: Asid, vpn: Vpn) -> u64 {
-    debug_assert_eq!(
-        vpn.raw() >> (TAG_ASID_SHIFT - 1),
-        0,
-        "VPN uses bits above 52; tag encoding would alias with the ASID field"
-    );
-    ((asid.raw() as u64) << TAG_ASID_SHIFT) | (vpn.raw() << 1) | 1
-}
-
-/// Recovers the owning ASID from a packed (valid) probe tag.
-fn tag_asid(tag: u64) -> Asid {
-    Asid::new((tag >> TAG_ASID_SHIFT) as u16)
-}
-
-/// Recovers the VPN from a packed (valid) probe tag.
-fn tag_vpn(tag: u64) -> u64 {
-    (tag & ((1u64 << TAG_ASID_SHIFT) - 1)) >> 1
 }
 
 /// A VPN-indexed, set-associative TLB with LRU replacement.
@@ -74,8 +47,10 @@ fn tag_vpn(tag: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct SetAssocTlb {
     config: TlbConfig,
+    /// `sets() - 1`: the set index is the low VPN bits under this mask.
+    set_mask: u64,
     /// `sets() * associativity` packed probe tags, set-major (see
-    /// [`tag_of`]).
+    /// [`crate::tag_of`]).
     tags: Vec<u64>,
     /// Payload parallel to `tags`. Kept (stamps included) across flushes,
     /// matching the pre-SoA `Way` layout, so victim tie-breaking among
@@ -103,6 +78,7 @@ impl SetAssocTlb {
     pub fn new(config: TlbConfig) -> Self {
         SetAssocTlb {
             config,
+            set_mask: config.sets() as u64 - 1,
             tags: vec![0; config.entries],
             meta: vec![WayMeta::default(); config.entries],
             clock: 0,
@@ -128,7 +104,8 @@ impl SetAssocTlb {
     fn set_of(&self, vpn: Vpn) -> usize {
         // Mask in u64 before narrowing so the set index is identical on
         // 32-bit hosts.
-        (vpn.raw() & (self.config.sets() as u64 - 1)) as usize
+        // simlint: allow(lossy-cast, reason = "masked to the set count before narrowing")
+        (vpn.raw() & self.set_mask) as usize
     }
 
     fn set_range(&self, set: usize) -> std::ops::Range<usize> {

@@ -35,6 +35,7 @@ pub struct TlbStats {
 
 impl TlbStats {
     /// Records one lookup outcome.
+    #[inline]
     pub fn record(&mut self, hit: bool) {
         self.lookups += 1;
         if hit {
@@ -132,6 +133,7 @@ pub struct PerAsidStats {
 
 impl PerAsidStats {
     /// The mutable counters for `asid`, growing the table as needed.
+    #[inline]
     pub fn entry(&mut self, asid: Asid) -> &mut TlbStats {
         let i = asid.index();
         if i >= self.table.len() {

@@ -80,6 +80,8 @@ impl SubWay {
 #[derive(Debug, Clone)]
 pub struct SubEntryTlb {
     config: TlbConfig,
+    /// `sets() - 1`: the set index is the low VPN bits under this mask.
+    set_mask: u64,
     /// Sub-entries per shared tag.
     subs: usize,
     ways: Vec<SubWay>,
@@ -108,6 +110,7 @@ impl SubEntryTlb {
         assert!(subs > 0, "sub-entry count must be non-zero");
         SubEntryTlb {
             config,
+            set_mask: config.sets() as u64 - 1,
             subs,
             ways: (0..config.entries).map(|_| SubWay::empty(subs)).collect(),
             clock: 0,
@@ -140,7 +143,8 @@ impl SubEntryTlb {
     }
 
     fn set_of(&self, vpn: Vpn) -> usize {
-        (vpn.raw() & (self.config.sets() as u64 - 1)) as usize
+        // simlint: allow(lossy-cast, reason = "masked to the set count before narrowing")
+        (vpn.raw() & self.set_mask) as usize
     }
 
     fn set_range(&self, set: usize) -> std::ops::Range<usize> {
