@@ -271,7 +271,6 @@ fn bench_data_cache_access(c: &mut Criterion) {
 criterion_group! {
     name = lookup_throughput;
     config = Criterion::default()
-        .sample_size(20)
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_secs(1));
     targets = bench_lookup_throughput, bench_partitioned_miss_fill, bench_walker_submit,

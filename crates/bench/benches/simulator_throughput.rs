@@ -9,7 +9,7 @@ use gpu_sim::{GpuConfig, GtoWarpScheduler, LrrWarpScheduler, Simulator, WarpSche
 use orchestrated_tlb::{Mechanism, TbClusteredWarpScheduler};
 use std::sync::Arc;
 use std::time::Duration;
-use workloads::{registry, Scale, WorkloadCache};
+use workloads::{registry, CsrGraph, RmatParams, Scale, WorkloadCache};
 
 fn bench_engine_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_throughput");
@@ -75,6 +75,11 @@ fn bench_warp_issue(c: &mut Criterion) {
     group.finish();
 }
 
+/// Workload generation, the set-up every run pays before its first
+/// simulated cycle. The `clustered_rmat_*` benches build the graph the
+/// four graph benchmarks share at `Scale::Small` and `Scale::Large`
+/// (locality 0.6, a window of `n / 128`, as `gen::graph` builds it);
+/// `bfs_small` is a whole graph benchmark at `Scale::Small`.
 fn bench_workload_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("workload_generation");
     for name in ["pagerank", "nw"] {
@@ -83,6 +88,22 @@ fn bench_workload_generation(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(spec.generate(Scale::Test, 42)).total_warp_ops())
         });
     }
+    for (name, nodes, degree) in [
+        ("clustered_rmat_small", 1 << 15, 10),
+        ("clustered_rmat_large", 1 << 17, 12),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let params = RmatParams::default();
+                CsrGraph::clustered_rmat(nodes, nodes * degree, params, 0.6, nodes / 128, 42)
+                    .num_edges()
+            })
+        });
+    }
+    let bfs = registry().into_iter().find(|s| s.name == "bfs").unwrap();
+    group.bench_function("bfs_small", |b| {
+        b.iter(|| std::hint::black_box(bfs.generate(Scale::Small, 42)).total_warp_ops())
+    });
     group.finish();
 }
 

@@ -140,13 +140,22 @@ impl WorkloadCache {
     /// The canonical file name of a cached trace (readable provenance
     /// plus the format version, so a version bump never replays stale
     /// bytes).
-    fn disk_path(&self, bench: &str, scale: Scale, seed: u64, page_size: PageSize) -> Option<PathBuf> {
+    fn disk_path(
+        &self,
+        bench: &str,
+        scale: Scale,
+        seed: u64,
+        page_size: PageSize,
+    ) -> Option<PathBuf> {
         let dir = self.disk.as_ref()?;
         let ps = match page_size {
             PageSize::Small => "4k",
             PageSize::Large => "2m",
         };
-        Some(dir.join(format!("{bench}-{scale}-s{seed}-{ps}.v{}.trace", format::VERSION)))
+        Some(dir.join(format!(
+            "{bench}-{scale}-s{seed}-{ps}.v{}.trace",
+            format::VERSION
+        )))
     }
 
     /// The trace file serving `(bench, scale, seed, page_size)`, if any:

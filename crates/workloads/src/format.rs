@@ -50,9 +50,7 @@ use std::path::{Path, PathBuf};
 use vmem::{AddressSpace, PageSize, VirtAddr};
 
 use crate::scale::Scale;
-use crate::trace::{
-    KernelTrace, LaneAccesses, TbTrace, TraceSummary, WarpOp, WarpTrace, Workload,
-};
+use crate::trace::{KernelTrace, LaneAccesses, TbTrace, TraceSummary, WarpOp, WarpTrace, Workload};
 
 /// Leading file magic of a `trace/v1` file.
 pub const MAGIC: &[u8; 8] = b"OTLB.TRC";
@@ -757,7 +755,10 @@ impl TraceReader {
         if &tail[8..16] != MAGIC_TAIL {
             return Err(TraceError::Corrupt {
                 offset: file_len - 8,
-                what: format!("bad trailing magic {:02x?} (truncated write?)", &tail[8..16]),
+                what: format!(
+                    "bad trailing magic {:02x?} (truncated write?)",
+                    &tail[8..16]
+                ),
             });
         }
         let mut off = [0u8; 8];
@@ -931,11 +932,11 @@ impl TraceReader {
     pub fn address_space(&self) -> Result<AddressSpace, TraceError> {
         let mut space = AddressSpace::new(self.page_size);
         for rec in &self.buffers {
-            let buf = space.allocate(&rec.name, rec.size).map_err(|e| {
-                TraceError::Space {
+            let buf = space
+                .allocate(&rec.name, rec.size)
+                .map_err(|e| TraceError::Space {
                     what: format!("allocate {:?} ({} bytes): {e}", rec.name, rec.size),
-                }
-            })?;
+                })?;
             if buf.base().raw() != rec.base {
                 return Err(TraceError::Space {
                     what: format!(
@@ -960,7 +961,10 @@ impl TraceReader {
     /// index, or [`TraceError::Io`] if the file cannot be reopened.
     pub fn stream_kernel(&self, k: usize) -> Result<TbStream, TraceError> {
         let meta = self.kernels.get(k).ok_or_else(|| TraceError::NotATrace {
-            what: format!("kernel index {k} out of range ({} kernels)", self.kernels.len()),
+            what: format!(
+                "kernel index {k} out of range ({} kernels)",
+                self.kernels.len()
+            ),
         })?;
         let file =
             File::open(&self.path).map_err(io_err(format!("reopen {}", self.path.display())))?;
@@ -1342,9 +1346,16 @@ mod tests {
             assert_eq!(a.tbs, b.tbs);
         }
         // The reconstructed space replays the same allocations.
-        let orig: Vec<_> = wl.space().buffers().map(|b| (b.name().to_owned(), b.base())).collect();
-        let rebuilt: Vec<_> =
-            back.space().buffers().map(|b| (b.name().to_owned(), b.base())).collect();
+        let orig: Vec<_> = wl
+            .space()
+            .buffers()
+            .map(|b| (b.name().to_owned(), b.base()))
+            .collect();
+        let rebuilt: Vec<_> = back
+            .space()
+            .buffers()
+            .map(|b| (b.name().to_owned(), b.base()))
+            .collect();
         assert_eq!(orig, rebuilt);
         std::fs::remove_file(&path).unwrap();
     }
@@ -1377,7 +1388,10 @@ mod tests {
         bytes[8] = 99; // version little-endian low byte
         std::fs::write(&path, &bytes).unwrap();
         match TraceReader::open(&path) {
-            Err(TraceError::Version { found: 99, expected: 1 }) => {}
+            Err(TraceError::Version {
+                found: 99,
+                expected: 1,
+            }) => {}
             other => panic!("expected a version error, got {other:?}"),
         }
         std::fs::remove_file(&path).unwrap();
@@ -1463,8 +1477,7 @@ mod tests {
     fn writer_misuse_is_an_error_not_a_panic() {
         let wl = gemm_test_workload();
         let path = temp_path("misuse");
-        let mut w =
-            TraceWriter::create(&path, "x", "x", None, 0, wl.space()).unwrap();
+        let mut w = TraceWriter::create(&path, "x", "x", None, 0, wl.space()).unwrap();
         assert!(w.write_tb(&TbTrace::with_warps(1)).is_err()); // no open kernel
         w.begin_kernel("k", 32, 16).unwrap();
         assert!(w.begin_kernel("k2", 32, 16).is_err()); // nested

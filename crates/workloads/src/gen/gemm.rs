@@ -23,7 +23,10 @@ const TILE: usize = 16;
 /// tile (all presets are).
 pub fn generate(scale: Scale, _seed: u64, page_size: PageSize) -> Workload {
     let n = scale.gemm_dim();
-    assert!(n.is_multiple_of(TILE), "matrix dim {n} must be a multiple of {TILE}");
+    assert!(
+        n.is_multiple_of(TILE),
+        "matrix dim {n} must be a multiple of {TILE}"
+    );
     let tiles = n / TILE;
 
     let mut space = AddressSpace::new(page_size);

@@ -314,9 +314,7 @@ pub fn mis(scale: Scale, seed: u64, page_size: PageSize) -> Workload {
                 active[i]
                     && graph.neighbors(i as u32).iter().all(|&nb| {
                         let j = nb as usize;
-                        in_set[j]
-                            || removed[j]
-                            || (prios[i], i) > (prios[j], j)
+                        in_set[j] || removed[j] || (prios[i], i) > (prios[j], j)
                     })
             })
             .collect();
@@ -341,7 +339,10 @@ mod tests {
         // Level 0 has exactly one active node, so its trace is tiny
         // compared to a mid-level.
         let ops: Vec<usize> = wl.kernels().iter().map(|k| k.total_ops()).collect();
-        assert!(ops[1] > ops[0], "frontier grows after the root level: {ops:?}");
+        assert!(
+            ops[1] > ops[0],
+            "frontier grows after the root level: {ops:?}"
+        );
     }
 
     #[test]

@@ -70,8 +70,7 @@ fn row_sweep(
                 // The 16 x-elements of this chunk live on one page: a
                 // broadcast-style read.
                 warp.push(WarpOp::Load(LaneAccesses::broadcast(elem_addr(
-                    x,
-                    jc as u64,
+                    x, jc as u64,
                 ))));
                 warp.push(WarpOp::Compute {
                     cycles: COL_CHUNK as u32 / 4,
@@ -125,8 +124,7 @@ fn col_sweep(
                     lanes,
                 )));
                 warp.push(WarpOp::Load(LaneAccesses::broadcast(elem_addr(
-                    x,
-                    i as u64,
+                    x, i as u64,
                 ))));
                 warp.push(WarpOp::Compute { cycles: 4 });
             }
@@ -254,10 +252,7 @@ mod tests {
         let first = &k1.tbs[0].warps()[0].ops()[0];
         match first {
             WarpOp::Load(LaneAccesses::Strided { stride, .. }) => {
-                assert_eq!(
-                    *stride,
-                    (Scale::Test.narrow_cols() * ELEM as usize) as i64
-                );
+                assert_eq!(*stride, (Scale::Test.narrow_cols() * ELEM as usize) as i64);
             }
             other => panic!("expected strided load, got {other:?}"),
         }
@@ -271,8 +266,8 @@ mod tests {
         let k1 = &wl.kernels()[0];
         for tb in &k1.tbs {
             assert!(
-                tb.all_addresses().any(|a| a.align_down(PageSize::Small)
-                    == p_base.align_down(PageSize::Small)),
+                tb.all_addresses()
+                    .any(|a| a.align_down(PageSize::Small) == p_base.align_down(PageSize::Small)),
                 "every TB reads the shared vector page"
             );
         }
@@ -300,8 +295,7 @@ mod tests {
         let rows = Scale::Test.tall_rows();
         let cols = Scale::Test.narrow_cols();
         let a = wl.space().buffer("mvt_a").unwrap();
-        let a_pages: std::collections::HashSet<u64> = k2.tbs[0]
-            .warps()[0]
+        let a_pages: std::collections::HashSet<u64> = k2.tbs[0].warps()[0]
             .ops()
             .iter()
             .filter_map(WarpOp::accesses)

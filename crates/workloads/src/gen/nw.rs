@@ -72,7 +72,10 @@ fn block_tb(score: &Buffer, reference: &Buffer, n: usize, bi: usize, bj: usize) 
 /// block size (all presets are).
 pub fn generate(scale: Scale, _seed: u64, page_size: PageSize) -> Workload {
     let n = scale.matrix_dim();
-    assert!(n.is_multiple_of(BLOCK), "dim {n} must be a multiple of {BLOCK}");
+    assert!(
+        n.is_multiple_of(BLOCK),
+        "dim {n} must be a multiple of {BLOCK}"
+    );
     let nb = n / BLOCK;
 
     let mut space = AddressSpace::new(page_size);

@@ -8,7 +8,7 @@
 //! intensively and (b) large inter-TB imbalance in memory-access counts.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// R-MAT quadrant probabilities.
 ///
@@ -38,6 +38,74 @@ impl Default for RmatParams {
             b: 0.19,
             c: 0.19,
         }
+    }
+}
+
+/// The R-MAT recursion both generators share: one uniform draw per
+/// level picks a quadrant, which appends one bit to the source and one
+/// to the destination.
+///
+/// A draw is `rand`'s `f64` sample `r = x * 2^-53` of `x = next_u64() >> 11`.
+/// Scaling by a power of two is exact, so `r < t` holds iff
+/// `x < ceil(t * 2^53)`, and the sampler compares `x` against integer
+/// thresholds without converting it.
+struct RmatSampler {
+    /// Cumulative quadrant thresholds `a`, `a + b` and `a + b + c`,
+    /// summed in that order and scaled by `2^53`.
+    a: u64,
+    ab: u64,
+    abc: u64,
+    /// Recursion depth: `ceil(log2(num_nodes))`.
+    levels: u32,
+}
+
+impl RmatSampler {
+    /// # Panics
+    ///
+    /// Panics with "invalid RmatParams" if `params` lie outside the
+    /// probability simplex. Such params would otherwise skew the graph
+    /// silently: with `a + b + c > 1` quadrant d is never picked, and c
+    /// gets weight `1 - a - b`.
+    fn new(params: RmatParams, num_nodes: usize) -> Self {
+        let RmatParams { a, b, c } = params;
+        assert!(
+            a >= 0.0 && b >= 0.0 && c >= 0.0 && a + b + c <= 1.0,
+            "invalid RmatParams {params:?}: entries must be non-negative and a + b + c <= 1"
+        );
+        let scaled = |t: f64| (t * (1u64 << 53) as f64).ceil() as u64;
+        RmatSampler {
+            a: scaled(a),
+            ab: scaled(a + b),
+            abc: scaled(a + b + c),
+            levels: usize::BITS - (num_nodes - 1).leading_zeros(),
+        }
+    }
+
+    /// The `(src, dst)` bits of the quadrant the draw `x` falls in:
+    /// below `a` → (0, 0), below `a + b` → (0, 1), below `a + b + c` →
+    /// (1, 0), the rest → (1, 1). The thresholds are non-negative
+    /// summands in increasing order, so `x < a` implies `x < a + b`
+    /// implies `x < a + b + c`, and the bits follow from the three
+    /// comparisons without a branch.
+    #[inline]
+    fn quadrant(&self, x: u64) -> (usize, usize) {
+        let (in_a, in_ab, in_abc) = (x < self.a, x < self.ab, x < self.abc);
+        let src = !in_ab;
+        let dst = (!in_a & in_ab) | !in_abc;
+        (usize::from(src), usize::from(dst))
+    }
+
+    /// Draws one edge, `levels` uniforms from `rng`. Endpoints may reach
+    /// the next power of two above `num_nodes`; callers reject those.
+    #[inline]
+    fn edge(&self, rng: &mut SmallRng) -> (usize, usize) {
+        let (mut src, mut dst) = (0usize, 0usize);
+        for _ in 0..self.levels {
+            let (sbit, dbit) = self.quadrant(rng.next_u64() >> 11);
+            src = (src << 1) | sbit;
+            dst = (dst << 1) | dbit;
+        }
+        (src, dst)
     }
 }
 
@@ -94,27 +162,18 @@ impl CsrGraph {
     /// Generates an R-MAT graph with `num_nodes` (rounded up to a power of
     /// two internally) and exactly `num_edges` directed edges,
     /// deterministically from `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_nodes < 2`, or if `params` lie outside the
+    /// probability simplex (a negative or NaN entry, or `a + b + c > 1`).
     pub fn rmat(num_nodes: usize, num_edges: usize, params: RmatParams, seed: u64) -> Self {
         assert!(num_nodes > 1, "graph needs at least two nodes");
-        let levels = usize::BITS - (num_nodes - 1).leading_zeros();
+        let sampler = RmatSampler::new(params, num_nodes);
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut edges = Vec::with_capacity(num_edges);
         while edges.len() < num_edges {
-            let (mut src, mut dst) = (0usize, 0usize);
-            for _ in 0..levels {
-                let r: f64 = rng.gen();
-                let (sbit, dbit) = if r < params.a {
-                    (0, 0)
-                } else if r < params.a + params.b {
-                    (0, 1)
-                } else if r < params.a + params.b + params.c {
-                    (1, 0)
-                } else {
-                    (1, 1)
-                };
-                src = (src << 1) | sbit;
-                dst = (dst << 1) | dbit;
-            }
+            let (src, dst) = sampler.edge(&mut rng);
             if src < num_nodes && dst < num_nodes && src != dst {
                 edges.push((src as u32, dst as u32));
             }
@@ -131,6 +190,17 @@ impl CsrGraph {
     ///
     /// `locality` is the fraction of edges rewired into the ±`window`
     /// neighbourhood of their source.
+    ///
+    /// Each R-MAT level picks its quadrant without branches, from three
+    /// comparisons that agree with those of an `if r < a … else if …`
+    /// chain on every draw, so a seed consumes the same random stream
+    /// and builds the same graph as the chain would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `locality` is outside `[0, 1]`, if `num_nodes < 2`, or
+    /// if `params` lie outside the probability simplex (a negative or NaN
+    /// entry, or `a + b + c > 1`).
     pub fn clustered_rmat(
         num_nodes: usize,
         num_edges: usize,
@@ -141,26 +211,12 @@ impl CsrGraph {
     ) -> Self {
         assert!((0.0..=1.0).contains(&locality), "locality must be in [0,1]");
         assert!(num_nodes > 1, "graph needs at least two nodes");
-        let levels = usize::BITS - (num_nodes - 1).leading_zeros();
+        let sampler = RmatSampler::new(params, num_nodes);
         let window = window.max(1);
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut edges = Vec::with_capacity(num_edges);
         while edges.len() < num_edges {
-            let (mut src, mut dst) = (0usize, 0usize);
-            for _ in 0..levels {
-                let r: f64 = rng.gen();
-                let (sbit, dbit) = if r < params.a {
-                    (0, 0)
-                } else if r < params.a + params.b {
-                    (0, 1)
-                } else if r < params.a + params.b + params.c {
-                    (1, 0)
-                } else {
-                    (1, 1)
-                };
-                src = (src << 1) | sbit;
-                dst = (dst << 1) | dbit;
-            }
+            let (src, mut dst) = sampler.edge(&mut rng);
             if src >= num_nodes {
                 continue;
             }
@@ -301,6 +357,193 @@ mod tests {
         let skewed = CsrGraph::rmat(1 << 12, 1 << 15, RmatParams::default(), 42);
         assert!(g.max_degree() < skewed.max_degree());
         assert!((uniform.d() - 0.25).abs() < 1e-12);
+    }
+
+    /// The quadrant pick as the generators wrote it before the sampler:
+    /// the reference the branch-free pick must match.
+    fn chain(params: RmatParams, r: f64) -> (usize, usize) {
+        if r < params.a {
+            (0, 0)
+        } else if r < params.a + params.b {
+            (0, 1)
+        } else if r < params.a + params.b + params.c {
+            (1, 0)
+        } else {
+            (1, 1)
+        }
+    }
+
+    /// `rand`'s `f64` draw from the 53 bits `x = next_u64() >> 11`.
+    fn unit(x: u64) -> f64 {
+        x as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    const MAX_DRAW: u64 = (1 << 53) - 1;
+
+    /// Valid params: random simplex points, points with zero entries,
+    /// and points whose `a + b + c` sums to exactly 1.
+    fn param_cases(rng: &mut SmallRng) -> Vec<RmatParams> {
+        let p = |a, b, c| RmatParams { a, b, c };
+        let mut cases = vec![
+            RmatParams::default(),
+            p(0.25, 0.25, 0.25),
+            p(0.5, 0.25, 0.25),
+            p(0.25, 0.25, 0.5),
+            p(1.0, 0.0, 0.0),
+            p(0.0, 1.0, 0.0),
+            p(0.0, 0.0, 1.0),
+            p(0.0, 0.0, 0.0),
+            p(0.0, 0.5, 0.0),
+            p(0.3, 0.0, 0.7),
+            p(1e-300, 0.0, 1e-300),
+        ];
+        for _ in 0..2000 {
+            let mut w: [f64; 4] = [rng.gen(), rng.gen(), rng.gen(), rng.gen()];
+            // Zero some entries; with d zeroed the sum is 1 up to rounding.
+            for x in &mut w {
+                if rng.gen_bool(0.2) {
+                    *x = 0.0;
+                }
+            }
+            let total: f64 = w.iter().sum();
+            if total == 0.0 {
+                continue;
+            }
+            let (a, b) = (w[0] / total, w[1] / total);
+            let c = if w[3] == 0.0 {
+                1.0 - (a + b)
+            } else {
+                w[2] / total
+            };
+            cases.push(p(a, b, c));
+        }
+        cases.retain(|q| q.a + q.b + q.c <= 1.0);
+        cases
+    }
+
+    #[test]
+    fn branch_free_quadrant_matches_the_chain() {
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        let cases = param_cases(&mut rng);
+        let sum_one = cases.iter().filter(|q| q.a + q.b + q.c == 1.0).count();
+        assert!(sum_one > 100, "only {sum_one} cases sum to exactly 1");
+        let mut on_threshold = 0;
+        for params in cases {
+            let sampler = RmatSampler::new(params, 2);
+            let mut draws: Vec<u64> = (0..200).map(|_| rng.next_u64() >> 11).collect();
+            draws.extend([0, 1, MAX_DRAW - 1, MAX_DRAW]);
+            for t in [
+                params.a,
+                params.a + params.b,
+                params.a + params.b + params.c,
+            ] {
+                let scaled = t * (1u64 << 53) as f64;
+                for x in [scaled.floor(), scaled.ceil()] {
+                    let x = x as u64;
+                    draws.extend([x.saturating_sub(1), x, x + 1].map(|x| x.min(MAX_DRAW)));
+                    on_threshold += usize::from(unit(x.min(MAX_DRAW)) == t);
+                }
+            }
+            for x in draws {
+                assert_eq!(
+                    sampler.quadrant(x),
+                    chain(params, unit(x)),
+                    "{params:?} at x = {x} (r = {})",
+                    unit(x)
+                );
+            }
+        }
+        assert!(
+            on_threshold > 1000,
+            "only {on_threshold} draws hit a threshold exactly"
+        );
+    }
+
+    #[test]
+    fn sampler_consumes_the_stream_as_the_chain_does() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        for params in param_cases(&mut rng).into_iter().take(200) {
+            let seed = rng.next_u64();
+            let sampler = RmatSampler::new(params, 1000);
+            let (mut fast, mut reference) =
+                (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+            for _ in 0..50 {
+                let (mut src, mut dst) = (0usize, 0usize);
+                for _ in 0..sampler.levels {
+                    let (sbit, dbit) = chain(params, reference.gen());
+                    src = (src << 1) | sbit;
+                    dst = (dst << 1) | dbit;
+                }
+                assert_eq!(sampler.edge(&mut fast), (src, dst), "{params:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid RmatParams")]
+    fn rmat_rejects_a_negative_entry() {
+        let params = RmatParams {
+            a: 0.6,
+            b: -0.1,
+            c: 0.3,
+        };
+        let _ = CsrGraph::rmat(64, 128, params, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid RmatParams")]
+    fn rmat_rejects_a_nan_entry() {
+        let params = RmatParams {
+            a: f64::NAN,
+            b: 0.2,
+            c: 0.2,
+        };
+        let _ = CsrGraph::rmat(64, 128, params, 1);
+    }
+
+    /// `a + b + c > 1` would leave quadrant d unreachable.
+    #[test]
+    #[should_panic(expected = "invalid RmatParams")]
+    fn rmat_rejects_a_sum_above_one() {
+        let params = RmatParams {
+            a: 0.6,
+            b: 0.3,
+            c: 0.2,
+        };
+        let _ = CsrGraph::rmat(64, 128, params, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid RmatParams")]
+    fn clustered_rmat_rejects_a_negative_entry() {
+        let params = RmatParams {
+            a: -0.5,
+            b: 0.2,
+            c: 0.2,
+        };
+        let _ = CsrGraph::clustered_rmat(64, 128, params, 0.5, 4, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid RmatParams")]
+    fn clustered_rmat_rejects_a_nan_entry() {
+        let params = RmatParams {
+            a: 0.5,
+            b: 0.2,
+            c: f64::NAN,
+        };
+        let _ = CsrGraph::clustered_rmat(64, 128, params, 0.5, 4, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid RmatParams")]
+    fn clustered_rmat_rejects_a_sum_above_one() {
+        let params = RmatParams {
+            a: 0.57,
+            b: 0.19,
+            c: f64::INFINITY,
+        };
+        let _ = CsrGraph::clustered_rmat(64, 128, params, 0.5, 4, 1);
     }
 
     #[test]

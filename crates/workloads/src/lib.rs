@@ -45,6 +45,5 @@ pub use graph::{CsrGraph, RmatParams};
 pub use registry::{extended_registry, registry, BenchmarkSpec, Suite};
 pub use scale::Scale;
 pub use trace::{
-    KernelTrace, LaneAccesses, TbTrace, TraceSummary, WarpOp, WarpTrace, Workload,
-    LANES_PER_WARP,
+    KernelTrace, LaneAccesses, TbTrace, TraceSummary, WarpOp, WarpTrace, Workload, LANES_PER_WARP,
 };

@@ -186,10 +186,7 @@ mod tests {
         let names: Vec<&str> = r.iter().map(|s| s.name).collect();
         assert_eq!(
             names,
-            [
-                "bfs", "color", "mis", "nw", "pagerank", "3dconv", "atax", "bicg", "gemm",
-                "mvt"
-            ]
+            ["bfs", "color", "mis", "nw", "pagerank", "3dconv", "atax", "bicg", "gemm", "mvt"]
         );
         // Suite distribution per Table II: 2 Rodinia, 5 PolyBench,
         // 3 Pannotia.

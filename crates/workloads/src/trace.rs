@@ -92,8 +92,7 @@ impl Iterator for LaneAddrIter<'_> {
                 if self.next >= *active_lanes as usize {
                     return None;
                 }
-                let addr =
-                    VirtAddr::new((base.raw() as i64 + self.next as i64 * stride) as u64);
+                let addr = VirtAddr::new((base.raw() as i64 + self.next as i64 * stride) as u64);
                 self.next += 1;
                 Some(addr)
             }
@@ -523,12 +522,11 @@ mod tests {
         tb.warp_mut(0)
             .push(WarpOp::Load(LaneAccesses::broadcast(VirtAddr::new(0x1000))));
         tb.warp_mut(1).push(WarpOp::Compute { cycles: 5 });
-        tb.warp_mut(1)
-            .push(WarpOp::Store(LaneAccesses::contiguous(
-                VirtAddr::new(0x2000),
-                4,
-                2,
-            )));
+        tb.warp_mut(1).push(WarpOp::Store(LaneAccesses::contiguous(
+            VirtAddr::new(0x2000),
+            4,
+            2,
+        )));
         assert_eq!(tb.total_ops(), 3);
         // 32 broadcast lanes + 2 store lanes.
         assert_eq!(tb.all_addresses().count(), 34);
@@ -541,8 +539,10 @@ mod tests {
         let mut tb = TbTrace::with_warps(1);
         tb.warp_mut(0)
             .push(WarpOp::Load(LaneAccesses::contiguous(b.addr_of(0), 4, 8)));
-        tb.warp_mut(0)
-            .push(WarpOp::Store(LaneAccesses::Gather(vec![b.addr_of(0), b.addr_of(4)])));
+        tb.warp_mut(0).push(WarpOp::Store(LaneAccesses::Gather(vec![
+            b.addr_of(0),
+            b.addr_of(4),
+        ])));
         tb.warp_mut(0).push(WarpOp::Compute { cycles: 7 });
         let kernel = KernelTrace {
             name: "k".into(),

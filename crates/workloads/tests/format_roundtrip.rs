@@ -60,9 +60,7 @@ fn build(spec: &RawOps, max_tbs: u8) -> Workload {
                                 .collect();
                             warp.push(WarpOp::Load(LaneAccesses::Gather(lanes)));
                         }
-                        _ => warp.push(WarpOp::Store(LaneAccesses::broadcast(
-                            buf.addr_of(offset),
-                        ))),
+                        _ => warp.push(WarpOp::Store(LaneAccesses::broadcast(buf.addr_of(offset)))),
                     }
                 }
             }
