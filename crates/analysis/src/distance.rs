@@ -97,10 +97,7 @@ impl Fenwick {
 /// let d = reuse_distance_samples(&trace, DistanceOptions::intra_tb());
 /// assert_eq!(d, vec![1, 2]); // page 2 at distance 1, page 1 at distance 2
 /// ```
-pub fn reuse_distance_samples(
-    trace: &[TranslationEvent],
-    options: DistanceOptions,
-) -> Vec<u64> {
+pub fn reuse_distance_samples(trace: &[TranslationEvent], options: DistanceOptions) -> Vec<u64> {
     let mut samples = Vec::new();
     let max_sm = trace.iter().map(|e| e.sm).max().map(|m| m as usize + 1);
     let Some(num_sms) = max_sm else {
@@ -224,12 +221,7 @@ mod tests {
         let trace = vec![ev(0, 0, 1), ev(1, 0, 1)];
         assert!(reuse_distance_samples(&trace, DistanceOptions::intra_tb()).is_empty());
         // And interleaved SM streams do not pollute each other's windows.
-        let trace = vec![
-            ev(0, 0, 1),
-            ev(1, 0, 50),
-            ev(1, 0, 51),
-            ev(0, 0, 1),
-        ];
+        let trace = vec![ev(0, 0, 1), ev(1, 0, 50), ev(1, 0, 51), ev(0, 0, 1)];
         assert_eq!(
             reuse_distance_samples(&trace, DistanceOptions::intra_tb()),
             vec![0]
@@ -263,9 +255,7 @@ mod tests {
             reuse_distance_samples(&trace, DistanceOptions::intra_tb()),
             vec![0]
         );
-        assert!(
-            reuse_distance_samples(&trace, DistanceOptions::intra_warp()).is_empty()
-        );
+        assert!(reuse_distance_samples(&trace, DistanceOptions::intra_warp()).is_empty());
         // Same warp: counts at both granularities.
         let trace = vec![e1, e1];
         assert_eq!(
@@ -281,7 +271,9 @@ mod tests {
         let mut x = 12345u64;
         let mut trace = Vec::new();
         for _ in 0..500 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             trace.push(ev(0, 0, (x >> 33) % 40));
         }
         let fast = reuse_distance_samples(&trace, DistanceOptions::intra_tb());

@@ -70,9 +70,7 @@ mod tests {
     use workloads::{registry, Scale};
 
     fn stream(n: usize) -> TbStream {
-        TbStream {
-            vpns: vec![0; n],
-        }
+        TbStream { vpns: vec![0; n] }
     }
 
     #[test]

@@ -37,8 +37,8 @@ mod latency;
 mod reuse;
 
 pub use cdf::Cdf;
-pub use imbalance::{tb_translation_imbalance, Imbalance};
 pub use distance::{reuse_distance_samples, DistanceOptions};
+pub use imbalance::{tb_translation_imbalance, Imbalance};
 pub use latency::{latency_shares, LATENCY_COMPONENTS};
 pub use reuse::{
     inter_intensities, intra_intensities, tb_translation_streams, warp_translation_streams,

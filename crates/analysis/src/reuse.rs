@@ -1,8 +1,8 @@
 //! Translation-reuse intensity (the paper's Equation 1, Figures 3 and 4).
 
-use gpu_sim::coalesce;
-use std::collections::{BTreeMap, BTreeSet};
-use workloads::Workload;
+use gpu_sim::coalesce_into;
+use vmem::{PageSize, VirtAddr};
+use workloads::{WarpOp, WarpTrace, Workload};
 
 /// The translation stream of one thread block: VPNs in program order,
 /// one per post-coalescing line transaction.
@@ -22,11 +22,6 @@ impl TbStream {
     pub fn is_empty(&self) -> bool {
         self.vpns.is_empty()
     }
-
-    /// The set of distinct pages touched (`uniq(T_c)` in Equation 1).
-    pub fn unique_pages(&self) -> BTreeSet<u64> {
-        self.vpns.iter().copied().collect()
-    }
 }
 
 /// Extracts per-TB translation streams from a workload trace.
@@ -39,24 +34,13 @@ impl TbStream {
 /// its own stream).
 pub fn tb_translation_streams(workload: &Workload, line_bytes: u64) -> Vec<TbStream> {
     let page_size = workload.space().page_size();
+    let mut lines = Vec::new();
     let mut streams = Vec::new();
     for kernel in workload.kernels() {
         for tb in &kernel.tbs {
             let mut stream = TbStream::default();
-            let mut op_pages: Vec<u64> = Vec::with_capacity(8);
             for warp in tb.warps() {
-                for op in warp.ops() {
-                    if let Some(acc) = op.accesses() {
-                        op_pages.clear();
-                        for line in coalesce(acc, line_bytes) {
-                            let vpn = line.vpn(page_size).raw();
-                            if !op_pages.contains(&vpn) {
-                                op_pages.push(vpn);
-                            }
-                        }
-                        stream.vpns.extend_from_slice(&op_pages);
-                    }
-                }
+                push_translations(warp, line_bytes, page_size, &mut lines, &mut stream.vpns);
             }
             streams.push(stream);
         }
@@ -69,24 +53,13 @@ pub fn tb_translation_streams(workload: &Workload, line_bytes: u64) -> Vec<TbStr
 /// stream per warp instead of per TB.
 pub fn warp_translation_streams(workload: &Workload, line_bytes: u64) -> Vec<TbStream> {
     let page_size = workload.space().page_size();
+    let mut lines = Vec::new();
     let mut streams = Vec::new();
     for kernel in workload.kernels() {
         for tb in &kernel.tbs {
             for warp in tb.warps() {
                 let mut stream = TbStream::default();
-                let mut op_pages: Vec<u64> = Vec::with_capacity(8);
-                for op in warp.ops() {
-                    if let Some(acc) = op.accesses() {
-                        op_pages.clear();
-                        for line in coalesce(acc, line_bytes) {
-                            let vpn = line.vpn(page_size).raw();
-                            if !op_pages.contains(&vpn) {
-                                op_pages.push(vpn);
-                            }
-                        }
-                        stream.vpns.extend_from_slice(&op_pages);
-                    }
-                }
+                push_translations(warp, line_bytes, page_size, &mut lines, &mut stream.vpns);
                 streams.push(stream);
             }
         }
@@ -94,23 +67,45 @@ pub fn warp_translation_streams(workload: &Workload, line_bytes: u64) -> Vec<TbS
     streams
 }
 
+/// Appends `warp`'s translations to `vpns`: each memory instruction's
+/// lines (coalesced into the reused `lines` buffer) become one VPN per
+/// distinct page, in first-touch order. An instruction's pages are the
+/// tail of `vpns` it has pushed so far, so the dedup scans only them.
+fn push_translations(
+    warp: &WarpTrace,
+    line_bytes: u64,
+    page_size: PageSize,
+    lines: &mut Vec<VirtAddr>,
+    vpns: &mut Vec<u64>,
+) {
+    for acc in warp.ops().iter().filter_map(WarpOp::accesses) {
+        coalesce_into(acc, line_bytes, lines);
+        let op_start = vpns.len();
+        for line in lines.iter() {
+            let vpn = line.vpn(page_size).raw();
+            if !vpns[op_start..].contains(&vpn) {
+                vpns.push(vpn);
+            }
+        }
+    }
+}
+
 /// Intra-TB reuse intensity per TB: the fraction of a TB's translations
 /// that target a page the TB translates more than once ("translations
 /// being reused at least once", Figure 4).
+///
+/// Empty streams are skipped. Each stream is sorted once into its page
+/// runs: `O(n log n)` per TB.
 pub fn intra_intensities(streams: &[TbStream]) -> Vec<f64> {
     streams
         .iter()
         .filter(|s| !s.is_empty())
         .map(|s| {
-            let mut counts: BTreeMap<u64, u32> = BTreeMap::new();
-            for &v in &s.vpns {
-                *counts.entry(v).or_default() += 1;
-            }
-            let reused: usize = s
-                .vpns
+            let reused: usize = page_runs(&s.vpns)
                 .iter()
-                .filter(|v| counts[v] > 1)
-                .count();
+                .map(|&(_, count)| count)
+                .filter(|&count| count > 1)
+                .sum();
             reused as f64 / s.len() as f64
         })
         .collect()
@@ -120,13 +115,20 @@ pub fn intra_intensities(streams: &[TbStream]) -> Vec<f64> {
 /// for each ordered pair, the fraction of `c1`'s translations whose page
 /// is also touched by `c2`.
 ///
-/// The paper computes all pairs exhaustively on 10-TB examples; at
-/// thousands of TBs that is quadratic, so `max_tbs` subsamples the TB
-/// population evenly (pass `None` for exhaustive).
+/// Rows come out in pair order: `c1` ascending, then `c2` ascending,
+/// skipping `c1 == c2`. Each TB's stream is sorted once into
+/// `(page, count)` runs, and each pair costs one merge of two run lists,
+/// linear in their distinct pages.
+///
+/// The paper enumerates all pairs of its 10-TB examples. At thousands of
+/// TBs the pair count itself is quadratic, so `max_tbs` subsamples the
+/// non-empty streams evenly: `Some(k)` keeps `k` of them (all when there
+/// are at most `k`), `Some(0)` keeps none and returns no rows, and `None`
+/// enumerates every pair.
 pub fn inter_intensities(streams: &[TbStream], max_tbs: Option<usize>) -> Vec<f64> {
     let nonempty: Vec<&TbStream> = streams.iter().filter(|s| !s.is_empty()).collect();
     let picked: Vec<&TbStream> = match max_tbs {
-        Some(cap) if nonempty.len() > cap && cap > 0 => {
+        Some(cap) if nonempty.len() > cap => {
             let stride = nonempty.len() as f64 / cap as f64;
             (0..cap)
                 .map(|i| nonempty[(i as f64 * stride) as usize])
@@ -134,18 +136,46 @@ pub fn inter_intensities(streams: &[TbStream], max_tbs: Option<usize>) -> Vec<f6
         }
         _ => nonempty,
     };
-    let uniqs: Vec<BTreeSet<u64>> = picked.iter().map(|s| s.unique_pages()).collect();
+    let runs: Vec<Vec<(u64, usize)>> = picked.iter().map(|s| page_runs(&s.vpns)).collect();
     let mut out = Vec::with_capacity(picked.len().saturating_sub(1).pow(2));
-    for (i, s1) in picked.iter().enumerate() {
-        for (j, uniq2) in uniqs.iter().enumerate() {
+    for (i, (s1, runs1)) in picked.iter().zip(&runs).enumerate() {
+        for (j, runs2) in runs.iter().enumerate() {
             if i == j {
                 continue;
             }
-            let shared: usize = s1.vpns.iter().filter(|v| uniq2.contains(v)).count();
-            out.push(shared as f64 / s1.len() as f64);
+            out.push(shared_translations(runs1, runs2) as f64 / s1.len() as f64);
         }
     }
     out
+}
+
+/// `vpns`' distinct pages in ascending order, each with the number of
+/// times it occurs.
+fn page_runs(vpns: &[u64]) -> Vec<(u64, usize)> {
+    let mut sorted = vpns.to_vec();
+    sorted.sort_unstable();
+    sorted
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len()))
+        .collect()
+}
+
+/// How many of `a`'s translations target a page `b` also touches: the
+/// sum of `a`'s counts over the pages both run lists share.
+fn shared_translations(a: &[(u64, usize)], b: &[(u64, usize)]) -> usize {
+    let (mut x, mut y, mut shared) = (0, 0, 0);
+    while x < a.len() && y < b.len() {
+        match a[x].0.cmp(&b[y].0) {
+            std::cmp::Ordering::Less => x += 1,
+            std::cmp::Ordering::Greater => y += 1,
+            std::cmp::Ordering::Equal => {
+                shared += a[x].1;
+                x += 1;
+                y += 1;
+            }
+        }
+    }
+    shared
 }
 
 /// The paper's five 20%-wide reuse-intensity bins (b1..b5).
@@ -205,11 +235,217 @@ impl ReuseBins {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use workloads::{registry, Scale};
+
+    /// The tree- and allocation-based implementations that the functions
+    /// above replaced, kept verbatim as the reference they must equal.
+    mod reference {
+        use super::TbStream;
+        use gpu_sim::coalesce;
+        use std::collections::{BTreeMap, BTreeSet};
+        use workloads::Workload;
+
+        pub fn tb_translation_streams(workload: &Workload, line_bytes: u64) -> Vec<TbStream> {
+            let page_size = workload.space().page_size();
+            let mut streams = Vec::new();
+            for kernel in workload.kernels() {
+                for tb in &kernel.tbs {
+                    let mut stream = TbStream::default();
+                    let mut op_pages: Vec<u64> = Vec::with_capacity(8);
+                    for warp in tb.warps() {
+                        for op in warp.ops() {
+                            if let Some(acc) = op.accesses() {
+                                op_pages.clear();
+                                for line in coalesce(acc, line_bytes) {
+                                    let vpn = line.vpn(page_size).raw();
+                                    if !op_pages.contains(&vpn) {
+                                        op_pages.push(vpn);
+                                    }
+                                }
+                                stream.vpns.extend_from_slice(&op_pages);
+                            }
+                        }
+                    }
+                    streams.push(stream);
+                }
+            }
+            streams
+        }
+
+        pub fn warp_translation_streams(workload: &Workload, line_bytes: u64) -> Vec<TbStream> {
+            let page_size = workload.space().page_size();
+            let mut streams = Vec::new();
+            for kernel in workload.kernels() {
+                for tb in &kernel.tbs {
+                    for warp in tb.warps() {
+                        let mut stream = TbStream::default();
+                        let mut op_pages: Vec<u64> = Vec::with_capacity(8);
+                        for op in warp.ops() {
+                            if let Some(acc) = op.accesses() {
+                                op_pages.clear();
+                                for line in coalesce(acc, line_bytes) {
+                                    let vpn = line.vpn(page_size).raw();
+                                    if !op_pages.contains(&vpn) {
+                                        op_pages.push(vpn);
+                                    }
+                                }
+                                stream.vpns.extend_from_slice(&op_pages);
+                            }
+                        }
+                        streams.push(stream);
+                    }
+                }
+            }
+            streams
+        }
+
+        pub fn intra_intensities(streams: &[TbStream]) -> Vec<f64> {
+            streams
+                .iter()
+                .filter(|s| !s.is_empty())
+                .map(|s| {
+                    let mut counts: BTreeMap<u64, u32> = BTreeMap::new();
+                    for &v in &s.vpns {
+                        *counts.entry(v).or_default() += 1;
+                    }
+                    let reused: usize = s.vpns.iter().filter(|v| counts[v] > 1).count();
+                    reused as f64 / s.len() as f64
+                })
+                .collect()
+        }
+
+        /// Note the `cap > 0` guard: this reference runs the exhaustive
+        /// path for `Some(0)`, which the new code answers with no rows.
+        pub fn inter_intensities(streams: &[TbStream], max_tbs: Option<usize>) -> Vec<f64> {
+            let nonempty: Vec<&TbStream> = streams.iter().filter(|s| !s.is_empty()).collect();
+            let picked: Vec<&TbStream> = match max_tbs {
+                Some(cap) if nonempty.len() > cap && cap > 0 => {
+                    let stride = nonempty.len() as f64 / cap as f64;
+                    (0..cap)
+                        .map(|i| nonempty[(i as f64 * stride) as usize])
+                        .collect()
+                }
+                _ => nonempty,
+            };
+            let uniqs: Vec<BTreeSet<u64>> = picked
+                .iter()
+                .map(|s| s.vpns.iter().copied().collect())
+                .collect();
+            let mut out = Vec::with_capacity(picked.len().saturating_sub(1).pow(2));
+            for (i, s1) in picked.iter().enumerate() {
+                for (j, uniq2) in uniqs.iter().enumerate() {
+                    if i == j {
+                        continue;
+                    }
+                    let shared: usize = s1.vpns.iter().filter(|v| uniq2.contains(v)).count();
+                    out.push(shared as f64 / s1.len() as f64);
+                }
+            }
+            out
+        }
+    }
 
     fn stream(vpns: &[u64]) -> TbStream {
         TbStream {
             vpns: vpns.to_vec(),
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Both intensities equal the reference bit for bit, in length and
+    /// order; `Some(0)` must give no rows.
+    fn assert_matches_reference(streams: &[TbStream], max_tbs: Option<usize>) {
+        assert_eq!(
+            bits(&intra_intensities(streams)),
+            bits(&reference::intra_intensities(streams)),
+            "intra, {streams:?}"
+        );
+        let inter = inter_intensities(streams, max_tbs);
+        if max_tbs == Some(0) {
+            assert!(inter.is_empty(), "Some(0) gave {} rows", inter.len());
+        } else {
+            assert_eq!(
+                bits(&inter),
+                bits(&reference::inter_intensities(streams, max_tbs)),
+                "inter, max_tbs {max_tbs:?}, {streams:?}"
+            );
+        }
+    }
+
+    /// `None`, `Some(0)`, and `Some(k)` below, at and above the count of
+    /// non-empty streams.
+    fn caps(streams: &[TbStream]) -> Vec<Option<usize>> {
+        let n = streams.iter().filter(|s| !s.is_empty()).count();
+        let mut caps = vec![None, Some(0), Some(n), Some(n + 1), Some(n + 7)];
+        caps.extend((1..n).map(Some));
+        caps
+    }
+
+    #[test]
+    fn edge_cases_match_the_reference() {
+        let cases: Vec<Vec<TbStream>> = vec![
+            vec![],
+            vec![TbStream::default()],
+            vec![TbStream::default(), TbStream::default()],
+            vec![stream(&[3, 1, 3, 2])],
+            vec![stream(&[4, 4, 4]); 5],
+            (0..6)
+                .map(|i| stream(&[10 * i, 10 * i + 1, 10 * i]))
+                .collect(),
+            vec![
+                stream(&[1, 2]),
+                TbStream::default(),
+                stream(&[2, 2, 9]),
+                TbStream::default(),
+                stream(&[u64::MAX, 0, u64::MAX]),
+            ],
+        ];
+        for streams in &cases {
+            for max_tbs in caps(streams) {
+                assert_matches_reference(streams, max_tbs);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sorted_runs_match_the_tree_reference(
+            raw in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 0..24), 0..14),
+            pages in 1u64..64,
+            cap in 0usize..18,
+        ) {
+            // A small page domain makes repeats and cross-TB sharing
+            // common; a large one makes streams mostly disjoint.
+            let streams: Vec<TbStream> = raw
+                .iter()
+                .map(|vpns| TbStream { vpns: vpns.iter().map(|v| v % pages).collect() })
+                .collect();
+            assert_matches_reference(&streams, (cap < 16).then_some(cap));
+        }
+    }
+
+    #[test]
+    fn streams_match_the_allocating_reference() {
+        for spec in registry() {
+            let wl = spec.generate(Scale::Test, 42);
+            assert_eq!(
+                tb_translation_streams(&wl, 128),
+                reference::tb_translation_streams(&wl, 128),
+                "{} tb streams",
+                spec.name
+            );
+            assert_eq!(
+                warp_translation_streams(&wl, 128),
+                reference::warp_translation_streams(&wl, 128),
+                "{} warp streams",
+                spec.name
+            );
         }
     }
 
@@ -246,6 +482,8 @@ mod tests {
         assert_eq!(all.len(), 50 * 49);
         let capped = inter_intensities(&streams, Some(10));
         assert_eq!(capped.len(), 10 * 9);
+        // Asking for no TBs samples none, not every pair.
+        assert!(inter_intensities(&streams, Some(0)).is_empty());
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! Each group first prints the paper-series rows (at the calibrated
 //! `Scale::Small` evaluation size, matching EXPERIMENTS.md) and then
 //! times the underlying harness at `Scale::Test` so `cargo bench` also
-//! reports simulator throughput.
+//! reports simulator throughput. The `reuse_intensity` group instead
+//! times the Figure 3/4 analysis layer alone, at `Scale::Small`.
 
-use bench::{fig10_11, fig12, fig2, fig3_4, fig5_6, geomean, hugepage, Grid, SEED};
+use analysis::{inter_intensities, intra_intensities, tb_translation_streams};
+use bench::{fig10_11, fig12, fig2, fig3_4, fig5_6, geomean, hugepage, Grid, LINE_BYTES, SEED};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 use workloads::{registry, Scale};
@@ -69,6 +71,30 @@ fn bench_fig03_04(c: &mut Criterion) {
     config(c).bench_function("fig03_04_reuse_intensity", |b| {
         b.iter(|| std::hint::black_box(fig3_4(Scale::Test, Some(32))))
     });
+}
+
+/// The Figure 3/4 analysis layer on its longest grid cell: pagerank at
+/// `Scale::Small`, with the grid's 64-TB pair sample. Stream extraction,
+/// intra-TB and inter-TB intensity are timed apart (`fig03_04_reuse_intensity`
+/// runs at `Scale::Test`, where every stream has one page).
+fn bench_reuse_intensity(c: &mut Criterion) {
+    let spec = registry()
+        .into_iter()
+        .find(|s| s.name == "pagerank")
+        .unwrap();
+    let wl = spec.generate(Scale::Small, SEED);
+    let streams = tb_translation_streams(&wl, LINE_BYTES);
+    let mut group = c.benchmark_group("reuse_intensity");
+    group.bench_function("pagerank_small_streams", |b| {
+        b.iter(|| tb_translation_streams(&wl, LINE_BYTES).len())
+    });
+    group.bench_function("pagerank_small_intra", |b| {
+        b.iter(|| intra_intensities(&streams).len())
+    });
+    group.bench_function("pagerank_small_inter_64", |b| {
+        b.iter(|| inter_intensities(&streams, Some(64)).len())
+    });
+    group.finish();
 }
 
 fn bench_fig05_06(c: &mut Criterion) {
@@ -164,7 +190,7 @@ criterion_group! {
         .sample_size(10)
         .measurement_time(Duration::from_secs(8))
         .warm_up_time(Duration::from_secs(1));
-    targets = bench_table2, bench_fig02, bench_fig03_04, bench_fig05_06,
-              bench_fig10_11, bench_fig12, bench_hugepage
+    targets = bench_table2, bench_fig02, bench_fig03_04, bench_reuse_intensity,
+              bench_fig05_06, bench_fig10_11, bench_fig12, bench_hugepage
 }
 criterion_main!(figures);
