@@ -24,28 +24,22 @@
 //!
 //! # Storage
 //!
-//! Ways are stored structure-of-arrays, set-major, in three parallel
-//! vectors:
-//! - a packed probe tag per way ([`tlb::tag_of`] of the ASID and the run
-//!   base VPN, `0` for an invalid way), the only array a probe scans;
-//! - an LRU stamp per way, kept when the way is invalidated, so invalid
-//!   ways are ordered by when they were last used;
-//! - a payload per way (PPN, run mask, literal flag, owner), read only
-//!   after a tag match and written by a fill.
-//!
-//! Compression uses the same arrays: a run's base VPN is in the tag and
-//! its page mask in the payload. A probe is a scan of at most two
-//! contiguous tag slices (the TB's own group and, when sharing is
-//! engaged, its neighbour's). A lookup that misses remembers what it
-//! missed, so the fill that follows it — same app, page and TB, nothing
-//! structural changed in between — skips the refresh probe it would
-//! repeat.
+//! The ways are a [`tlb::Ways`]: the tag holds the app and the run base
+//! VPN, and the payload is a [`tlb::Run`] (one page when compression is
+//! off) plus the TB slot that owns the entry's placement. This module adds
+//! the index policy only: TB-id set groups, the adjacent spill, the
+//! per-app sharing registers, a lookup memo per TB slot and the miss hint.
+//! A probe is a scan of at most two contiguous tag slices (the TB's own
+//! group and, when sharing is engaged, its neighbour's). A lookup that
+//! misses remembers what it missed, so the fill that follows it — same
+//! app, page and TB, nothing structural changed in between — skips the
+//! refresh probe it would repeat.
 
 use std::fmt::Write as _;
 use std::ops::Range;
 use tlb::{
-    first_min, recency_key, tag_asid, tag_of, tag_vpn, CompressionConfig, InvariantViolation, Memo,
-    PerAsidStats, TlbConfig, TlbOutcome, TlbRequest, TlbStats, TranslationBuffer,
+    CompressionConfig, InvariantViolation, Memo, Run, TlbConfig, TlbOutcome, TlbRequest, TlbStats,
+    TranslationBuffer, Ways,
 };
 use vmem::{Asid, Ppn, Vpn};
 
@@ -225,24 +219,14 @@ struct ShareState {
     counters: [u8; 16],
 }
 
-/// The part of a way a probe does not compare: read after a tag match,
-/// written by a fill. Validity, ASID and run base VPN live in the way's
-/// packed tag.
+/// The payload of a way: its run and the TB slot responsible for its
+/// placement — the inserting TB, the spilling TB for rescued victims, or
+/// the set's natural owner after adoption (see `on_tb_finish`). The
+/// sanitizer checks that every entry sits inside its owner's set group
+/// unless the owner's sharing flag licenses the neighbour placement.
 #[derive(Copy, Clone, Debug, Default)]
-struct Payload {
-    /// PPN of the run's base page (or the literal PPN, see `literal`).
-    ppn: Ppn,
-    /// Valid pages within the run (bit 0 alone when compression is off);
-    /// empty exactly when the way's tag is 0.
-    mask: u32,
-    /// Entry holds exactly one translation whose PPN is `ppn` verbatim
-    /// (PPN not expressible as run base + offset).
-    literal: bool,
-    /// TB slot responsible for this entry's placement: the inserting TB,
-    /// the spilling TB for rescued victims, or the set's natural owner
-    /// after adoption (see `on_tb_finish`). The sanitizer checks that
-    /// every entry sits inside its owner's set group unless the owner's
-    /// sharing flag licenses the neighbour placement.
+struct Entry {
+    run: Run,
     owner: u8,
 }
 
@@ -267,15 +251,7 @@ struct Payload {
 #[derive(Debug, Clone)]
 pub struct PartitionedTlb {
     cfg: PartitionedTlbConfig,
-    /// `cfg.geometry.sets()`.
-    sets: usize,
-    /// Packed probe tag per way, set-major ([`tlb::tag_of`] of the ASID
-    /// and run base VPN; 0 = invalid).
-    tags: Vec<u64>,
-    /// LRU stamp per way, parallel to `tags`.
-    stamps: Vec<u64>,
-    /// Payload per way, parallel to `tags`.
-    payload: Vec<Payload>,
+    ways: Ways<Entry>,
     /// `group_span` of every live TB slot (index = normalized slot); its
     /// length is the number of concurrent TBs.
     groups: Vec<Range<usize>>,
@@ -283,11 +259,6 @@ pub struct PartitionedTlb {
     degree_shift: u32,
     /// Per-app sharing registers, sorted by ASID (see [`ShareState`]).
     share: Vec<ShareState>,
-    clock: u64,
-    stats: TlbStats,
-    /// Per-app stats; evictions are attributed to the victim's ASID,
-    /// everything else to the requester's. Sums to `stats`.
-    per_asid: PerAsidStats,
     /// Victims rescued into a neighbour's way.
     spills: u64,
     /// Bumped by every structural mutation (insert, flush, TB lifecycle);
@@ -313,19 +284,12 @@ impl PartitionedTlb {
                 "compression degree must be a power of two <= 32"
             );
         }
-        let entries = cfg.geometry.entries;
         PartitionedTlb {
-            sets: cfg.geometry.sets(),
-            tags: vec![0; entries],
-            stamps: vec![0; entries],
-            payload: vec![Payload::default(); entries],
+            ways: Ways::new(cfg.geometry),
             groups: Self::group_table(&cfg, 16),
             degree_shift: cfg.compression.map_or(0, |c| c.degree.trailing_zeros()),
             cfg,
             share: Vec::new(),
-            clock: 0,
-            stats: TlbStats::default(),
-            per_asid: PerAsidStats::default(),
             spills: 0,
             struct_epoch: 0,
             memo: Memo::new(16),
@@ -344,11 +308,6 @@ impl PartitionedTlb {
     /// `crates/core/tests/fastpath_diff.rs` proves.
     pub fn set_fastpath(&mut self, on: bool) {
         self.memo.set_enabled(on);
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &PartitionedTlbConfig {
-        &self.cfg
     }
 
     /// Union of every app's sharing register (bit `i` = some app's TB `i`
@@ -390,7 +349,7 @@ impl PartitionedTlb {
 
     /// Number of valid ways.
     pub fn occupancy(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != 0).count()
+        self.ways.occupancy()
     }
 
     /// Probes for `vpn` as app `asid`'s TB `tb_slot` would, without
@@ -400,30 +359,9 @@ impl PartitionedTlb {
     pub fn peek(&self, asid: Asid, vpn: Vpn, tb_slot: u8) -> Option<Ppn> {
         let tb = self.norm_slot(tb_slot);
         let sets = self.searchable_sets(asid, tb);
-        self.find(asid, &sets, vpn).map(|w| self.ppn_at(w, vpn))
-    }
-
-    /// The frame way `w` maps `vpn` to.
-    fn ppn_at(&self, w: usize, vpn: Vpn) -> Ppn {
-        let p = &self.payload[w];
-        if p.literal {
-            p.ppn
-        } else {
-            Ppn::new(p.ppn.raw() + self.run_offset(vpn) as u64)
-        }
-    }
-
-    fn degree(&self) -> u64 {
-        1 << self.degree_shift
-    }
-
-    fn run_base(&self, vpn: Vpn) -> Vpn {
-        Vpn::new(vpn.raw() & !(self.degree() - 1))
-    }
-
-    fn run_offset(&self, vpn: Vpn) -> u32 {
-        // simlint: allow(lossy-cast, reason = "masked to the compression degree (<= 32) before the cast")
-        (vpn.raw() & (self.degree() - 1)) as u32
+        let w = self.find(asid, &sets, vpn)?;
+        let (_, off) = Run::locate(vpn, self.degree_shift);
+        Some(self.ways.payload(w).run.ppn_at(off))
     }
 
     fn groups(&self) -> usize {
@@ -448,7 +386,7 @@ impl PartitionedTlb {
     fn group_of(&self, tb: u8) -> Range<usize> {
         match self.groups.get(tb as usize) {
             Some(g) => g.clone(),
-            None => group_span(self.sets, self.groups(), tb as usize),
+            None => group_span(self.ways.sets(), self.groups(), tb as usize),
         }
     }
 
@@ -462,20 +400,16 @@ impl PartitionedTlb {
         }
     }
 
-    fn ways_of_set(&self, set: usize) -> Range<usize> {
-        self.ways_of_sets(set..set + 1)
-    }
-
-    /// Ways of the contiguous sets `sets`.
-    fn ways_of_sets(&self, sets: Range<usize>) -> Range<usize> {
-        let a = self.cfg.geometry.associativity;
-        sets.start * a..sets.end * a
-    }
-
     /// Ways of every set in `sets`, in span order.
     fn ways_of_span(&self, sets: &SetSpan) -> impl Iterator<Item = usize> {
-        self.ways_of_sets(sets.lo.clone())
-            .chain(self.ways_of_sets(sets.hi.clone()))
+        self.ways
+            .span(sets.lo.clone())
+            .chain(self.ways.span(sets.hi.clone()))
+    }
+
+    /// The set holding way `w`.
+    fn set_of_way(&self, w: usize) -> usize {
+        w / self.cfg.geometry.associativity
     }
 
     /// The TB slot that naturally owns `set` under the current concurrency
@@ -483,7 +417,7 @@ impl PartitionedTlb {
     /// entries whose placing TB can no longer reach them.
     fn home_tb(&self, set: usize) -> u8 {
         let n = self.groups();
-        if n >= self.sets {
+        if n >= self.ways.sets() {
             set as u8
         } else {
             (0..n as u8)
@@ -511,7 +445,7 @@ impl PartitionedTlb {
     /// `tb` must be a normalized slot.
     fn searchable_sets(&self, asid: Asid, tb: u8) -> SetSpan {
         if self.cfg.sharing == SharingPolicy::AllToAll {
-            return SetSpan::one(0..self.sets);
+            return SetSpan::one(0..self.ways.sets());
         }
         let own = self.group_of(tb);
         if self.flag_engaged(asid, tb) {
@@ -546,7 +480,7 @@ impl PartitionedTlb {
             let own = self.group_of(tb);
             SetSpan {
                 lo: 0..own.start,
-                hi: own.end..self.sets,
+                hi: own.end..self.ways.sets(),
             }
         } else {
             SetSpan::one(self.group_of(self.neighbour(tb)))
@@ -560,102 +494,67 @@ impl PartitionedTlb {
         } else {
             base
         };
-        probe
-            + if compressed_hit {
-                self.cfg
-                    .compression
-                    .map(|c| c.decompress_latency)
-                    .unwrap_or(0)
-            } else {
-                0
-            }
+        let decompress = self.cfg.compression.map_or(0, |c| c.decompress_latency);
+        probe + u64::from(compressed_hit) * decompress
     }
 
     /// Finds the way holding app `asid`'s translation of `vpn` among
     /// `sets`. The ASID is part of the packed tag: another app's entry
     /// for the same VPN never matches.
     fn find(&self, asid: Asid, sets: &SetSpan, vpn: Vpn) -> Option<usize> {
-        let tag = tag_of(asid, self.run_base(vpn));
-        let bit = 1 << self.run_offset(vpn);
-        self.find_in(self.ways_of_sets(sets.lo.clone()), tag, bit)
-            .or_else(|| self.find_in(self.ways_of_sets(sets.hi.clone()), tag, bit))
-    }
-
-    /// The first way of `ways` tagged `tag` whose run covers `bit`.
-    fn find_in(&self, ways: Range<usize>, tag: u64, bit: u32) -> Option<usize> {
-        let tags = &self.tags[ways.clone()];
-        // Most probes on the miss path match nothing: one branch-free
-        // pass over the tags rules the range out.
-        if !tags.iter().fold(false, |any, &t| any | (t == tag)) {
-            return None;
-        }
-        let payload = &self.payload[ways.clone()];
-        let i = tags
-            .iter()
-            .zip(payload)
-            .position(|(&t, p)| t == tag && p.mask & bit != 0)?;
-        Some(ways.start + i)
-    }
-
-    /// The first invalid way of `ways`.
-    fn first_invalid(&self, ways: Range<usize>) -> Option<usize> {
-        let start = ways.start;
-        self.tags[ways]
-            .iter()
-            .position(|&t| t == 0)
-            .map(|i| start + i)
+        let (base, off) = Run::locate(vpn, self.degree_shift);
+        let holds = |e: &Entry| e.run.holds(off);
+        let find = |sets: &Range<usize>| {
+            self.ways
+                .find(self.ways.span(sets.clone()), asid, base, holds)
+        };
+        find(&sets.lo).or_else(|| find(&sets.hi))
     }
 
     /// The way of `sets` a victim stamped `victim_stamp` is rescued into:
-    /// the first way with the smallest recency key in span order (an
-    /// invalid way before any valid one, then the oldest), provided it is
+    /// the LRU victim of the span (an invalid way before any valid one,
+    /// then the oldest, the first in span order on a tie), provided it is
     /// invalid or has been idle `displacement_margin` events longer than
     /// the victim.
     fn spill_slot(&self, sets: SetSpan, victim_stamp: u64) -> Option<usize> {
-        let key = |w: usize| recency_key(self.tags[w] != 0, self.stamps[w]);
-        let slot = first_min(self.ways_of_span(&sets).map(|w| (w, key(w))))?;
-        let idle = self.stamps[slot].saturating_add(self.cfg.displacement_margin) < victim_stamp;
-        (self.tags[slot] == 0 || idle).then_some(slot)
+        if sets.len() == 0 {
+            return None;
+        }
+        let slot = self.ways.victim(self.ways_of_span(&sets));
+        let idle = self
+            .ways
+            .stamp(slot)
+            .saturating_add(self.cfg.displacement_margin)
+            < victim_stamp;
+        (!self.ways.is_valid(slot) || idle).then_some(slot)
     }
 
-    /// Charges an eviction of one of `asid`'s entries.
-    fn count_eviction(&mut self, asid: Asid) {
-        self.stats.evictions += 1;
-        self.per_asid.entry(asid).evictions += 1;
-    }
-
-    /// Places a new entry for `req`'s TB, stamped now: an empty way in
-    /// the candidate set (then anywhere in the group), else evict the
-    /// candidate set's LRU way — first trying to rescue the victim into a
-    /// neighbour's sets (dynamic sharing, Figure 9). Everything here is
-    /// payload-independent: the inserted PPN travels inside `entry` but
-    /// is never inspected.
-    fn place(&mut self, req: &TlbRequest, tag: u64, entry: Payload) {
+    /// Places a new entry for `req`'s TB, tagged with run base `base` and
+    /// stamped now: an empty way in the candidate set (then the first
+    /// empty way of the group), else evict the candidate set's LRU way —
+    /// first trying to rescue the victim into a neighbour's sets (dynamic
+    /// sharing, Figure 9). Everything here is payload-independent: the
+    /// inserted PPN travels inside `entry` but is never inspected.
+    fn place(&mut self, req: &TlbRequest, base: Vpn, entry: Entry) {
         let own = self.group_of(req.tb_slot);
-        let candidate = self.ways_of_set(self.candidate_set(&own, req.vpn));
+        let candidate = self.ways.set(self.candidate_set(&own, req.vpn));
         // 1. An invalid way in the candidate set, then anywhere in the
         //    group (which is the candidate set itself in a one-set
         //    group).
-        let empty = match self.first_invalid(candidate.clone()) {
-            None if own.len() > 1 => self.first_invalid(self.ways_of_sets(own)),
+        let empty = match self.ways.first_invalid(candidate.clone()) {
+            None if own.len() > 1 => self.ways.first_invalid(self.ways.span(own)),
             w => w,
         };
         let w = match empty {
             Some(w) => w,
             None => {
-                // 2. Evict the LRU way of the candidate set (all valid
-                //    after step 1, so the stamp alone orders them).
-                let start = candidate.start;
-                let stamps = self.stamps[candidate].iter().copied();
-                let victim =
-                    start + first_min(stamps.enumerate()).expect("associativity is non-zero"); // simlint: allow(hot-unwrap, reason = "TlbConfig validates associativity > 0 at construction")
+                // 2. Evict the LRU way of the candidate set.
+                let victim = self.ways.victim(candidate);
                 self.rescue_or_evict(req, victim);
                 victim
             }
         };
-        self.tags[w] = tag;
-        self.stamps[w] = self.clock;
-        self.payload[w] = entry;
+        self.ways.fill(w, req.asid, base, entry);
     }
 
     /// Before `victim` is overwritten, tries to rescue it into another
@@ -668,33 +567,130 @@ impl PartitionedTlb {
     /// lookups never consult that flag, so a cross-app rescue would be
     /// permanently unreachable. Cross-app victims die in place instead.
     fn rescue_or_evict(&mut self, req: &TlbRequest, victim: usize) {
-        let victim_asid = tag_asid(self.tags[victim]);
-        if !self.cfg.sharing.spills() || victim_asid != req.asid {
-            self.count_eviction(victim_asid);
-            return;
-        }
-        let slot = self.spill_slot(self.spill_sets(req.tb_slot), self.stamps[victim]);
+        let victim_asid = self.ways.asid_of(victim);
+        let slot = if self.cfg.sharing.spills() && victim_asid == req.asid {
+            self.spill_slot(self.spill_sets(req.tb_slot), self.ways.stamp(victim))
+        } else {
+            None
+        };
         let Some(w) = slot else {
-            self.count_eviction(victim_asid);
+            self.ways.evict(victim);
             return;
         };
-        if self.tags[w] != 0 {
-            self.count_eviction(tag_asid(self.tags[w]));
-        }
-        self.tags[w] = self.tags[victim];
-        self.stamps[w] = self.stamps[victim];
+        self.ways.evict(w);
         // The rescued entry is now placed under the spiller's `(asid,
         // tb)` sharing licence, not wherever its previous owner could
         // reach.
-        self.payload[w] = Payload {
+        let entry = Entry {
             owner: req.tb_slot,
-            ..self.payload[victim]
+            ..*self.ways.payload(victim)
         };
+        self.ways.copy(victim, w, entry);
         let tb = req.tb_slot;
         let s = self.share_mut(req.asid);
         s.flags |= 1 << (tb as u16 % 16);
         s.counters[tb as usize % 16] = s.counters[tb as usize % 16].saturating_add(1);
         self.spills += 1;
+    }
+
+    /// The invariants beyond the way array: sharing registers, memo and
+    /// miss hints.
+    fn check_registers(&self) -> Result<(), String> {
+        let n = self.groups();
+        // Flag bits and spill counters for slots that cannot exist must
+        // stay clear (on_tb_finish / set_concurrent_tbs reset them), for
+        // every app's register word.
+        for s in self.share.iter().filter(|_| n < 16) {
+            if s.flags >> n != 0 {
+                return Err(format!(
+                    "ASID {}: sharing flags {:#018b} have bits set for TB slots >= {n}",
+                    s.asid, s.flags
+                ));
+            }
+            if let Some(i) = (n..16).find(|&i| s.counters[i] != 0) {
+                return Err(format!(
+                    "ASID {}: spill counter {i} nonzero with only {n} TB slots",
+                    s.asid
+                ));
+            }
+        }
+        if self.share.windows(2).any(|w| w[0].asid >= w[1].asid) {
+            return Err("sharing register table not strictly sorted by ASID".into());
+        }
+        if self.cfg.sharing == SharingPolicy::None && self.sharing_flags() != 0 {
+            return Err(format!(
+                "sharing flags {:#018b} set under SharingPolicy::None",
+                self.sharing_flags()
+            ));
+        }
+        // A TB's hint points into the sets its lookups can probe: its own
+        // group or its neighbour's, or anywhere under all-to-all.
+        let reachable = |tb: usize, w: usize| match self.cfg.sharing {
+            SharingPolicy::AllToAll => w < self.ways.capacity(),
+            _ => [tb as u8, self.neighbour(tb as u8)]
+                .iter()
+                .any(|&g| self.group_of(g).contains(&self.set_of_way(w))),
+        };
+        self.memo.check(n, reachable)?;
+        // Only a hint from the current epoch is ever trusted; it must
+        // point at a valid way still holding its VPN.
+        for (tb, w, h) in self.memo.armed() {
+            let (base, _) = Run::locate(h.vpn, self.degree_shift);
+            if h.epoch == self.struct_epoch && !self.ways.matches(w, h.asid, base) {
+                return Err(format!(
+                    "live memo for TB {tb} (asid {} vpn {:#x}) points at way {w} \
+                     which no longer holds it",
+                    h.asid,
+                    h.vpn.raw()
+                ));
+            }
+        }
+        // A current miss hint lets the next fill skip its refresh probe:
+        // that probe must indeed find nothing.
+        if let Some(h) = self.miss.filter(|h| h.epoch == self.struct_epoch) {
+            let sets = self.searchable_sets(h.asid, h.tb);
+            if let Some(w) = self.find(h.asid, &sets, h.vpn) {
+                return Err(format!(
+                    "live miss hint for TB {} (asid {} vpn {:#x}) but way {w} holds it",
+                    h.tb,
+                    h.asid,
+                    h.vpn.raw()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// §IV-B placement: an entry lives in its owner's group, or in
+    /// territory licensed by the owner's `(asid, tb)` sharing flag (the
+    /// adjacent group — or anywhere under all-to-all). The licence is
+    /// looked up in the entry's own app's register word: another app's
+    /// spills never license this entry's placement.
+    fn check_placement(&self, w: usize, owner: u8) -> Result<(), String> {
+        let set = self.set_of_way(w);
+        if self.group_of(owner).contains(&set) {
+            return Ok(());
+        }
+        let asid = self.ways.asid_of(w);
+        let bit = self.sharing_flags_of(asid) & (1 << (u16::from(owner) % 16)) != 0;
+        let licensed = bit
+            && match self.cfg.sharing {
+                SharingPolicy::None => false,
+                SharingPolicy::Adjacent | SharingPolicy::AdjacentCounter { .. } => {
+                    let neighbour = ((owner as usize + 1) % self.groups()) as u8;
+                    self.group_of(neighbour).contains(&set)
+                }
+                SharingPolicy::AllToAll => true,
+            };
+        if licensed {
+            return Ok(());
+        }
+        Err(format!(
+            "entry asid={asid} vpn={:#x} owned by TB {owner} is outside group {:?} and its \
+             app's sharing flag does not license set {set}",
+            self.ways.vpn_of(w).raw(),
+            self.group_of(owner),
+        ))
     }
 }
 
@@ -704,7 +700,7 @@ impl TranslationBuffer for PartitionedTlb {
             tb_slot: self.norm_slot(req.tb_slot),
             ..*req
         };
-        self.clock += 1;
+        self.ways.tick();
         let tb = req.tb_slot as usize;
         // Nothing structural changed since the walk that armed the hint
         // hit this VPN for this app's TB: the walk would find the same way
@@ -724,8 +720,7 @@ impl TranslationBuffer for PartitionedTlb {
                         tb: req.tb_slot,
                         epoch,
                     });
-                    self.stats.record(false);
-                    self.per_asid.entry(req.asid).record(false);
+                    self.ways.record(req.asid, false);
                     return TlbOutcome::miss(self.lookup_latency(sets.len(), false));
                 };
                 let hint = MemoHint {
@@ -738,13 +733,12 @@ impl TranslationBuffer for PartitionedTlb {
                 (w, sets.len())
             }
         };
-        let compressed = self.payload[w].mask.count_ones() > 1;
-        let latency = self.lookup_latency(sets_probed, compressed);
-        self.stamps[w] = self.clock;
-        let ppn = self.ppn_at(w, req.vpn);
-        self.stats.record(true);
-        self.per_asid.entry(req.asid).record(true);
-        TlbOutcome::hit(ppn, latency)
+        let run = self.ways.payload(w).run;
+        let latency = self.lookup_latency(sets_probed, run.compressed());
+        self.ways.touch(w);
+        self.ways.record(req.asid, true);
+        let (_, off) = Run::locate(req.vpn, self.degree_shift);
+        TlbOutcome::hit(run.ppn_at(off), latency)
     }
 
     fn insert(&mut self, req: &TlbRequest, ppn: Ppn) {
@@ -763,106 +757,65 @@ impl TranslationBuffer for PartitionedTlb {
                     tb: req.tb_slot,
                     epoch: self.struct_epoch,
                 });
-        self.clock += 1;
+        self.ways.tick();
         self.struct_epoch += 1;
-        let clock = self.clock;
-        let tag = tag_of(req.asid, self.run_base(req.vpn));
-        let off = self.run_offset(req.vpn);
+        let (base, off) = Run::locate(req.vpn, self.degree_shift);
         let present = if known_absent {
             None
         } else {
             let searchable = self.searchable_sets(req.asid, req.tb_slot);
             self.find(req.asid, &searchable, req.vpn)
         };
-
-        if self.cfg.compression.is_some() {
-            // Compressed runs are payload-dependent: the base-delta
-            // predicate compares the PPN against run bases.
-            //
-            // Refresh in place if the translation is already reachable
-            // (and coherent-remap any stale run bit).
-            let expected_base_ppn = ppn.raw().checked_sub(off as u64);
-            if let Some(w) = present {
-                let p = &mut self.payload[w];
-                let coherent = if p.literal {
-                    p.mask == 1 << off && p.ppn == ppn
-                } else {
-                    Some(p.ppn.raw()) == expected_base_ppn
-                };
-                if coherent {
-                    self.stamps[w] = clock;
-                    return;
-                }
-                p.mask &= !(1 << off);
-                if p.mask == 0 {
-                    self.tags[w] = 0;
-                }
-            }
-
-            // Merge into a compatible run in the TB's own sets. Runs
-            // never compress across address spaces: the tag carries the
-            // requester's ASID.
-            if let Some(expected) = expected_base_ppn {
-                let own = self.ways_of_sets(self.group_of(req.tb_slot));
-                for w in own {
-                    let p = &mut self.payload[w];
-                    if self.tags[w] == tag && !p.literal && p.ppn == Ppn::new(expected) {
-                        p.mask |= 1 << off;
-                        self.stamps[w] = clock;
-                        return;
-                    }
-                }
-            }
-
-            self.stats.insertions += 1;
-            self.per_asid.entry(req.asid).insertions += 1;
-            let (ppn, literal) = match expected_base_ppn {
-                Some(expected) => (Ppn::new(expected), false),
-                None => (ppn, true), // underflow under compression: literal
-            };
-            let entry = Payload {
-                ppn,
-                mask: 1 << off,
-                literal,
-                owner: req.tb_slot,
-            };
-            self.place(req, tag, entry);
-            return;
-        }
-
-        // Compression off: victim choice and placement depend only on the
-        // VPN, the set geometry, and recency — never on `ppn`.
+        let compressed = self.cfg.compression.is_some();
         if let Some(w) = present {
-            // Unconditional refresh-in-place: concurrent fill races for
-            // the same page are benign (last writer wins, matching the
-            // set-associative baseline), and no payload comparison decides
-            // the replacement outcome.
-            self.payload[w].ppn = ppn;
-            self.stamps[w] = clock;
-            return;
+            let run = &mut self.ways.payload_mut(w).run;
+            if !compressed || run.coherent(ppn, off) {
+                // Refresh in place. Without compression this is
+                // unconditional: fill races for one page are benign (last
+                // writer wins, as in the set-associative baseline), so
+                // victim choice and placement never depend on `ppn`.
+                if !compressed {
+                    run.ppn = ppn;
+                }
+                self.ways.touch(w);
+                return;
+            }
+            // Remap: clear the stale page; it is placed anew below.
+            run.mask &= !(1 << off);
+            if run.mask == 0 {
+                self.ways.invalidate(w);
+            }
         }
-        self.stats.insertions += 1;
-        self.per_asid.entry(req.asid).insertions += 1;
-        let entry = Payload {
-            ppn,
-            mask: 1,
-            literal: true,
+        if compressed {
+            // Merge into a compatible run in the TB's own sets. Runs never
+            // compress across address spaces: the tag carries the
+            // requester's ASID.
+            let own = self.ways.span(self.group_of(req.tb_slot));
+            let absorbs = |e: &Entry| e.run.absorbs(ppn, off);
+            if let Some(w) = self.ways.find(own, req.asid, base, absorbs) {
+                self.ways.payload_mut(w).run.mask |= 1 << off;
+                self.ways.touch(w);
+                return;
+            }
+        }
+        self.ways.inserted(req.asid);
+        let entry = Entry {
+            run: Run::new(ppn, off),
             owner: req.tb_slot,
         };
-        self.place(req, tag, entry);
+        self.place(req, base, entry);
     }
 
     fn stats(&self) -> TlbStats {
-        self.stats
+        self.ways.stats()
     }
 
     fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
-        self.per_asid.clear();
+        self.ways.reset_stats();
     }
 
     fn stats_by_asid(&self) -> Vec<(Asid, TlbStats)> {
-        self.per_asid.non_empty()
+        self.ways.stats_by_asid()
     }
 
     fn probe(&self, req: &TlbRequest) -> Option<Option<Ppn>> {
@@ -870,10 +823,7 @@ impl TranslationBuffer for PartitionedTlb {
     }
 
     fn flush(&mut self) {
-        self.tags.fill(0);
-        for p in &mut self.payload {
-            p.mask = 0;
-        }
+        self.ways.flush();
         self.share.clear();
         self.struct_epoch += 1;
     }
@@ -912,15 +862,17 @@ impl TranslationBuffer for PartitionedTlb {
         // `(asid, tb)`, so other apps' parked entries stay licensed.
         // (When more than 16 TBs alias one flag bit, every aliasing owner
         // is covered.)
-        let assoc = self.cfg.geometry.associativity;
-        for w in 0..self.tags.len() {
-            let (tag, owner) = (self.tags[w], self.payload[w].owner);
-            if tag == 0 || tag_asid(tag) != asid || u16::from(owner) % 16 != pred % 16 {
+        for w in 0..self.ways.capacity() {
+            let owner = self.ways.payload(w).owner;
+            if !self.ways.is_valid(w)
+                || self.ways.asid_of(w) != asid
+                || u16::from(owner) % 16 != pred % 16
+            {
                 continue;
             }
-            let set = w / assoc;
+            let set = self.set_of_way(w);
             if !self.group_of(owner).contains(&set) {
-                self.payload[w].owner = self.home_tb(set);
+                self.ways.payload_mut(w).owner = self.home_tb(set);
             }
         }
     }
@@ -935,211 +887,42 @@ impl TranslationBuffer for PartitionedTlb {
             // groups moved under the resident entries — re-home everything
             // to its set's natural owner.
             self.share.clear();
-            let assoc = self.cfg.geometry.associativity;
-            for w in 0..self.tags.len() {
-                if self.tags[w] != 0 {
-                    self.payload[w].owner = self.home_tb(w / assoc);
+            for w in 0..self.ways.capacity() {
+                if self.ways.is_valid(w) {
+                    self.ways.payload_mut(w).owner = self.home_tb(self.set_of_way(w));
                 }
             }
         }
     }
 
     fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        let fail = |detail: String| {
-            Err(InvariantViolation::new(
-                "PartitionedTlb",
-                detail,
-                self.dump_state(),
-            ))
-        };
-        if let Err(e) = self.stats.check() {
-            return fail(e);
-        }
-        if self.occupancy() > self.capacity() {
-            return fail(format!(
-                "occupancy {} exceeds capacity {}",
-                self.occupancy(),
-                self.capacity()
-            ));
-        }
-        let agg = self.per_asid.sum();
-        if agg != self.stats {
-            return fail(format!(
-                "per-ASID stats sum {agg:?} != aggregate {:?}",
-                self.stats
-            ));
-        }
-        let n = self.groups();
-        // Flag bits and spill counters for slots that cannot exist must
-        // stay clear (on_tb_finish / set_concurrent_tbs reset them), for
-        // every app's register word.
-        for s in &self.share {
-            if n < 16 {
-                if s.flags >> n != 0 {
-                    return fail(format!(
-                        "ASID {}: sharing flags {:#018b} have bits set for TB slots >= {n}",
-                        s.asid, s.flags
-                    ));
-                }
-                if let Some(i) = (n..16).find(|&i| s.counters[i] != 0) {
-                    return fail(format!(
-                        "ASID {}: spill counter {i} nonzero with only {n} TB slots",
-                        s.asid
-                    ));
-                }
-            }
-        }
-        if self.share.windows(2).any(|w| w[0].asid >= w[1].asid) {
-            return fail("sharing register table not strictly sorted by ASID".into());
-        }
-        // A TB's hint points into the sets its lookups can probe: its own
-        // group or its neighbour's, or anywhere under all-to-all.
-        let assoc = self.cfg.geometry.associativity;
-        let reachable = |tb: usize, w: usize| match self.cfg.sharing {
-            SharingPolicy::AllToAll => w < self.tags.len(),
-            _ => [tb as u8, self.neighbour(tb as u8)]
-                .iter()
-                .any(|&g| self.group_of(g).contains(&(w / assoc))),
-        };
-        if let Err(e) = self.memo.check(n, reachable) {
-            return fail(e);
-        }
-        // Only a hint from the current epoch is ever trusted; it must
-        // point at a valid way still holding its VPN.
-        for (tb, w, h) in self.memo.armed() {
-            if h.epoch == self.struct_epoch && self.tags[w] != tag_of(h.asid, self.run_base(h.vpn))
-            {
-                return fail(format!(
-                    "live memo for TB {tb} (asid {} vpn {:#x}) points at way {w} \
-                     which no longer holds it",
-                    h.asid,
-                    h.vpn.raw()
-                ));
-            }
-        }
-        // A current miss hint lets the next fill skip its refresh probe:
-        // that probe must indeed find nothing.
-        if let Some(h) = self.miss.filter(|h| h.epoch == self.struct_epoch) {
-            let sets = self.searchable_sets(h.asid, h.tb);
-            if let Some(w) = self.find(h.asid, &sets, h.vpn) {
-                return fail(format!(
-                    "live miss hint for TB {} (asid {} vpn {:#x}) but way {w} holds it",
-                    h.tb,
-                    h.asid,
-                    h.vpn.raw()
-                ));
-            }
-        }
-        if self.cfg.sharing == SharingPolicy::None && self.sharing_flags() != 0 {
-            return fail(format!(
-                "sharing flags {:#018b} set under SharingPolicy::None",
-                self.sharing_flags()
-            ));
-        }
-        // The packed tag is the only record of a way's validity, ASID and
-        // run base: a live tag carries the valid bit and a non-empty run,
-        // a dead one (0) an empty run.
-        for (w, (&tag, p)) in self.tags.iter().zip(&self.payload).enumerate() {
-            if tag != 0 && tag & 1 == 0 {
-                return fail(format!("way {w}: packed tag {tag:#x} lacks the valid bit"));
-            }
-            if (tag != 0) != (p.mask != 0) {
-                return fail(format!(
-                    "way {w}: packed tag {tag:#x} disagrees with run mask {:#x} on validity",
-                    p.mask
-                ));
-            }
-        }
-        let degree_bits = if self.degree() >= 32 {
-            u32::MAX
-        } else {
-            (1u32 << self.degree()) - 1
-        };
-        for set in 0..self.sets {
-            let range = self.ways_of_set(set);
-            for w in range.clone() {
-                let tag = self.tags[w];
-                if tag == 0 {
-                    continue;
-                }
-                let (asid, base_vpn) = (tag_asid(tag), tag_vpn(tag));
-                let (p, stamp) = (&self.payload[w], self.stamps[w]);
-                if p.mask & !degree_bits != 0 {
-                    return fail(format!(
-                        "set {set}: mask {:#x} has bits beyond compression degree {}",
-                        p.mask,
-                        self.degree()
-                    ));
-                }
-                if p.literal && p.mask.count_ones() != 1 {
-                    return fail(format!(
-                        "set {set}: literal entry covers {} pages (must be 1)",
-                        p.mask.count_ones()
-                    ));
-                }
-                if base_vpn & (self.degree() - 1) != 0 {
-                    return fail(format!(
-                        "set {set}: base VPN {base_vpn:#x} not aligned to run degree"
-                    ));
-                }
-                if stamp > self.clock {
-                    return fail(format!(
-                        "set {set}: stamp {stamp} ahead of clock {}",
-                        self.clock
-                    ));
-                }
-                // Distinct stamps per set keep LRU victim selection a
-                // total order.
-                if (range.start..w).any(|o| self.tags[o] != 0 && self.stamps[o] == stamp) {
-                    return fail(format!(
-                        "set {set}: duplicate LRU stamp {stamp} breaks the recency total order"
-                    ));
-                }
-                // §IV-B placement: an entry lives in its owner's group, or
-                // in territory licensed by the owner's `(asid, tb)`
-                // sharing flag (the adjacent group — or anywhere under
-                // all-to-all). The licence is looked up in the entry's own
-                // app's register word: another app's spills never license
-                // this entry's placement.
-                let owner = p.owner;
-                if self.group_of(owner).contains(&set) {
-                    continue;
-                }
-                let bit = self.sharing_flags_of(asid) & (1 << (u16::from(owner) % 16)) != 0;
-                let licensed = bit
-                    && match self.cfg.sharing {
-                        SharingPolicy::None => false,
-                        SharingPolicy::Adjacent | SharingPolicy::AdjacentCounter { .. } => {
-                            let neighbour = ((owner as usize + 1) % n) as u8;
-                            self.group_of(neighbour).contains(&set)
-                        }
-                        SharingPolicy::AllToAll => true,
-                    };
-                if !licensed {
-                    return fail(format!(
-                        "set {set}: entry asid={asid} vpn={base_vpn:#x} owned by TB {owner} is \
-                         outside group {:?} and its app's sharing flag does not license set {set}",
-                        self.group_of(owner),
-                    ));
-                }
-            }
-        }
-        Ok(())
+        // A page may sit in two ways of one set: a victim parked below its
+        // spill counter's threshold, or re-homed by a TB finish, is not
+        // reachable by its TB, which refills it.
+        let shift = self.degree_shift;
+        self.ways
+            .check(
+                |_, _| false,
+                |w, e| {
+                    e.run.check(shift, self.ways.vpn_of(w))?;
+                    self.check_placement(w, e.owner)
+                },
+            )
+            .and_then(|()| self.check_registers())
+            .map_err(|e| InvariantViolation::new("PartitionedTlb", e, self.dump_state()))
     }
 
     fn dump_state(&self) -> String {
-        let mut s = format!(
-            "PartitionedTlb: {} entries, {}-way, {:?}, concurrent_tbs={}, clock={}\n\
-             sharing_flags={:#018b} (union) spills={}\n\
-             stats {{{:?}}}\n",
-            self.cfg.geometry.entries,
-            self.cfg.geometry.associativity,
+        let mut s = self.ways.dump("PartitionedTlb", |s, _, e| {
+            let _ = write!(s, "{} owner={}", e.run, e.owner);
+        });
+        let _ = writeln!(
+            s,
+            "  {:?}, concurrent_tbs={}, sharing_flags={:#018b} (union), spills={}",
             self.cfg.sharing,
             self.groups(),
-            self.clock,
             self.sharing_flags(),
             self.spills,
-            self.stats
         );
         for sh in &self.share {
             let _ = writeln!(
@@ -1148,35 +931,13 @@ impl TranslationBuffer for PartitionedTlb {
                 sh.asid, sh.flags, sh.counters
             );
         }
-        for tb in 0..self.groups().min(self.sets) as u8 {
+        for tb in 0..self.groups().min(self.ways.sets()) as u8 {
             let _ = write!(s, "  tb {tb:2} owns sets {:?}", self.group_of(tb));
             if tb % 4 == 3 {
                 s.push('\n');
             }
         }
         s.push('\n');
-        for set in 0..self.sets {
-            let ways = self.ways_of_set(set);
-            if self.tags[ways.clone()].iter().all(|&t| t == 0) {
-                continue;
-            }
-            let _ = write!(s, "  set {set:3}:");
-            for w in ways.filter(|&w| self.tags[w] != 0) {
-                let (tag, p) = (self.tags[w], &self.payload[w]);
-                let _ = write!(
-                    s,
-                    " [asid={} vpn={:#x} ppn={:#x} mask={:#b}{} owner={} @{}]",
-                    tag_asid(tag),
-                    tag_vpn(tag),
-                    p.ppn.raw(),
-                    p.mask,
-                    if p.literal { " literal" } else { "" },
-                    p.owner,
-                    self.stamps[w]
-                );
-            }
-            s.push('\n');
-        }
         s
     }
 }
@@ -1529,10 +1290,10 @@ mod tests {
         }
         // Spilled entries landed outside TB 0's single-set group.
         let own: Vec<usize> = t.group_of(0).collect();
-        let foreign = (0..t.cfg.geometry.sets())
+        let foreign = (0..t.ways.sets())
             .filter(|s| !own.contains(s))
-            .flat_map(|s| t.ways_of_set(s))
-            .filter(|&w| t.tags[w] != 0)
+            .flat_map(|s| t.ways.set(s))
+            .filter(|&w| t.ways.is_valid(w))
             .count();
         assert_eq!(foreign, 8);
     }
@@ -1561,10 +1322,12 @@ mod tests {
     fn corrupted_owner_is_caught_with_state_dump() {
         let mut t = tlb(true);
         t.insert(&req(500, 2), Ppn::new(1));
-        let w = t.tags.iter().position(|&tag| tag != 0).unwrap();
+        let w = (0..t.ways.capacity())
+            .find(|&w| t.ways.is_valid(w))
+            .unwrap();
         // Deliberate corruption: claim the entry belongs to TB 9, whose
         // group is elsewhere and whose sharing flag is clear.
-        t.payload[w].owner = 9;
+        t.ways.payload_mut(w).owner = 9;
         let v = t.check_invariants().unwrap_err();
         assert!(v.detail.contains("owned by TB 9"), "{}", v.detail);
         assert!(
@@ -1573,36 +1336,6 @@ mod tests {
             v.dump
         );
         assert!(v.dump.contains("owner=9"), "dump lacks entry:\n{}", v.dump);
-    }
-
-    #[test]
-    fn corrupted_stats_identity_is_caught() {
-        let mut t = tlb(false);
-        t.lookup(&req(1, 0));
-        t.stats.misses += 1; // bypass record()
-        assert!(t.check_invariants().is_err());
-    }
-
-    #[test]
-    fn corrupted_tag_is_caught() {
-        let mut t = tlb(false);
-        t.insert(&req(500, 2), Ppn::new(1));
-        let w = t.tags.iter().position(|&tag| tag != 0).unwrap();
-        assert_eq!(t.tags[w], tag_of(Asid::default(), Vpn::new(500)));
-        t.check_invariants()
-            .expect("a fresh fill keeps tags and runs in step");
-        // A tag without its valid bit no longer packs (valid, ASID, VPN).
-        let good = t.tags[w];
-        t.tags[w] = good & !1;
-        let v = t.check_invariants().unwrap_err();
-        assert!(v.detail.contains("lacks the valid bit"), "{}", v.detail);
-        // A lost tag write: the way's run survives but its tag says
-        // invalid.
-        t.tags[w] = 0;
-        let v = t.check_invariants().unwrap_err();
-        assert!(v.detail.contains("disagrees with run mask"), "{}", v.detail);
-        t.tags[w] = good;
-        t.check_invariants().expect("restored tag");
     }
 
     /// Two sets of four ways, two TBs, adjacent sharing with a short
@@ -1937,12 +1670,12 @@ mod tests {
                 let spill = t.spill_sets(tb);
                 let want = reference_spill_sets(&t, tb);
                 assert_eq!(spill.iter().collect::<Vec<_>>(), want, "{ctx}");
-                let want: Vec<usize> = want.iter().flat_map(|&s| t.ways_of_set(s)).collect();
+                let want: Vec<usize> = want.iter().flat_map(|&s| t.ways.set(s)).collect();
                 assert_eq!(t.ways_of_span(&spill).collect::<Vec<_>>(), want, "{ctx}");
             }
             let own = reference_group(sets, n as usize, tb as usize);
             for v in vpns.clone() {
-                let want = own[((v / t.degree()) % own.len() as u64) as usize];
+                let want = own[((v / (1 << t.degree_shift)) % own.len() as u64) as usize];
                 let got = t.candidate_set(&t.group_of(tb), Vpn::new(v));
                 assert_eq!(got, want, "n={n} tb={tb} vpn {v:#x}");
             }

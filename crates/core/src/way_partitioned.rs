@@ -8,17 +8,14 @@
 //! each TB's effective associativity shrinks and, unlike the paper's
 //! design, hot sets cannot borrow capacity from cold ones. Used by the
 //! partitioning-strategy ablation.
+//!
+//! On [`tlb::Ways`], the index policy is the low VPN bits, the payload
+//! the PPN, and replacement is restricted to a way mask per TB slot.
 
-use tlb::{first_min, recency_key, TlbConfig, TlbOutcome, TlbRequest, TlbStats, TranslationBuffer};
-use vmem::{Ppn, Vpn};
-
-#[derive(Copy, Clone, Debug, Default)]
-struct Way {
-    valid: bool,
-    vpn: Vpn,
-    ppn: Ppn,
-    stamp: u64,
-}
+use tlb::{
+    InvariantViolation, TlbConfig, TlbOutcome, TlbRequest, TlbStats, TranslationBuffer, Ways,
+};
+use vmem::{Asid, Ppn, Vpn};
 
 /// A VPN-indexed TLB whose ways are statically partitioned among TB
 /// slots.
@@ -39,114 +36,77 @@ struct Way {
 #[derive(Debug, Clone)]
 pub struct WayPartitionedTlb {
     config: TlbConfig,
-    ways: Vec<Way>,
+    ways: Ways<Ppn>,
     concurrent_tbs: u8,
-    clock: u64,
-    stats: TlbStats,
 }
 
 impl WayPartitionedTlb {
     /// Creates an empty way-partitioned TLB.
     pub fn new(config: TlbConfig) -> Self {
         WayPartitionedTlb {
-            ways: vec![Way::default(); config.entries],
+            ways: Ways::new(config),
             config,
             concurrent_tbs: 16,
-            clock: 0,
-            stats: TlbStats::default(),
         }
     }
 
-    /// Way-owner groups: one per TB up to the associativity.
-    fn groups(&self) -> usize {
-        (self.concurrent_tbs as usize).clamp(1, self.config.associativity)
-    }
-
-    fn set_of(&self, vpn: Vpn) -> usize {
-        // Mask in u64 before narrowing so the set index is identical on
-        // 32-bit hosts.
-        (vpn.raw() & (self.config.sets() as u64 - 1)) as usize
-    }
-
-    fn set_range(&self, set: usize) -> std::ops::Range<usize> {
-        let a = self.config.associativity;
-        set * a..(set + 1) * a
-    }
-
-    /// Ways of `set` that TB `slot` may replace into.
-    fn owned_ways(&self, set: usize, slot: u8) -> impl Iterator<Item = usize> + '_ {
-        let g = self.groups();
-        let owner = slot as usize % g;
-        self.set_range(set).filter(move |w| w % g == owner)
+    /// The way holding `asid`'s translation of `vpn`, if any.
+    fn find(&self, asid: Asid, vpn: Vpn) -> Option<usize> {
+        let set = self.ways.set(self.ways.set_of(vpn, 0));
+        self.ways.find(set, asid, vpn, |_| true)
     }
 
     /// Number of valid entries.
     pub fn occupancy(&self) -> usize {
-        self.ways.iter().filter(|w| w.valid).count()
+        self.ways.occupancy()
     }
 }
 
 impl TranslationBuffer for WayPartitionedTlb {
     fn lookup(&mut self, req: &TlbRequest) -> TlbOutcome {
-        self.clock += 1;
-        let set = self.set_of(req.vpn);
-        let range = self.set_range(set);
-        let clock = self.clock;
-        for way in &mut self.ways[range] {
-            if way.valid && way.vpn == req.vpn {
-                way.stamp = clock;
-                self.stats.record(true);
-                return TlbOutcome::hit(way.ppn, self.config.lookup_latency);
-            }
-        }
-        self.stats.record(false);
-        TlbOutcome::miss(self.config.lookup_latency)
+        self.ways.tick();
+        let Some(w) = self.find(req.asid, req.vpn) else {
+            self.ways.record(req.asid, false);
+            return TlbOutcome::miss(self.config.lookup_latency);
+        };
+        self.ways.touch(w);
+        self.ways.record(req.asid, true);
+        TlbOutcome::hit(*self.ways.payload(w), self.config.lookup_latency)
     }
 
     fn insert(&mut self, req: &TlbRequest, ppn: Ppn) {
-        self.clock += 1;
-        let set = self.set_of(req.vpn);
-        let clock = self.clock;
+        self.ways.tick();
         // Refresh anywhere if present.
-        let range = self.set_range(set);
-        if let Some(way) = self.ways[range]
-            .iter_mut()
-            .find(|w| w.valid && w.vpn == req.vpn)
-        {
-            way.ppn = ppn;
-            way.stamp = clock;
+        if let Some(w) = self.find(req.asid, req.vpn) {
+            *self.ways.payload_mut(w) = ppn;
+            self.ways.touch(w);
             return;
         }
-        self.stats.insertions += 1;
-        // Replace only within the TB's own ways (LRU, invalid first).
-        let victim = first_min(
-            self.owned_ways(set, req.tb_slot)
-                .map(|w| (w, recency_key(self.ways[w].valid, self.ways[w].stamp))),
-        )
-        .expect("every slot owns at least one way"); // simlint: allow(hot-unwrap, reason = "way_range clamps to at least one way per slot")
-        if self.ways[victim].valid {
-            self.stats.evictions += 1;
-        }
-        self.ways[victim] = Way {
-            valid: true,
-            vpn: req.vpn,
-            ppn,
-            stamp: clock,
-        };
+        self.ways.inserted(req.asid);
+        // Replace only within the TB's own ways (LRU, invalid first): one
+        // owner group per TB up to the associativity.
+        let groups = (self.concurrent_tbs as usize).clamp(1, self.config.associativity);
+        let owner = req.tb_slot as usize % groups;
+        let set = self.ways.set(self.ways.set_of(req.vpn, 0));
+        let w = self.ways.victim(set.filter(|w| w % groups == owner));
+        self.ways.evict(w);
+        self.ways.fill(w, req.asid, req.vpn, ppn);
     }
 
     fn stats(&self) -> TlbStats {
-        self.stats
+        self.ways.stats()
     }
 
     fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
+        self.ways.reset_stats();
+    }
+
+    fn stats_by_asid(&self) -> Vec<(Asid, TlbStats)> {
+        self.ways.stats_by_asid()
     }
 
     fn flush(&mut self) {
-        for w in &mut self.ways {
-            w.valid = false;
-        }
+        self.ways.flush();
     }
 
     fn capacity(&self) -> usize {
@@ -155,6 +115,23 @@ impl TranslationBuffer for WayPartitionedTlb {
 
     fn set_concurrent_tbs(&mut self, tbs: u8) {
         self.concurrent_tbs = tbs.max(1);
+    }
+
+    fn probe(&self, req: &TlbRequest) -> Option<Option<Ppn>> {
+        Some(self.find(req.asid, req.vpn).map(|w| *self.ways.payload(w)))
+    }
+
+    fn check_invariants(&self) -> Result<(), InvariantViolation> {
+        self.ways
+            .check(|_, _| true, |_, _| Ok(()))
+            .map_err(|e| InvariantViolation::new("WayPartitionedTlb", e, self.dump_state()))
+    }
+
+    fn dump_state(&self) -> String {
+        let name = format!("WayPartitionedTlb ({} TBs)", self.concurrent_tbs);
+        self.ways.dump(&name, |s, _, ppn| {
+            s.push_str(&format!(" ppn={:#x}", ppn.raw()));
+        })
     }
 }
 
@@ -237,5 +214,59 @@ mod tests {
         t.reset_stats();
         assert_eq!(t.stats(), TlbStats::default());
         assert_eq!(t.capacity(), 64);
+    }
+
+    fn areq(asid: u16, vpn: u64, slot: u8) -> TlbRequest {
+        req(vpn, slot).with_asid(Asid::new(asid))
+    }
+
+    #[test]
+    fn same_vpn_different_asid_never_hits() {
+        let mut t = WayPartitionedTlb::new(TlbConfig::dac23_l1());
+        t.insert(&areq(1, 9, 0), Ppn::new(100));
+        assert!(!t.lookup(&areq(2, 9, 0)).hit, "cross-ASID lookup must miss");
+        assert_eq!(t.probe(&areq(2, 9, 0)), Some(None));
+        // Both apps hold the same VPN with their own frames.
+        t.insert(&areq(2, 9, 1), Ppn::new(200));
+        assert_eq!(t.occupancy(), 2);
+        assert_eq!(t.lookup(&areq(1, 9, 3)).ppn, Some(Ppn::new(100)));
+        assert_eq!(t.lookup(&areq(2, 9, 3)).ppn, Some(Ppn::new(200)));
+        let by: std::collections::HashMap<_, _> = t.stats_by_asid().into_iter().collect();
+        assert_eq!((by[&Asid::new(1)].hits, by[&Asid::new(2)].misses), (1, 1));
+        t.check_invariants()
+            .expect("mixed-ASID state is consistent");
+    }
+
+    #[test]
+    fn check_invariants_reports_a_broken_lru_order_with_dump() {
+        let mut t = WayPartitionedTlb::new(TlbConfig::dac23_l1());
+        t.insert(&req(1, 0), Ppn::new(1));
+        t.insert(&req(17, 1), Ppn::new(2)); // same set, stamped now
+        t.check_invariants()
+            .expect("fills keep the way array consistent");
+        // Restamp the older entry with the current time: the set's two
+        // ways now tie in LRU order.
+        let w = t.find(Asid::default(), Vpn::new(1)).unwrap();
+        t.ways.touch(w);
+        let v = t.check_invariants().unwrap_err();
+        assert!(v.detail.contains("duplicate LRU stamp"), "{}", v.detail);
+        assert!(v.dump.contains("WayPartitionedTlb (16 TBs)"), "{}", v.dump);
+        assert!(v.dump.contains("vpn=0x11 ppn=0x2"), "{}", v.dump);
+    }
+
+    #[test]
+    fn evictions_are_charged_to_the_displaced_app() {
+        // 1 set x 4 ways, 2 TBs: each TB owns two ways.
+        let mut t = WayPartitionedTlb::new(TlbConfig::new(4, 4, 1));
+        t.set_concurrent_tbs(2);
+        for i in 0..6u64 {
+            t.insert(&areq((i % 2) as u16, i, 0), Ppn::new(i));
+            t.check_invariants()
+                .expect("fills keep the way array consistent");
+        }
+        let by: std::collections::HashMap<_, _> = t.stats_by_asid().into_iter().collect();
+        assert_eq!(by[&Asid::new(0)].evictions, 2, "pages 0 and 2 displaced");
+        assert_eq!(by[&Asid::new(1)].evictions, 2, "pages 1 and 3 displaced");
+        assert_eq!(t.occupancy(), 2);
     }
 }

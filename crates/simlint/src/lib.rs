@@ -93,11 +93,12 @@ pub const RESULT_CRATES: [&str; 8] = [
 
 /// Files forming the engine hot path (scope of `hot-unwrap` and
 /// `engine-lock`): the cycle loop plus every TLB organization's
-/// lookup/insert code, the lookup memo they share, and the memory
+/// lookup/insert code, the way array and lookup memo they share, and the
+/// memory
 /// hierarchy's per-access pipeline. Kept for
 /// one release cycle as a cross-check against graph-derived facts (every
 /// `TranslationBuffer` impl must live in one of these files).
-pub const HOT_PATHS: [&str; 12] = [
+pub const HOT_PATHS: [&str; 13] = [
     "crates/gpu-sim/src/engine.rs",
     "crates/gpu-sim/src/feed.rs",
     "crates/gpu-sim/src/corun.rs",
@@ -108,6 +109,7 @@ pub const HOT_PATHS: [&str; 12] = [
     "crates/tlb/src/compressed.rs",
     "crates/tlb/src/sub_entry.rs",
     "crates/tlb/src/memo.rs",
+    "crates/tlb/src/ways.rs",
     "crates/core/src/partitioned.rs",
     "crates/core/src/way_partitioned.rs",
 ];
@@ -1165,13 +1167,15 @@ mod tests {
             "crates/mem-hier/src/stages.rs",
             "crates/mem-hier/src/ports.rs",
             // The partitioned `insert`/`place` paths, every memoizing
-            // organization's `lookup` and the one lookup memo they share
-            // all live in these files and must stay under hot-path
-            // scrutiny.
+            // organization's `lookup`, and the way array and lookup memo
+            // they share all live in these files and must stay under
+            // hot-path scrutiny.
             "crates/tlb/src/set_assoc.rs",
             "crates/tlb/src/compressed.rs",
             "crates/tlb/src/memo.rs",
+            "crates/tlb/src/ways.rs",
             "crates/core/src/partitioned.rs",
+            "crates/core/src/way_partitioned.rs",
             // Multi-tenant hot paths: the app-interleaved co-run merge
             // runs per TB launch, and the sub-entry-sharing L2 TLB sits
             // on the shared lookup path.

@@ -12,6 +12,7 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 use simlint::graph::Workspace;
+use simlint::parser::ItemKind;
 use simlint::{build_workspace, HOT_PATHS, RESULT_CRATES};
 
 fn real_workspace() -> Workspace {
@@ -86,6 +87,44 @@ fn translation_buffer_impls_are_hot_or_documented_exceptions() {
              documented exception"
         );
     }
+    // Every organization in `tlb` and `core` stores its entries in the
+    // shared way array, whose find/victim/fill run on each lookup and
+    // fill: the file defining it is hot too.
+    let structs = |name: &str| {
+        ws.items_where(|w, i| w.item(i).kind == ItemKind::Struct && w.item(i).name == name)
+    };
+    let orgs = ws.items_where(|w, i| {
+        let it = w.item(i);
+        it.trait_name.as_deref() == Some("TranslationBuffer")
+            && !it.is_test
+            && matches!(w.krate(i), "tlb" | "orchestrated-tlb")
+    });
+    assert!(
+        orgs.len() >= 5,
+        "suspiciously few organization methods: {}",
+        orgs.len()
+    );
+    for id in orgs {
+        let ty = ws
+            .item(id)
+            .self_ty
+            .as_deref()
+            .expect("impl methods know their type");
+        let uses_ways = structs(ty).iter().any(|&s| {
+            let fields = &ws.item(s).fields;
+            fields
+                .iter()
+                .any(|f| f.ty_idents.iter().any(|t| t == "Ways"))
+        });
+        assert!(uses_ways, "{ty} does not store its entries in tlb::Ways");
+    }
+    let core = structs("Ways");
+    assert_eq!(core.len(), 1, "one way array");
+    assert!(
+        HOT_PATHS.contains(&ws.rel(core[0])),
+        "{} is not hot",
+        ws.rel(core[0])
+    );
     // The exception list cannot rot: each entry must still contain an impl.
     for (e, why) in EXCEPTIONS {
         assert!(

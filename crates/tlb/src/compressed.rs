@@ -11,15 +11,19 @@
 //! compress, which is exactly the property the DAC'23 paper contrasts
 //! against. Decompression adds latency on the hit path, also per the
 //! paper's discussion.
+//!
+//! On [`Ways`], the index policy is the low bits of the run number and
+//! the payload a [`Run`]: the tag holds the app and the run's base VPN.
+//! The partitioned TLB in `orchestrated-tlb` compresses with the same
+//! [`Run`].
 
 use crate::config::TlbConfig;
 use crate::memo::Memo;
-use crate::replace::{first_min, recency_key};
 use crate::request::{TlbOutcome, TlbRequest, TranslationBuffer};
 use crate::sanitize::InvariantViolation;
-use crate::stats::{PerAsidStats, TlbStats};
-use std::fmt::Write as _;
-use std::ops::Range;
+use crate::stats::TlbStats;
+use crate::ways::Ways;
+use std::fmt;
 use vmem::{Asid, Ppn, Vpn};
 
 /// Parameters of the compression scheme.
@@ -49,43 +53,135 @@ impl Default for CompressionConfig {
     }
 }
 
-#[derive(Copy, Clone, Debug, Default)]
-struct CompressedWay {
-    valid: bool,
-    /// Address space owning the run; part of the match condition, so a
-    /// run never serves (or compresses) another app's translations.
-    asid: Asid,
-    /// Base VPN of the run, aligned to `degree`.
-    base_vpn: Vpn,
-    /// PPN the base page of the run maps to (pages in the run map to
-    /// `base_ppn + offset`).
-    base_ppn: Ppn,
-    /// Which pages of the run are resident.
-    mask: u32,
-    /// When `true`, the entry holds exactly one translation and `base_ppn`
-    /// is that page's PPN verbatim (used when the PPN cannot be expressed
-    /// as `base + offset`, e.g. it would underflow).
-    literal: bool,
-    stamp: u64,
+/// The payload of a compressed way: which pages of the run its tag names
+/// are resident, and the frames they map to.
+///
+/// # Example
+///
+/// ```
+/// use tlb::Run;
+/// use vmem::Ppn;
+///
+/// let mut run = Run::new(Ppn::new(103), 3); // page 3 -> frame 103
+/// assert!(run.absorbs(Ppn::new(105), 5)); // contiguous: base 100
+/// run.mask |= 1 << 5;
+/// assert_eq!(run.ppn_at(5), Ppn::new(105));
+/// assert!(run.coherent(Ppn::new(103), 3) && !run.coherent(Ppn::new(7), 3));
+/// assert!(Run::new(Ppn::new(1), 3).literal); // no base frame exists
+/// ```
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct Run {
+    /// PPN of the run's base page, or of its one page when `literal`.
+    pub ppn: Ppn,
+    /// Resident pages: bit `i` is the page at offset `i` of the run.
+    pub mask: u32,
+    /// The run holds one page whose PPN is `ppn` verbatim, because the
+    /// frame is below the page's offset and no base frame exists.
+    pub literal: bool,
 }
 
-impl CompressedWay {
-    /// Whether this way holds `asid`'s translation of page `off` of the
-    /// run based at `base`.
-    fn holds(&self, asid: Asid, base: Vpn, off: u32) -> bool {
-        self.valid && self.asid == asid && self.base_vpn == base && self.mask & (1 << off) != 0
+impl Run {
+    /// A run holding only page `off`, mapped to `ppn`: based at `ppn -
+    /// off`, or literal when that underflows.
+    pub fn new(ppn: Ppn, off: u32) -> Self {
+        let (ppn, literal) = match ppn.raw().checked_sub(off as u64) {
+            Some(base) => (Ppn::new(base), false),
+            None => (ppn, true),
+        };
+        Run {
+            ppn,
+            mask: 1 << off,
+            literal,
+        }
+    }
+
+    /// Where `vpn` sits in runs of `1 << shift` pages: the run's base VPN
+    /// (the tag) and the page's offset in the run.
+    #[inline]
+    pub fn locate(vpn: Vpn, shift: u32) -> (Vpn, u32) {
+        let (raw, last) = (vpn.raw(), (1u64 << shift) - 1);
+        // simlint: allow(lossy-cast, reason = "masked to the run degree before narrowing")
+        (Vpn::new(raw & !last), (raw & last) as u32)
+    }
+
+    /// Whether page `off` is resident.
+    #[inline]
+    pub fn holds(&self, off: u32) -> bool {
+        self.mask & (1 << off) != 0
+    }
+
+    /// The frame page `off` maps to.
+    #[inline]
+    pub fn ppn_at(&self, off: u32) -> Ppn {
+        if self.literal {
+            self.ppn
+        } else {
+            Ppn::new(self.ppn.raw() + off as u64)
+        }
+    }
+
+    /// Whether the run already maps page `off` to `ppn`.
+    pub fn coherent(&self, ppn: Ppn, off: u32) -> bool {
+        self.holds(off) && self.ppn_at(off) == ppn
+    }
+
+    /// Whether page `off` mapped to `ppn` compresses into this run: the
+    /// run is base-relative and its base frame is `ppn - off`.
+    pub fn absorbs(&self, ppn: Ppn, off: u32) -> bool {
+        !self.literal && ppn.raw().checked_sub(off as u64) == Some(self.ppn.raw())
+    }
+
+    /// Whether a hit must decompress (more than one page resident).
+    #[inline]
+    pub fn compressed(&self) -> bool {
+        self.mask.count_ones() > 1
+    }
+
+    /// Checks a valid run tagged with run base `base` in runs of `1 <<
+    /// shift` pages: a non-empty mask within the run, one page if literal,
+    /// a base aligned to the run.
+    pub fn check(&self, shift: u32, base: Vpn) -> Result<(), String> {
+        let degree = 1u64 << shift;
+        let within = if degree >= 32 {
+            u32::MAX
+        } else {
+            (1u32 << degree) - 1
+        };
+        if self.mask == 0 {
+            return Err("valid entry with empty run mask".into());
+        }
+        if self.mask & !within != 0 {
+            return Err(format!(
+                "mask {:#x} has bits beyond compression degree {degree}",
+                self.mask
+            ));
+        }
+        if self.literal && self.mask.count_ones() != 1 {
+            return Err(format!(
+                "literal entry covers {} pages (must be 1)",
+                self.mask.count_ones()
+            ));
+        }
+        if base.raw() & (degree - 1) != 0 {
+            return Err(format!(
+                "base VPN {:#x} not aligned to run degree",
+                base.raw()
+            ));
+        }
+        Ok(())
     }
 }
 
-/// Position of the LRU victim within one set's ways: an invalid way
-/// first, else the oldest stamp, the first way on ties.
-fn lru_way(set: &[CompressedWay]) -> usize {
-    first_min(
-        set.iter()
-            .map(|w| recency_key(w.valid, w.stamp))
-            .enumerate(),
-    )
-    .expect("associativity is non-zero") // simlint: allow(hot-unwrap, reason = "TlbConfig validates associativity > 0 at construction")
+impl fmt::Display for Run {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let literal = if self.literal { " literal" } else { "" };
+        write!(
+            f,
+            " ppn={:#x} mask={:#b}{literal}",
+            self.ppn.raw(),
+            self.mask
+        )
+    }
 }
 
 /// A set-associative TLB whose entries each cover a run of contiguous
@@ -113,25 +209,10 @@ pub struct CompressedTlb {
     /// log2 of the compression degree: a VPN's run number is `vpn >>
     /// run_shift`.
     run_shift: u32,
-    /// `sets() - 1`: the set index is the low run-number bits under this
-    /// mask.
-    set_mask: u64,
-    ways: Vec<CompressedWay>,
-    clock: u64,
-    stats: TlbStats,
-    /// Per-ASID breakdown of `stats` (evictions attributed to the
-    /// victim's ASID); sums to the aggregate exactly.
-    per_asid: PerAsidStats,
+    ways: Ways<Run>,
     /// Translations stored that share an entry with at least one other
     /// translation (a measure of achieved compression).
     compressed_fills: u64,
-    /// Count of valid entries, maintained on insert/evict/flush; equals
-    /// the full-`ways` scan (debug-asserted in
-    /// [`CompressedTlb::occupied_entries`]).
-    occupied: usize,
-    /// Count of resident page translations (set mask bits over valid
-    /// entries), maintained alongside `occupied`.
-    resident: u32,
     /// Last hitting way per set.
     memo: Memo<()>,
 }
@@ -151,21 +232,10 @@ impl CompressedTlb {
             config,
             compression,
             run_shift: compression.degree.trailing_zeros(),
-            set_mask: config.sets() as u64 - 1,
-            ways: vec![CompressedWay::default(); config.entries],
-            clock: 0,
-            stats: TlbStats::default(),
-            per_asid: PerAsidStats::default(),
+            ways: Ways::new(config),
             compressed_fills: 0,
-            occupied: 0,
-            resident: 0,
             memo: Memo::new(config.sets()),
         }
-    }
-
-    /// The geometry configuration.
-    pub fn config(&self) -> &TlbConfig {
-        &self.config
     }
 
     /// Enables or disables the lookup memo: a wall-clock knob only, as
@@ -174,57 +244,15 @@ impl CompressedTlb {
         self.memo.set_enabled(on);
     }
 
-    /// The compression parameters.
-    pub fn compression(&self) -> &CompressionConfig {
-        &self.compression
-    }
-
-    fn run_base(&self, vpn: Vpn) -> Vpn {
-        Vpn::new(vpn.raw() & !(self.compression.degree as u64 - 1))
-    }
-
-    fn run_offset(&self, vpn: Vpn) -> u32 {
-        (vpn.raw() & (self.compression.degree as u64 - 1)) as u32
-    }
-
-    /// Sets are indexed by the run number so a run always lands in one set.
-    fn set_of(&self, vpn: Vpn) -> usize {
-        // Mask in u64 before narrowing so the set index is identical on
-        // 32-bit hosts.
-        // simlint: allow(lossy-cast, reason = "masked to the set count before narrowing")
-        ((vpn.raw() >> self.run_shift) & self.set_mask) as usize
-    }
-
-    fn set_range(&self, set: usize) -> Range<usize> {
-        let a = self.config.associativity;
-        set * a..(set + 1) * a
-    }
-
-    /// Number of valid (possibly multi-page) entries resident. O(1): the
-    /// maintained counter, cross-checked against the scan in debug
-    /// builds (the sanitizer calls this every event cycle).
+    /// Number of valid (possibly multi-page) entries resident.
     pub fn occupied_entries(&self) -> usize {
-        debug_assert_eq!(
-            self.occupied,
-            self.ways.iter().filter(|w| w.valid).count(),
-            "occupied counter diverged from the valid-entry scan"
-        );
-        self.occupied
+        self.ways.occupancy()
     }
 
-    /// Number of page translations resident across all entries. O(1),
-    /// cross-checked like [`CompressedTlb::occupied_entries`].
+    /// Number of page translations resident across all entries.
     pub fn resident_translations(&self) -> u32 {
-        debug_assert_eq!(
-            self.resident,
-            self.ways
-                .iter()
-                .filter(|w| w.valid)
-                .map(|w| w.mask.count_ones())
-                .sum::<u32>(),
-            "resident counter diverged from the mask-population scan"
-        );
-        self.resident
+        let valid = (0..self.ways.capacity()).filter(|&w| self.ways.is_valid(w));
+        valid.map(|w| self.ways.payload(w).mask.count_ones()).sum()
     }
 
     /// Fills that compressed into an existing entry (shared an entry).
@@ -235,120 +263,88 @@ impl CompressedTlb {
 
 impl TranslationBuffer for CompressedTlb {
     fn lookup(&mut self, req: &TlbRequest) -> TlbOutcome {
-        self.clock += 1;
-        let base = self.run_base(req.vpn);
-        let off = self.run_offset(req.vpn);
-        let set = self.set_of(req.vpn);
+        self.ways.tick();
+        let (base, off) = Run::locate(req.vpn, self.run_shift);
+        // Sets are indexed by the run number so a run always lands in one
+        // set.
+        let set = self.ways.set_of(req.vpn, self.run_shift);
         // The memoized way is trusted only if it still holds the page.
         // Insert's coherence scan keeps at most one valid way per (asid,
         // base, offset), so a revalidated memo and the walk agree.
-        let ways = &self.ways;
-        let w = match self
-            .memo
-            .serve(set, |w, ()| ways[w].holds(req.asid, base, off))
-        {
-            Some((w, ())) => w,
-            None => {
-                let range = self.set_range(set);
-                let Some(i) = self.ways[range.clone()]
-                    .iter()
-                    .position(|w| w.holds(req.asid, base, off))
-                else {
-                    self.stats.record(false);
-                    self.per_asid.entry(req.asid).record(false);
-                    return TlbOutcome::miss(self.config.lookup_latency);
-                };
-                self.memo.arm(set, range.start + i, ());
-                range.start + i
-            }
+        let holds = |r: &Run| r.holds(off);
+        let found = self
+            .ways
+            .find_memo(&mut self.memo, set, req.asid, base, holds);
+        let Some(w) = found else {
+            self.ways.record(req.asid, false);
+            return TlbOutcome::miss(self.config.lookup_latency);
         };
-        let way = &mut self.ways[w];
-        way.stamp = self.clock;
-        self.stats.record(true);
-        self.per_asid.entry(req.asid).record(true);
-        let ppn = if way.literal {
-            way.base_ppn
-        } else {
-            Ppn::new(way.base_ppn.raw() + off as u64)
-        };
+        self.ways.touch(w);
+        self.ways.record(req.asid, true);
+        let run = self.ways.payload(w);
         // Only a run holding more than one page needs decompressing.
-        let decompress = u64::from(way.mask.count_ones() > 1) * self.compression.decompress_latency;
-        TlbOutcome::hit(ppn, self.config.lookup_latency + decompress)
+        let decompress = u64::from(run.compressed()) * self.compression.decompress_latency;
+        TlbOutcome::hit(run.ppn_at(off), self.config.lookup_latency + decompress)
     }
 
     fn insert(&mut self, req: &TlbRequest, ppn: Ppn) {
-        self.clock += 1;
-        let base = self.run_base(req.vpn);
-        let off = self.run_offset(req.vpn);
-        // PPN the base page must map to for this fill to compress.
-        let Some(expected_base_ppn) = ppn.raw().checked_sub(off as u64) else {
-            // Physically impossible to express as a contiguous run member;
-            // store as a singleton run below by falling through with a
-            // degenerate base equal to the page itself.
-            return self.insert_singleton(req.asid, req.vpn, ppn);
-        };
-        let set = self.set_of(req.vpn);
-        let range = self.set_range(set);
-        let clock = self.clock;
-        // Invalidate any stale translation for this page held under a
-        // different PPN (coherence on remap): clear its run bit and drop
-        // the entry entirely when it empties. Scoped to the requesting
-        // ASID — another app's identical VPN is a distinct translation.
-        self.clear_page(range.clone(), req.asid, base, off, |w| {
-            w.literal || w.base_ppn != Ppn::new(expected_base_ppn)
-        });
-        // Try to compress into an existing compatible entry (same app
-        // only: runs never span address spaces).
-        if let Some(way) = self.ways[range.clone()].iter_mut().find(|w| {
-            w.valid
-                && !w.literal
-                && w.asid == req.asid
-                && w.base_vpn == base
-                && w.base_ppn == Ppn::new(expected_base_ppn)
-        }) {
-            if way.mask & (1 << off) == 0 {
-                way.mask |= 1 << off;
-                self.compressed_fills += 1;
-                self.resident += 1;
+        self.ways.tick();
+        let (base, off) = Run::locate(req.vpn, self.run_shift);
+        // A frame below the page's offset has no base frame: the page is
+        // stored as a literal one-page run, and that path runs one more
+        // clock event.
+        let literal = ppn.raw() < off as u64;
+        if literal {
+            self.ways.tick();
+        }
+        let range = self.ways.set(self.ways.set_of(req.vpn, self.run_shift));
+        // Coherence on remap: clear this app's copy of the page wherever
+        // it maps elsewhere (every copy, on the literal path), dropping
+        // entries that empty. Another app's identical VPN is a distinct
+        // translation.
+        for w in range.clone() {
+            let run = self.ways.payload(w);
+            let stale = run.holds(off) && (literal || !run.coherent(ppn, off));
+            if stale && self.ways.matches(w, req.asid, base) {
+                let run = self.ways.payload_mut(w);
+                run.mask &= !(1 << off);
+                if run.mask == 0 {
+                    self.ways.invalidate(w);
+                }
             }
-            way.stamp = clock;
+        }
+        // Try to compress into a compatible run of the same app.
+        let absorbs = |r: &Run| r.absorbs(ppn, off);
+        if let Some(w) = self.ways.find(range.clone(), req.asid, base, absorbs) {
+            let run = self.ways.payload_mut(w);
+            if !run.holds(off) {
+                run.mask |= 1 << off;
+                self.compressed_fills += 1;
+            }
+            self.ways.touch(w);
             return;
         }
-        // Allocate a fresh entry for this run.
-        self.allocate(
-            range,
-            CompressedWay {
-                valid: true,
-                asid: req.asid,
-                base_vpn: base,
-                base_ppn: Ppn::new(expected_base_ppn),
-                mask: 1 << off,
-                literal: false,
-                stamp: clock,
-            },
-        );
+        // Allocate a fresh entry over the LRU way.
+        self.ways.inserted(req.asid);
+        let w = self.ways.victim(range);
+        self.ways.evict(w);
+        self.ways.fill(w, req.asid, base, Run::new(ppn, off));
     }
 
     fn stats(&self) -> TlbStats {
-        self.stats
+        self.ways.stats()
     }
 
     fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
-        self.per_asid.clear();
+        self.ways.reset_stats();
     }
 
     fn stats_by_asid(&self) -> Vec<(Asid, TlbStats)> {
-        self.per_asid.non_empty()
+        self.ways.stats_by_asid()
     }
 
     fn flush(&mut self) {
-        for w in &mut self.ways {
-            w.valid = false;
-            w.mask = 0;
-        }
-        self.occupied = 0;
-        self.resident = 0;
+        self.ways.flush();
         // The invalidated ways already fail validation (hygiene only).
         self.memo.reset(self.config.sets());
     }
@@ -362,192 +358,23 @@ impl TranslationBuffer for CompressedTlb {
     }
 
     fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        let fail = |detail: String| {
-            Err(InvariantViolation::new(
-                "CompressedTlb",
-                detail,
-                self.dump_state(),
-            ))
-        };
-        if let Err(e) = self.stats.check() {
-            return fail(e);
-        }
-        let asid_sum = self.per_asid.sum();
-        if asid_sum != self.stats {
-            return fail(format!(
-                "per-ASID stats sum {asid_sum:?} != aggregate {:?}",
-                self.stats
-            ));
-        }
-        let degree_mask = if self.compression.degree >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.compression.degree) - 1
-        };
-        if let Err(e) = self.memo.check(self.config.sets(), |set, w| {
-            self.set_range(set).contains(&w)
-        }) {
-            return fail(e);
-        }
-        for set in 0..self.config.sets() {
-            let ways = &self.ways[self.set_range(set)];
-            for (i, w) in ways.iter().enumerate().filter(|(_, w)| w.valid) {
-                if w.mask == 0 {
-                    return fail(format!("set {set} way {i}: valid entry with empty run mask"));
-                }
-                if u64::from(w.mask) & !degree_mask != 0 {
-                    return fail(format!(
-                        "set {set} way {i}: mask {:#x} has bits beyond compression degree {}",
-                        w.mask, self.compression.degree
-                    ));
-                }
-                if w.literal && w.mask.count_ones() != 1 {
-                    return fail(format!(
-                        "set {set} way {i}: literal entry covers {} pages (must be 1)",
-                        w.mask.count_ones()
-                    ));
-                }
-                if w.base_vpn.raw() & (self.compression.degree as u64 - 1) != 0 {
-                    return fail(format!(
-                        "set {set} way {i}: base VPN {:#x} not aligned to run degree",
-                        w.base_vpn.raw()
-                    ));
-                }
-                if w.stamp > self.clock {
-                    return fail(format!(
-                        "set {set} way {i}: stamp {} ahead of clock {}",
-                        w.stamp, self.clock
-                    ));
-                }
-                if ways[..i].iter().any(|o| o.valid && o.stamp == w.stamp) {
-                    return fail(format!(
-                        "set {set}: duplicate LRU stamp {} breaks the recency total order",
-                        w.stamp
-                    ));
-                }
-            }
-        }
-        // Counters against the scans, after the per-way structure checks
-        // (those give the more precise diagnosis) and checked here
-        // directly because the accessors' debug asserts panic rather
-        // than report.
-        let scanned_entries = self.ways.iter().filter(|w| w.valid).count();
-        if self.occupied != scanned_entries {
-            return fail(format!(
-                "occupied counter {} != valid-entry scan {scanned_entries}",
-                self.occupied
-            ));
-        }
-        let scanned_pages: u32 = self
-            .ways
-            .iter()
-            .filter(|w| w.valid)
-            .map(|w| w.mask.count_ones())
-            .sum();
-        if self.resident != scanned_pages {
-            return fail(format!(
-                "resident counter {} != mask-population scan {scanned_pages}",
-                self.resident
-            ));
-        }
-        Ok(())
+        let shift = self.run_shift;
+        // Two ways of one run may coexist (different base frames), but
+        // never both hold one page.
+        let clash = |a: &Run, b: &Run| a.mask & b.mask != 0;
+        let ways = &self.ways;
+        ways.check(clash, |w, run| run.check(shift, ways.vpn_of(w)))
+            .and_then(|()| {
+                let sets = self.config.sets();
+                self.memo.check(sets, |set, w| ways.set(set).contains(&w))
+            })
+            .map_err(|e| InvariantViolation::new("CompressedTlb", e, self.dump_state()))
     }
 
     fn dump_state(&self) -> String {
-        let mut s = format!(
-            "CompressedTlb: {} entries, degree {}, clock {}, stats {{{:?}}}\n",
-            self.config.entries, self.compression.degree, self.clock, self.stats
-        );
-        for set in 0..self.config.sets() {
-            let ways = &self.ways[self.set_range(set)];
-            if ways.iter().all(|w| !w.valid) {
-                continue;
-            }
-            let _ = write!(s, "  set {set:3}:");
-            for w in ways.iter().filter(|w| w.valid) {
-                let _ = write!(
-                    s,
-                    " [asid={} base_vpn={:#x} base_ppn={:#x} mask={:#010b}{} @{}]",
-                    w.asid,
-                    w.base_vpn.raw(),
-                    w.base_ppn.raw(),
-                    w.mask,
-                    if w.literal { " literal" } else { "" },
-                    w.stamp
-                );
-            }
-            s.push('\n');
-        }
-        s
-    }
-}
-
-impl CompressedTlb {
-    /// Stores a translation that cannot participate in any run (its PPN
-    /// underflows the run base) as a single-page entry keyed at its own
-    /// VPN.
-    fn insert_singleton(&mut self, asid: Asid, vpn: Vpn, ppn: Ppn) {
-        self.clock += 1;
-        let set = self.set_of(vpn);
-        let range = self.set_range(set);
-        // Coherence on remap: clear any existing translation this app
-        // holds for the page.
-        let base = self.run_base(vpn);
-        let off = self.run_offset(vpn);
-        self.clear_page(range.clone(), asid, base, off, |_| true);
-        let stamp = self.clock;
-        self.allocate(
-            range,
-            CompressedWay {
-                valid: true,
-                asid,
-                base_vpn: base,
-                base_ppn: ppn,
-                mask: 1 << off,
-                literal: true,
-                stamp,
-            },
-        );
-    }
-
-    /// Clears `asid`'s page `off` of the run at `base` from every way in
-    /// `range` that `stale` selects, dropping entries that empty.
-    fn clear_page(
-        &mut self,
-        range: Range<usize>,
-        asid: Asid,
-        base: Vpn,
-        off: u32,
-        stale: impl Fn(&CompressedWay) -> bool,
-    ) {
-        for way in &mut self.ways[range] {
-            if way.holds(asid, base, off) && stale(way) {
-                way.mask &= !(1 << off);
-                self.resident -= 1;
-                if way.mask == 0 {
-                    way.valid = false;
-                    self.occupied -= 1;
-                }
-            }
-        }
-    }
-
-    /// Stores the one-page `entry` over the LRU way of `range`, counting
-    /// the insertion and any eviction.
-    fn allocate(&mut self, range: Range<usize>, entry: CompressedWay) {
-        self.stats.insertions += 1;
-        self.per_asid.entry(entry.asid).insertions += 1;
-        let widx = range.start + lru_way(&self.ways[range]);
-        let victim = self.ways[widx];
-        if victim.valid {
-            self.stats.evictions += 1;
-            self.resident -= victim.mask.count_ones();
-            self.per_asid.entry(victim.asid).evictions += 1;
-        } else {
-            self.occupied += 1;
-        }
-        self.resident += 1;
-        self.ways[widx] = entry;
+        let name = format!("CompressedTlb (degree {})", self.compression.degree);
+        self.ways
+            .dump(&name, |s, _, run| s.push_str(&run.to_string()))
     }
 }
 
@@ -699,22 +526,38 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_occupancy_counter_is_reported() {
+    fn run_arms_are_reported_with_dump() {
         let mut t = tlb();
         t.insert(&req(0), Ppn::new(100));
-        t.occupied = 5; // bypass insert accounting
+        let w = (0..t.ways.capacity())
+            .find(|&w| t.ways.is_valid(w))
+            .unwrap();
+        t.ways.payload_mut(w).mask = 1 << 9;
         let v = t.check_invariants().unwrap_err();
-        assert!(v.detail.contains("occupied counter"), "{}", v.detail);
+        assert!(
+            v.detail.contains("beyond compression degree 8"),
+            "{}",
+            v.detail
+        );
+        assert!(v.dump.contains("CompressedTlb (degree 8)"), "{}", v.dump);
+        t.ways.payload_mut(w).mask = 0;
+        let v = t.check_invariants().unwrap_err();
+        assert!(v.detail.contains("empty run mask"), "{}", v.detail);
     }
 
     #[test]
-    fn empty_mask_on_valid_entry_is_reported() {
+    fn two_ways_holding_one_page_are_reported() {
         let mut t = tlb();
-        t.insert(&req(0), Ppn::new(100));
-        let w = t.ways.iter_mut().find(|w| w.valid).unwrap();
-        w.mask = 0;
+        t.insert(&req(0), Ppn::new(500));
+        t.insert(&req(1), Ppn::new(77)); // same run, another base frame
+        t.check_invariants()
+            .expect("one run, two bases, disjoint pages");
+        let w = (0..t.ways.capacity())
+            .rfind(|&w| t.ways.is_valid(w))
+            .unwrap();
+        t.ways.payload_mut(w).mask |= 1;
         let v = t.check_invariants().unwrap_err();
-        assert!(v.detail.contains("empty run mask"), "{}", v.detail);
+        assert!(v.detail.contains("resident twice"), "{}", v.detail);
     }
 
     #[test]
@@ -754,7 +597,8 @@ mod tests {
             assert_eq!(t.lookup(&areq(1, i)).ppn, Some(Ppn::new(1000 + i)));
             assert_eq!(t.lookup(&areq(2, i)).ppn, Some(Ppn::new(2000 + i)));
         }
-        t.check_invariants().expect("mixed-ASID runs stay consistent");
+        t.check_invariants()
+            .expect("mixed-ASID runs stay consistent");
     }
 
     #[test]
@@ -764,7 +608,10 @@ mod tests {
             t.insert(&areq(1, i), Ppn::new(1000 + i));
         }
         assert!(t.lookup(&areq(1, 3)).hit); // arm memo
-        assert!(!t.lookup(&areq(2, 3)).hit, "memo must not serve another app");
+        assert!(
+            !t.lookup(&areq(2, 3)).hit,
+            "memo must not serve another app"
+        );
         let by: std::collections::HashMap<_, _> = t.stats_by_asid().into_iter().collect();
         assert_eq!(by[&Asid::new(1)].hits, 1);
         assert_eq!(by[&Asid::new(2)].misses, 1);

@@ -36,7 +36,10 @@ impl TlbConfig {
     /// or if the resulting set count is not a power of two (required for
     /// index-bit set selection).
     pub fn new(entries: usize, associativity: usize, lookup_latency: u64) -> Self {
-        assert!(entries > 0 && associativity > 0, "geometry must be non-zero");
+        assert!(
+            entries > 0 && associativity > 0,
+            "geometry must be non-zero"
+        );
         assert!(
             entries.is_multiple_of(associativity),
             "entries {entries} must be a multiple of associativity {associativity}"
@@ -111,7 +114,10 @@ mod tests {
     #[test]
     fn paper_configs_match_table3() {
         let l1 = TlbConfig::dac23_l1();
-        assert_eq!((l1.entries, l1.associativity, l1.lookup_latency), (64, 4, 1));
+        assert_eq!(
+            (l1.entries, l1.associativity, l1.lookup_latency),
+            (64, 4, 1)
+        );
         assert_eq!(l1.sets(), 16);
         let l2 = TlbConfig::dac23_l2();
         assert_eq!(

@@ -17,10 +17,13 @@
 //!   the shared L2: ways are tagged by VPN alone and hold per-ASID
 //!   sub-entries, so co-running apps that map the same VPNs share tags
 //!   without ever seeing each other's frames.
+//! * [`Ways`] — the way array all of them (and the partitioned TLB) are
+//!   built on: packed `(valid, ASID, VPN)` tags, LRU stamps, a payload per
+//!   way, the clock, the stats and the residency counts. An organization
+//!   adds only its index policy and payload; [`Run`] is the compressed
+//!   payload the compressed and partitioned TLBs share.
 //! * [`Memo`] — the exact lookup memo the set-associative, compressed and
 //!   partitioned TLBs share.
-//! * [`tag_of`] — the packed `(valid, ASID, VPN)` probe tag the
-//!   set-associative and partitioned TLBs scan.
 //!
 //! Every organization tags its entries with the requesting [`vmem::Asid`]
 //! and includes it in the tag compare, so concurrent address spaces are
@@ -53,9 +56,9 @@ mod sanitize;
 mod set_assoc;
 mod stats;
 mod sub_entry;
-mod tag;
+mod ways;
 
-pub use compressed::{CompressedTlb, CompressionConfig};
+pub use compressed::{CompressedTlb, CompressionConfig, Run};
 pub use config::TlbConfig;
 pub use memo::Memo;
 pub use replace::{first_min, recency_key, RECENCY_VALID};
@@ -64,4 +67,4 @@ pub use sanitize::InvariantViolation;
 pub use set_assoc::SetAssocTlb;
 pub use stats::{PerAsidStats, TlbStats};
 pub use sub_entry::SubEntryTlb;
-pub use tag::{tag_asid, tag_of, tag_vpn};
+pub use ways::Ways;

@@ -1,5 +1,5 @@
 //! The exact lookup memo shared by every memoizing TLB organization
-//! (DESIGN.md §6, "The lookup memo").
+//! (DESIGN.md §6, "Way arrays").
 
 /// Per-slot memo (a slot is a set, or a TB slot) of the way the last tag
 /// walk hit, beside an organization-defined hint `H`. The organization

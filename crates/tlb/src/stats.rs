@@ -150,9 +150,7 @@ impl PerAsidStats {
     /// Sum over all ASIDs; the multi-tenant accounting identity requires
     /// this to equal the owning TLB's aggregate [`TlbStats`].
     pub fn sum(&self) -> TlbStats {
-        self.table
-            .iter()
-            .fold(TlbStats::default(), |a, s| a + *s)
+        self.table.iter().fold(TlbStats::default(), |a, s| a + *s)
     }
 
     /// `(asid, stats)` pairs for every ASID with at least one counter set.

@@ -9,54 +9,23 @@
 //! sub-entry matching its own ASID) while the tag array is shared, so
 //! the effective reach under ASID-striped working sets grows by up to
 //! the sub-entry count.
+//!
+//! On [`Ways`], the index policy is the low VPN bits, every tag carries
+//! the VPN under ASID 0 (the tag is shared), the payload is the way's
+//! round-robin sub-entry cursor, and the sub-entries live in a flat side
+//! array, `subs` per way.
 
 use crate::config::TlbConfig;
-use crate::replace::{first_min, recency_key};
 use crate::request::{TlbOutcome, TlbRequest, TranslationBuffer};
 use crate::sanitize::InvariantViolation;
-use crate::stats::{PerAsidStats, TlbStats};
+use crate::stats::TlbStats;
+use crate::ways::Ways;
 use std::fmt::Write as _;
+use std::ops::Range;
 use vmem::{Asid, Ppn, Vpn};
 
-/// One per-ASID translation hanging off a shared VPN tag.
-#[derive(Copy, Clone, Debug, Default)]
-struct SubSlot {
-    valid: bool,
-    asid: Asid,
-    ppn: Ppn,
-}
-
-/// One way: a VPN tag shared by up to `subs` per-ASID sub-entries.
-#[derive(Clone, Debug)]
-struct SubWay {
-    valid: bool,
-    vpn: Vpn,
-    /// Monotone use-stamp for LRU among ways (larger = more recent).
-    stamp: u64,
-    /// Round-robin sub-entry victim cursor (deterministic).
-    next_victim: u8,
-    slots: Vec<SubSlot>,
-}
-
-impl SubWay {
-    fn empty(subs: usize) -> Self {
-        SubWay {
-            valid: false,
-            vpn: Vpn::default(),
-            stamp: 0,
-            next_victim: 0,
-            slots: vec![SubSlot::default(); subs],
-        }
-    }
-
-    fn live_subs(&self) -> usize {
-        self.slots.iter().filter(|s| s.valid).count()
-    }
-
-    fn slot_of(&self, asid: Asid) -> Option<usize> {
-        self.slots.iter().position(|s| s.valid && s.asid == asid)
-    }
-}
+/// The ASID every shared tag is packed under.
+const SHARED: Asid = Asid::new(0);
 
 /// A set-associative TLB whose ways are VPN-tagged and shared between
 /// address spaces through per-ASID sub-entries.
@@ -80,24 +49,18 @@ impl SubWay {
 #[derive(Debug, Clone)]
 pub struct SubEntryTlb {
     config: TlbConfig,
-    /// `sets() - 1`: the set index is the low VPN bits under this mask.
-    set_mask: u64,
     /// Sub-entries per shared tag.
     subs: usize,
-    ways: Vec<SubWay>,
-    clock: u64,
-    stats: TlbStats,
-    /// Per-ASID breakdown of `stats` (sub-entry displacements attributed
-    /// to the victim's ASID); sums to the aggregate exactly.
-    per_asid: PerAsidStats,
+    /// VPN tags; the payload is the next sub-entry to displace.
+    ways: Ways<u8>,
+    /// `subs` sub-entries per way, way-major: `(owner, frame)`.
+    slots: Vec<Option<(Asid, Ppn)>>,
     /// Hits on a way whose tag is shared by more than one ASID — the
     /// organization's raison d'être, reported as a repro figure input.
     shared_hits: u64,
     /// Inserts that displaced another app's sub-entry inside a shared
     /// way (intra-tag contention).
     sub_conflicts: u64,
-    /// Count of valid ways, maintained on insert/evict/flush.
-    resident: usize,
 }
 
 impl SubEntryTlb {
@@ -110,26 +73,12 @@ impl SubEntryTlb {
         assert!(subs > 0, "sub-entry count must be non-zero");
         SubEntryTlb {
             config,
-            set_mask: config.sets() as u64 - 1,
             subs,
-            ways: (0..config.entries).map(|_| SubWay::empty(subs)).collect(),
-            clock: 0,
-            stats: TlbStats::default(),
-            per_asid: PerAsidStats::default(),
+            ways: Ways::new(config),
+            slots: vec![None; config.entries * subs],
             shared_hits: 0,
             sub_conflicts: 0,
-            resident: 0,
         }
-    }
-
-    /// The geometry configuration.
-    pub fn config(&self) -> &TlbConfig {
-        &self.config
-    }
-
-    /// Sub-entries per shared tag.
-    pub fn subs(&self) -> usize {
-        self.subs
     }
 
     /// Hits served from a way shared by more than one ASID.
@@ -142,163 +91,128 @@ impl SubEntryTlb {
         self.sub_conflicts
     }
 
-    fn set_of(&self, vpn: Vpn) -> usize {
-        // simlint: allow(lossy-cast, reason = "masked to the set count before narrowing")
-        (vpn.raw() & self.set_mask) as usize
+    /// Way `w`'s sub-entries in the side array.
+    fn subs_of(&self, w: usize) -> Range<usize> {
+        w * self.subs..(w + 1) * self.subs
     }
 
-    fn set_range(&self, set: usize) -> std::ops::Range<usize> {
-        let a = self.config.associativity;
-        set * a..(set + 1) * a
+    /// The valid way tagged `vpn`, if any.
+    fn way_of(&self, vpn: Vpn) -> Option<usize> {
+        let set = self.ways.set(self.ways.set_of(vpn, 0));
+        self.ways.find(set, SHARED, vpn, |_| true)
+    }
+
+    /// `asid`'s sub-entry of way `w` and its frame.
+    fn slot_of(&self, w: usize, asid: Asid) -> Option<(usize, Ppn)> {
+        self.subs_of(w).find_map(|i| match self.slots[i] {
+            Some((a, ppn)) if a == asid => Some((i, ppn)),
+            _ => None,
+        })
     }
 
     /// Number of valid ways (shared tags) currently resident.
     pub fn occupancy(&self) -> usize {
-        debug_assert_eq!(
-            self.resident,
-            self.ways.iter().filter(|w| w.valid).count(),
-            "resident counter diverged from the valid-way scan"
-        );
-        self.resident
+        self.ways.occupancy()
     }
 
     /// Probes for `(asid, vpn)` without updating stats or LRU state
     /// (diagnostics).
     pub fn peek(&self, asid: Asid, vpn: Vpn) -> Option<Ppn> {
-        let range = self.set_range(self.set_of(vpn));
-        self.ways[range]
-            .iter()
-            .find(|w| w.valid && w.vpn == vpn)
-            .and_then(|w| w.slot_of(asid).map(|i| w.slots[i].ppn))
+        Some(self.slot_of(self.way_of(vpn)?, asid)?.1)
     }
 
     /// Number of valid sub-entries currently owned by `asid` (token
     /// accounting parity with [`crate::SetAssocTlb::resident_of`]).
     pub fn resident_of(&self, asid: Asid) -> usize {
-        self.ways
-            .iter()
-            .filter(|w| w.valid)
-            .flat_map(|w| w.slots.iter())
-            .filter(|s| s.valid && s.asid == asid)
+        let valid = (0..self.ways.capacity()).filter(|&w| self.ways.is_valid(w));
+        let slots = valid.flat_map(|w| &self.slots[self.subs_of(w)]);
+        slots
+            .filter(|s| matches!(s, Some((a, _)) if *a == asid))
             .count()
     }
 }
 
 impl TranslationBuffer for SubEntryTlb {
     fn lookup(&mut self, req: &TlbRequest) -> TlbOutcome {
-        self.clock += 1;
-        let range = self.set_range(self.set_of(req.vpn));
-        let clock = self.clock;
-        if let Some(way) = self.ways[range]
-            .iter_mut()
-            .find(|w| w.valid && w.vpn == req.vpn)
-        {
-            if let Some(i) = way.slot_of(req.asid) {
-                way.stamp = clock;
-                if way.live_subs() > 1 {
-                    self.shared_hits += 1;
-                }
-                self.stats.record(true);
-                self.per_asid.entry(req.asid).record(true);
-                return TlbOutcome::hit(way.slots[i].ppn, self.config.lookup_latency);
-            }
+        self.ways.tick();
+        let hit = self
+            .way_of(req.vpn)
+            .and_then(|w| Some((w, self.slot_of(w, req.asid)?)));
+        let Some((w, (_, ppn))) = hit else {
+            self.ways.record(req.asid, false);
+            return TlbOutcome::miss(self.config.lookup_latency);
+        };
+        self.ways.touch(w);
+        if self.slots[self.subs_of(w)].iter().flatten().count() > 1 {
+            self.shared_hits += 1;
         }
-        self.stats.record(false);
-        self.per_asid.entry(req.asid).record(false);
-        TlbOutcome::miss(self.config.lookup_latency)
+        self.ways.record(req.asid, true);
+        TlbOutcome::hit(ppn, self.config.lookup_latency)
     }
 
     fn insert(&mut self, req: &TlbRequest, ppn: Ppn) {
-        self.clock += 1;
-        let range = self.set_range(self.set_of(req.vpn));
-        let clock = self.clock;
+        self.ways.tick();
+        let entry = Some((req.asid, ppn));
         // Shared tag already resident: land in a sub-entry.
-        if let Some(wi) = self.ways[range.clone()]
-            .iter()
-            .position(|w| w.valid && w.vpn == req.vpn)
-        {
-            let widx = range.start + wi;
+        if let Some(w) = self.way_of(req.vpn) {
+            self.ways.touch(w);
             // Refresh in place if this app already holds a sub-entry.
-            if let Some(i) = self.ways[widx].slot_of(req.asid) {
-                self.ways[widx].slots[i].ppn = ppn;
-                self.ways[widx].stamp = clock;
+            if let Some((i, _)) = self.slot_of(w, req.asid) {
+                self.slots[i] = entry;
                 return;
             }
-            self.stats.insertions += 1;
-            self.per_asid.entry(req.asid).insertions += 1;
-            let slot = if let Some(free) = self.ways[widx].slots.iter().position(|s| !s.valid) {
-                free
-            } else {
-                // All sub-entries taken: round-robin displacement,
-                // charged to the displaced app.
-                let v = self.ways[widx].next_victim as usize % self.subs;
-                self.ways[widx].next_victim = ((v + 1) % self.subs) as u8;
-                let victim_asid = self.ways[widx].slots[v].asid;
-                self.stats.evictions += 1;
-                self.per_asid.entry(victim_asid).evictions += 1;
-                self.sub_conflicts += 1;
-                v
+            self.ways.inserted(req.asid);
+            let subs = self.subs_of(w);
+            let i = match subs.clone().find(|&i| self.slots[i].is_none()) {
+                Some(free) => free,
+                None => {
+                    // All sub-entries taken: round-robin displacement,
+                    // charged to the displaced app.
+                    let cursor = self.ways.payload_mut(w);
+                    let v = *cursor as usize % self.subs;
+                    *cursor = ((v + 1) % self.subs) as u8;
+                    if let Some((victim, _)) = self.slots[subs.start + v] {
+                        self.ways.evicted(victim);
+                    }
+                    self.sub_conflicts += 1;
+                    subs.start + v
+                }
             };
-            self.ways[widx].slots[slot] = SubSlot {
-                valid: true,
-                asid: req.asid,
-                ppn,
-            };
-            self.ways[widx].stamp = clock;
+            self.slots[i] = entry;
             return;
         }
         // Fresh tag: allocate a way, evicting the LRU tag (and every
         // sub-entry hanging off it, each charged to its owner).
-        self.stats.insertions += 1;
-        self.per_asid.entry(req.asid).insertions += 1;
-        let keys = self.ways[range.clone()]
-            .iter()
-            .map(|w| recency_key(w.valid, w.stamp));
-        let widx = range.start + first_min(keys.enumerate()).expect("associativity is non-zero"); // simlint: allow(hot-unwrap, reason = "TlbConfig validates associativity > 0 at construction")
-        if self.ways[widx].valid {
-            for victim in self.ways[widx].slots.iter().filter(|s| s.valid) {
-                self.stats.evictions += 1;
-                self.per_asid.entry(victim.asid).evictions += 1;
+        self.ways.inserted(req.asid);
+        let w = self
+            .ways
+            .victim(self.ways.set(self.ways.set_of(req.vpn, 0)));
+        let subs = self.subs_of(w);
+        if self.ways.is_valid(w) {
+            for &(victim, _) in self.slots[subs.clone()].iter().flatten() {
+                self.ways.evicted(victim);
             }
-        } else {
-            self.resident += 1;
         }
-        let way = &mut self.ways[widx];
-        way.valid = true;
-        way.vpn = req.vpn;
-        way.stamp = clock;
-        way.next_victim = 0;
-        for s in &mut way.slots {
-            s.valid = false;
-        }
-        way.slots[0] = SubSlot {
-            valid: true,
-            asid: req.asid,
-            ppn,
-        };
+        self.ways.fill(w, SHARED, req.vpn, 0);
+        self.slots[subs.clone()].fill(None);
+        self.slots[subs.start] = entry;
     }
 
     fn stats(&self) -> TlbStats {
-        self.stats
+        self.ways.stats()
     }
 
     fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
-        self.per_asid.clear();
+        self.ways.reset_stats();
     }
 
     fn stats_by_asid(&self) -> Vec<(Asid, TlbStats)> {
-        self.per_asid.non_empty()
+        self.ways.stats_by_asid()
     }
 
     fn flush(&mut self) {
-        for w in &mut self.ways {
-            w.valid = false;
-            for s in &mut w.slots {
-                s.valid = false;
-            }
-        }
-        self.resident = 0;
+        self.ways.flush();
+        self.slots.fill(None);
     }
 
     fn capacity(&self) -> usize {
@@ -310,88 +224,36 @@ impl TranslationBuffer for SubEntryTlb {
     }
 
     fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        let fail = |detail: String| {
-            Err(InvariantViolation::new(
-                "SubEntryTlb",
-                detail,
-                self.dump_state(),
-            ))
-        };
-        if let Err(e) = self.stats.check() {
-            return fail(e);
-        }
-        let asid_sum = self.per_asid.sum();
-        if asid_sum != self.stats {
-            return fail(format!(
-                "per-ASID stats sum {asid_sum:?} != aggregate {:?}",
-                self.stats
-            ));
-        }
-        let scanned = self.ways.iter().filter(|w| w.valid).count();
-        if self.resident != scanned {
-            return fail(format!(
-                "resident counter {} != valid-way scan {scanned}",
-                self.resident
-            ));
-        }
-        for set in 0..self.config.sets() {
-            let range = self.set_range(set);
-            let ways = &self.ways[range];
-            for (i, w) in ways.iter().enumerate().filter(|(_, w)| w.valid) {
-                if w.live_subs() == 0 {
-                    return fail(format!(
-                        "set {set} way {i}: valid tag with no valid sub-entries"
-                    ));
-                }
-                if w.stamp > self.clock {
-                    return fail(format!(
-                        "set {set} way {i}: stamp {} ahead of clock {}",
-                        w.stamp, self.clock
-                    ));
-                }
-                if ways[..i].iter().any(|o| o.valid && o.stamp == w.stamp) {
-                    return fail(format!(
-                        "set {set}: duplicate LRU stamp {} breaks the recency total order",
-                        w.stamp
-                    ));
-                }
-                if ways[..i].iter().any(|o| o.valid && o.vpn == w.vpn) {
-                    return fail(format!("set {set}: VPN {:#x} tagged twice", w.vpn.raw()));
-                }
-                for (j, s) in w.slots.iter().enumerate().filter(|(_, s)| s.valid) {
-                    if w.slots[..j].iter().any(|o| o.valid && o.asid == s.asid) {
-                        return fail(format!(
-                            "set {set} way {i}: ASID {} holds two sub-entries under one tag",
-                            s.asid
-                        ));
+        self.ways
+            .check(
+                |_, _| true,
+                |w, _| {
+                    let slots = &self.slots[self.subs_of(w)];
+                    if slots.iter().all(Option::is_none) {
+                        return Err("valid tag with no valid sub-entries".into());
                     }
-                }
-            }
-        }
-        Ok(())
+                    for (j, s) in slots.iter().enumerate() {
+                        let Some((asid, _)) = s else { continue };
+                        if slots[..j].iter().flatten().any(|(a, _)| a == asid) {
+                            return Err(format!("ASID {asid} holds two sub-entries under one tag"));
+                        }
+                    }
+                    Ok(())
+                },
+            )
+            .map_err(|e| InvariantViolation::new("SubEntryTlb", e, self.dump_state()))
     }
 
     fn dump_state(&self) -> String {
-        let mut s = format!(
-            "SubEntryTlb: {} ways x {} subs, clock {}, resident {}, shared_hits {}, stats {{{:?}}}\n",
-            self.config.entries, self.subs, self.clock, self.resident, self.shared_hits, self.stats
+        let name = format!(
+            "SubEntryTlb ({} subs, shared_hits {}, sub_conflicts {})",
+            self.subs, self.shared_hits, self.sub_conflicts
         );
-        for set in 0..self.config.sets() {
-            let ways = &self.ways[self.set_range(set)];
-            if ways.iter().all(|w| !w.valid) {
-                continue;
+        self.ways.dump(&name, |s, w, _| {
+            for (asid, ppn) in self.slots[self.subs_of(w)].iter().flatten() {
+                let _ = write!(s, " {asid}→{:#x}", ppn.raw());
             }
-            let _ = write!(s, "  set {set:3}:");
-            for w in ways.iter().filter(|w| w.valid) {
-                let _ = write!(s, " [vpn={:#x} @{}", w.vpn.raw(), w.stamp);
-                for sub in w.slots.iter().filter(|s| s.valid) {
-                    let _ = write!(s, " {}→{:#x}", sub.asid, sub.ppn.raw());
-                }
-                let _ = write!(s, "]");
-            }
-            s.push('\n');
-        }
-        s
+        })
     }
 }
 
@@ -415,7 +277,8 @@ mod tests {
         assert_eq!(t.lookup(&areq(3, 5)).ppn, Some(Ppn::new(300)));
         assert_eq!(t.shared_hits(), 3);
         assert!(!t.lookup(&areq(4, 5)).hit, "app without a sub-entry misses");
-        t.check_invariants().expect("shared-tag state is consistent");
+        t.check_invariants()
+            .expect("shared-tag state is consistent");
     }
 
     #[test]
@@ -431,7 +294,8 @@ mod tests {
         assert!(t.lookup(&areq(3, 5)).hit);
         let by: std::collections::HashMap<_, _> = t.stats_by_asid().into_iter().collect();
         assert_eq!(by[&Asid::new(1)].evictions, 1, "victim owns the eviction");
-        t.check_invariants().expect("post-displacement state is consistent");
+        t.check_invariants()
+            .expect("post-displacement state is consistent");
     }
 
     #[test]
@@ -445,7 +309,8 @@ mod tests {
         assert!(!t.lookup(&areq(1, 5)).hit);
         assert!(!t.lookup(&areq(2, 5)).hit);
         assert!(t.lookup(&areq(1, 9)).hit);
-        t.check_invariants().expect("post-eviction state is consistent");
+        t.check_invariants()
+            .expect("post-eviction state is consistent");
     }
 
     #[test]
@@ -487,16 +352,9 @@ mod tests {
     fn duplicate_sub_asid_is_reported() {
         let mut t = SubEntryTlb::new(TlbConfig::new(4, 2, 1), 2);
         t.insert(&areq(1, 5), Ppn::new(100));
-        let range = t.set_range(t.set_of(Vpn::new(5)));
-        let way = t.ways[range]
-            .iter_mut()
-            .find(|w| w.valid)
-            .expect("inserted way");
-        way.slots[1] = SubSlot {
-            valid: true,
-            asid: Asid::new(1),
-            ppn: Ppn::new(200),
-        };
+        let w = t.way_of(Vpn::new(5)).expect("inserted way");
+        let second = t.subs_of(w).start + 1;
+        t.slots[second] = Some((Asid::new(1), Ppn::new(200)));
         let v = t.check_invariants().unwrap_err();
         assert!(v.detail.contains("two sub-entries"), "{}", v.detail);
         assert!(v.dump.contains("SubEntryTlb"), "{}", v.dump);
