@@ -9,6 +9,7 @@ use gpu_sim::{GpuConfig, GtoWarpScheduler, LrrWarpScheduler, Simulator, WarpSche
 use orchestrated_tlb::{Mechanism, TbClusteredWarpScheduler};
 use std::sync::Arc;
 use std::time::Duration;
+use vmem::PageSize;
 use workloads::{registry, CsrGraph, RmatParams, Scale, WorkloadCache};
 
 fn bench_engine_throughput(c: &mut Criterion) {
@@ -79,7 +80,11 @@ fn bench_warp_issue(c: &mut Criterion) {
 /// simulated cycle. The `clustered_rmat_*` benches build the graph the
 /// four graph benchmarks share at `Scale::Small` and `Scale::Large`
 /// (locality 0.6, a window of `n / 128`, as `gen::graph` builds it);
-/// `bfs_small` is a whole graph benchmark at `Scale::Small`.
+/// `bfs_small` is a whole graph benchmark at `Scale::Small`, and
+/// `warm_cache_small` all 20 `Scale::Small` workloads (ten benchmarks at
+/// two page sizes) through one fresh cache on a 2-worker `Grid`, as
+/// `repro --all --scale small` generates them: one graph, eight graph
+/// workloads.
 fn bench_workload_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("workload_generation");
     for name in ["pagerank", "nw"] {
@@ -103,6 +108,21 @@ fn bench_workload_generation(c: &mut Criterion) {
     let bfs = registry().into_iter().find(|s| s.name == "bfs").unwrap();
     group.bench_function("bfs_small", |b| {
         b.iter(|| std::hint::black_box(bfs.generate(Scale::Small, 42)).total_warp_ops())
+    });
+    let specs = registry();
+    let cells: Vec<(usize, PageSize)> = (0..specs.len())
+        .flat_map(|i| [PageSize::Small, PageSize::Large].map(|ps| (i, ps)))
+        .collect();
+    group.bench_function("warm_cache_small", |b| {
+        b.iter(|| {
+            let grid = Grid::new(2);
+            grid.map(&cells, |&(i, ps)| {
+                grid.cache()
+                    .get_with_page_size(&specs[i], Scale::Small, 42, ps)
+                    .total_warp_ops()
+            })
+            .len()
+        })
     });
     group.finish();
 }

@@ -551,10 +551,11 @@ fn main() {
     if std::env::var_os("REPRO_CACHE_STATS").is_some() {
         let stats = grid.cache().stats();
         eprintln!(
-            "# workload cache: {} generated, {} served from cache ({} requests)",
+            "# workload cache: {} generated, {} served from cache ({} requests); graph builds: {}",
             stats.misses,
             stats.hits,
-            stats.requests()
+            stats.requests(),
+            stats.graph_builds
         );
     }
 }

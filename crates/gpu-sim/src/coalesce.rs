@@ -6,8 +6,8 @@
 //! two transactions; a stride-`N` column slice or an irregular gather
 //! expands into up to 32.
 
-use workloads::LaneAccesses;
 use vmem::VirtAddr;
+use workloads::LaneAccesses;
 
 /// Coalesces one warp access into distinct line-aligned transactions.
 ///
@@ -36,16 +36,49 @@ pub fn coalesce(accesses: &LaneAccesses, line_bytes: u64) -> Vec<VirtAddr> {
 /// The engine issues one coalesce per warp memory instruction — hundreds
 /// of millions per run — so it reuses one scratch buffer instead of
 /// allocating a fresh `Vec` each time.
+///
+/// A strided access whose lane addresses do not overflow `i64` is
+/// monotone in lane order, and so are its lines, so a line repeats only
+/// right after itself: each lane is compared with the last line pushed.
+/// A gather (or an overflowing stride) scans every line pushed so far.
+/// The two cases keep separate loops: one loop branching per lane on
+/// the case made gathers about 8% slower to coalesce.
 pub fn coalesce_into(accesses: &LaneAccesses, line_bytes: u64, lines: &mut Vec<VirtAddr>) {
     debug_assert!(line_bytes.is_power_of_two());
     let mask = !(line_bytes - 1);
     lines.clear();
+    if is_monotone(accesses) {
+        for addr in accesses.addresses() {
+            let line = VirtAddr::new(addr.raw() & mask);
+            if lines.last() != Some(&line) {
+                lines.push(line);
+            }
+        }
+        return;
+    }
     for addr in accesses.addresses() {
         let line = VirtAddr::new(addr.raw() & mask);
         // The lane count is <= 32, so a linear scan beats a hash set.
         if !lines.contains(&line) {
             lines.push(line);
         }
+    }
+}
+
+/// Whether `accesses` is strided and its last lane's address,
+/// `base + (lanes - 1) * stride` as `i64`, does not overflow (then no
+/// lane's does, and the addresses are monotone in lane order).
+fn is_monotone(accesses: &LaneAccesses) -> bool {
+    match *accesses {
+        LaneAccesses::Strided {
+            base,
+            stride,
+            active_lanes,
+        } => i64::from(active_lanes.saturating_sub(1))
+            .checked_mul(stride)
+            .and_then(|span| (base.raw() as i64).checked_add(span))
+            .is_some(),
+        LaneAccesses::Gather(_) => false,
     }
 }
 
@@ -94,10 +127,22 @@ mod tests {
             VirtAddr::new(0x108),
         ];
         let lines = coalesce(&LaneAccesses::Gather(addrs), 128);
-        assert_eq!(
-            lines,
-            vec![VirtAddr::new(0x100), VirtAddr::new(0x900)]
-        );
+        assert_eq!(lines, vec![VirtAddr::new(0x100), VirtAddr::new(0x900)]);
+    }
+
+    #[test]
+    fn only_non_overflowing_strides_are_monotone() {
+        let strided = |base: u64, stride: i64| LaneAccesses::Strided {
+            base: VirtAddr::new(base),
+            stride,
+            active_lanes: 32,
+        };
+        assert!(is_monotone(&strided(0, -4)), "negative as i64, no overflow");
+        assert!(is_monotone(&strided(i64::MAX as u64 - 31 * 128, 128)));
+        assert!(!is_monotone(&strided(i64::MAX as u64 - 30 * 128, 128)));
+        assert!(!is_monotone(&strided(i64::MIN as u64 + 64, -128)));
+        assert!(!is_monotone(&strided(0, i64::MAX)));
+        assert!(!is_monotone(&LaneAccesses::Gather(vec![VirtAddr::new(0)])));
     }
 
     #[test]

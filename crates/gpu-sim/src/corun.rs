@@ -68,7 +68,9 @@ pub(crate) fn merge_apps(apps: Vec<Workload>) -> MergedApps {
         let (name, kernels, space) = workload.into_parts();
         assert_eq!(
             space.page_size(),
-            spaces.first().map_or(space.page_size(), AddressSpace::page_size),
+            spaces
+                .first()
+                .map_or(space.page_size(), AddressSpace::page_size),
             "co-running apps must share a page size"
         );
         let mut tbs = Vec::new();

@@ -976,7 +976,10 @@ impl SmRt {
                 };
                 views.push((view, w));
             } else if ready {
-                fail(format!("finished warp {} (slab {w}) was not retired", warp.id));
+                fail(format!(
+                    "finished warp {} (slab {w}) was not retired",
+                    warp.id
+                ));
             }
             if ready {
                 any_ready_now = true;
@@ -986,13 +989,21 @@ impl SmRt {
         }
         views.sort_unstable_by_key(|(v, _)| v.id);
         if !views.iter().map(|&(v, _)| v).eq(self.views.iter().copied())
-            || !views.iter().map(|&(_, w)| w).eq(self.view_warps.iter().copied())
+            || !views
+                .iter()
+                .map(|&(_, w)| w)
+                .eq(self.view_warps.iter().copied())
         {
-            fail(format!("scheduler views differ from a full scan: {views:?}"));
+            fail(format!(
+                "scheduler views differ from a full scan: {views:?}"
+            ));
         }
         let ready = views.iter().filter(|(v, _)| v.ready).count();
         if ready != self.n_ready {
-            fail(format!("n_ready is {} but {ready} views are ready", self.n_ready));
+            fail(format!(
+                "n_ready is {} but {ready} views are ready",
+                self.n_ready
+            ));
         }
         let mut queued = vec![false; self.warps.len()];
         for &Reverse((at, id, w)) in &self.wake {
@@ -1051,7 +1062,11 @@ impl SmRt {
         let mut queue: Vec<_> = self.wake.iter().map(|&Reverse(e)| e).collect();
         queue.sort_unstable();
         let _ = writeln!(out, "views: {:?}", self.views);
-        let _ = writeln!(out, "view slabs: {:?}, n_ready {}", self.view_warps, self.n_ready);
+        let _ = writeln!(
+            out,
+            "view slabs: {:?}, n_ready {}",
+            self.view_warps, self.n_ready
+        );
         let _ = writeln!(out, "wake queue (ready_at, warp, slab): {queue:?}");
         let _ = write!(out, "next_event: {}", self.next_event);
         out
@@ -1118,10 +1133,9 @@ mod tests {
     fn larger_tlb_does_not_hurt() {
         let spec = registry().into_iter().find(|s| s.name == "atax").unwrap();
         let base = Simulator::new(GpuConfig::dac23_baseline()).run(spec.generate(Scale::Test, 42));
-        let big = Simulator::new(
-            GpuConfig::dac23_baseline().with_l1_tlb(tlb::TlbConfig::dac23_l1_256()),
-        )
-        .run(spec.generate(Scale::Test, 42));
+        let big =
+            Simulator::new(GpuConfig::dac23_baseline().with_l1_tlb(tlb::TlbConfig::dac23_l1_256()))
+                .run(spec.generate(Scale::Test, 42));
         assert!(big.l1_tlb_hit_rate() >= base.l1_tlb_hit_rate() - 1e-9);
     }
 

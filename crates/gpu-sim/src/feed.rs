@@ -108,9 +108,7 @@ impl KernelFeed<'_> {
             } => {
                 if idx != *next {
                     return Err(TraceError::NotATrace {
-                        what: format!(
-                            "non-monotonic TB access: asked for {idx}, cursor at {next}"
-                        ),
+                        what: format!("non-monotonic TB access: asked for {idx}, cursor at {next}"),
                     });
                 }
                 let Some(tb) = stream.next_tb()? else {

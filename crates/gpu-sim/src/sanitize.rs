@@ -90,9 +90,7 @@ fn check_per_asid(
     num_asids: usize,
     dump: String,
 ) {
-    let sum = by_asid
-        .iter()
-        .fold(TlbStats::default(), |a, (_, s)| a + *s);
+    let sum = by_asid.iter().fold(TlbStats::default(), |a, (_, s)| a + *s);
     if sum != aggregate {
         report(InvariantViolation::new(
             context,
@@ -405,7 +403,10 @@ mod tests {
         let l2: Vec<Broken> = Vec::new();
         s.end_of_kernel(
             100,
-            &[&ok as &dyn TranslationBuffer, &bad as &dyn TranslationBuffer],
+            &[
+                &ok as &dyn TranslationBuffer,
+                &bad as &dyn TranslationBuffer,
+            ],
             &l2,
             1,
         );

@@ -90,7 +90,11 @@ fn mask_token_starvation_completes_soundly() {
         .check()
         .expect("latency attribution must survive token bypass");
     for a in &report.per_app {
-        assert!(a.cycles > 0, "{} never finished under starvation", a.workload);
+        assert!(
+            a.cycles > 0,
+            "{} never finished under starvation",
+            a.workload
+        );
     }
 }
 
@@ -98,7 +102,9 @@ fn mask_token_starvation_completes_soundly() {
 /// partition identity at every width.
 #[test]
 fn wide_mixes_keep_per_app_identities() {
-    let names = ["gemm", "bfs", "mvt", "atax", "bicg", "mlp", "pagerank", "nw"];
+    let names = [
+        "gemm", "bfs", "mvt", "atax", "bicg", "mlp", "pagerank", "nw",
+    ];
     for width in [4usize, 8] {
         let apps: Vec<Workload> = names[..width].iter().map(|n| app(n)).collect();
         let report = Simulator::new(GpuConfig::dac23_baseline()).run_corun(apps);

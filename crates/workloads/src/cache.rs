@@ -15,6 +15,8 @@
 //! itself runs outside it through [`OnceLock::get_or_init`], so two
 //! threads asking for *different* workloads generate concurrently while
 //! two threads asking for the *same* workload generate it exactly once.
+//! Below the entries sits a memo of the one graph the four graph
+//! benchmarks traverse (see [`WorkloadCache`]).
 
 use std::collections::HashMap; // simlint: allow(hash-iter, reason = "cache keyed by (name, scale, seed, page size); never iterated")
 use std::path::{Path, PathBuf};
@@ -24,12 +26,18 @@ use std::sync::{Arc, Mutex, OnceLock};
 use vmem::PageSize;
 
 use crate::format::{self, TraceError, TraceReader, TraceSource};
+use crate::gen::graph::build_graph;
+use crate::graph::CsrGraph;
 use crate::registry::BenchmarkSpec;
 use crate::scale::Scale;
 use crate::trace::Workload;
 
 /// Everything that determines a generated workload.
 type Key = (&'static str, Scale, u64, PageSize);
+
+/// Everything that determines the graph benchmarks' graph (the node and
+/// edge counts and the cluster window all follow from the scale).
+type GraphKey = (Scale, u64);
 
 /// The on-disk cache key: provenance as recorded in a `trace/v1` footer
 /// (the scale is its display tag so hand-written traces can join in).
@@ -44,17 +52,20 @@ fn disk_key(bench: &str, scale: Scale, seed: u64, page_size: PageSize) -> DiskKe
 }
 
 /// Hit/miss counters of a [`WorkloadCache`] (one miss per distinct
-/// workload generated).
+/// workload generated), and how many graphs it built for them.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Requests served from an already-generated workload.
     pub hits: u64,
     /// Requests that generated the workload.
     pub misses: u64,
+    /// Graphs built for graph benchmarks: one per `(scale, seed)` that a
+    /// generated (or written) graph workload asked for.
+    pub graph_builds: u64,
 }
 
 impl CacheStats {
-    /// Total requests served.
+    /// Total requests served (graph builds are not requests).
     pub fn requests(&self) -> u64 {
         self.hits + self.misses
     }
@@ -62,6 +73,16 @@ impl CacheStats {
 
 /// Generates each distinct `(benchmark, scale, seed, page_size)` workload
 /// once and serves shared-storage clones afterwards.
+///
+/// The graph benchmarks (`bfs`, `color`, `mis`, `pagerank`) share one
+/// more thing: the graph they traverse depends only on scale and seed,
+/// so it is built once per `(scale, seed)` and held for the cache's
+/// lifetime. Each benchmark, at either page size, traces over that one
+/// graph in its own address space, so `repro --all` builds one graph,
+/// not eight, and the workloads are those
+/// [`BenchmarkSpec::generate_with_page_size`] builds. The memo belongs
+/// to the instance, not the process: a fresh cache builds its graphs
+/// again, and `BenchmarkSpec::generate*` never use it.
 ///
 /// # Example
 ///
@@ -75,12 +96,23 @@ impl CacheStats {
 /// assert_eq!(first.total_warp_ops(), again.total_warp_ops());
 /// assert_eq!(cache.stats().misses, 1);
 /// assert_eq!(cache.stats().hits, 1);
+///
+/// // bfs and pagerank, at both page sizes, traverse one graph.
+/// for name in ["bfs", "pagerank"] {
+///     let spec = registry().into_iter().find(|s| s.name == name).unwrap();
+///     cache.get(&spec, Scale::Test, 42);
+///     cache.get_with_page_size(&spec, Scale::Test, 42, vmem::PageSize::Large);
+/// }
+/// assert_eq!(cache.stats().graph_builds, 1);
 /// ```
 #[derive(Default)]
 pub struct WorkloadCache {
     entries: Mutex<HashMap<Key, Arc<OnceLock<Workload>>>>, // simlint: allow(hash-iter, reason = "keyed access only; results never depend on entry order")
     hits: AtomicU64,
     misses: AtomicU64,
+    /// The graph benchmarks' graphs, built on first use.
+    graphs: Mutex<HashMap<GraphKey, Arc<OnceLock<Arc<CsrGraph>>>>>, // simlint: allow(hash-iter, reason = "keyed access only; results never depend on entry order")
+    graph_builds: AtomicU64,
     /// When set, misses also persist a `trace/v1` file here (and later
     /// requests — in this process or the next — replay it from disk).
     disk: Option<PathBuf>,
@@ -209,7 +241,7 @@ impl WorkloadCache {
                 source,
             })?;
         }
-        let workload = spec.generate_with_page_size(scale, seed, page_size);
+        let workload = self.generate(spec, scale, seed, page_size);
         let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
         let written = format::write_workload(&tmp, &workload, spec.name, Some(scale), seed)
@@ -324,14 +356,42 @@ impl WorkloadCache {
                 }
             }
         }
-        spec.generate_with_page_size(scale, seed, page_size)
+        self.generate(spec, scale, seed, page_size)
     }
 
-    /// Current hit/miss counters.
+    /// Generates `spec` in RAM; a graph benchmark traverses the memoized
+    /// graph.
+    fn generate(
+        &self,
+        spec: &BenchmarkSpec,
+        scale: Scale,
+        seed: u64,
+        page_size: PageSize,
+    ) -> Workload {
+        spec.generate_on_graph(scale, seed, page_size, || self.graph(scale, seed))
+    }
+
+    /// The graph benchmarks' graph at `scale`/`seed`, built on first
+    /// request. Like workload entries, the map lock only finds the cell,
+    /// and the [`OnceLock`] builds each graph exactly once.
+    fn graph(&self, scale: Scale, seed: u64) -> Arc<CsrGraph> {
+        let cell = {
+            let mut graphs = self.graphs.lock().expect("cache lock poisoned");
+            Arc::clone(graphs.entry((scale, seed)).or_default())
+        };
+        let graph = cell.get_or_init(|| {
+            self.graph_builds.fetch_add(1, Ordering::Relaxed);
+            Arc::new(build_graph(scale, seed))
+        });
+        Arc::clone(graph)
+    }
+
+    /// Current hit/miss and graph-build counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            graph_builds: self.graph_builds.load(Ordering::Relaxed),
         }
     }
 
@@ -362,7 +422,14 @@ mod tests {
         for _ in 0..5 {
             cache.get(&gemm, Scale::Test, 42);
         }
-        assert_eq!(cache.stats(), CacheStats { hits: 4, misses: 1 });
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 4,
+                misses: 1,
+                graph_builds: 0
+            }
+        );
         assert_eq!(cache.len(), 1);
     }
 
@@ -497,6 +564,68 @@ mod tests {
         assert_eq!(names.len(), 1, "a temp file was left behind: {names:?}");
         let reader = TraceReader::open(&paths[0]).expect("the trace opens");
         assert_eq!(reader.seed(), 42);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    const PAGE_SIZES: [PageSize; 2] = [PageSize::Small, PageSize::Large];
+
+    #[test]
+    fn one_graph_build_per_scale_and_seed() {
+        // The repro --all grid: every benchmark at both page sizes, here
+        // at two seeds.
+        let cache = WorkloadCache::new();
+        for seed in [42, 7] {
+            for spec in registry() {
+                for ps in PAGE_SIZES {
+                    cache.get_with_page_size(&spec, Scale::Test, seed, ps);
+                }
+            }
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.graph_builds), (40, 2));
+        assert_eq!(stats.requests(), 40, "graph builds are not requests");
+
+        // Served workloads and plain benchmarks build nothing more.
+        cache.get(&spec("bfs"), Scale::Test, 42);
+        cache.get(&spec("gemm"), Scale::Test, 3);
+        assert_eq!(cache.stats().graph_builds, 2);
+
+        // The memo belongs to the instance.
+        let fresh = WorkloadCache::new();
+        fresh.get(&spec("pagerank"), Scale::Test, 42);
+        assert_eq!(fresh.stats().graph_builds, 1);
+    }
+
+    #[test]
+    fn racing_graph_benchmarks_build_one_graph() {
+        let cache = WorkloadCache::new();
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for (name, ps) in [("color", PageSize::Small), ("mis", PageSize::Large)] {
+                let (cache, barrier) = (&cache, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    cache.get_with_page_size(&spec(name), Scale::Test, 42, ps)
+                });
+            }
+        });
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.graph_builds), (2, 1));
+    }
+
+    #[test]
+    fn trace_writes_share_the_graph() {
+        let dir = temp_dir("graph-memo");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = WorkloadCache::with_disk(&dir);
+        for name in ["bfs", "mis"] {
+            for ps in PAGE_SIZES {
+                cache
+                    .ensure_trace_file(&spec(name), Scale::Test, 42, ps)
+                    .unwrap();
+            }
+        }
+        assert_eq!(cache.stats().graph_builds, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -8,6 +8,12 @@
 //! them exactly the properties the paper observes: highly reused hub
 //! pages, irregular gathers that defeat stride-based TLB techniques, and
 //! strong inter-TB imbalance in translation counts.
+//!
+//! Building the graph ([`build_graph`]) is split from building a trace
+//! over it: each generator borrows the graph of `build_graph(scale,
+//! seed)` and allocates its own address space and buffers (`color` and
+//! `mis` also seed their own RNGs from `seed`), so one graph can serve
+//! all four benchmarks at both page sizes.
 
 use crate::gen::{elem_addr, ELEM};
 use crate::graph::{CsrGraph, RmatParams};
@@ -121,19 +127,28 @@ fn traversal_kernel(
     }
 }
 
-/// Allocates the shared CSR buffers and builds the graph.
-fn graph_setup(
-    prefix: &str,
-    scale: Scale,
-    seed: u64,
-    page_size: PageSize,
-) -> (CsrGraph, AddressSpace, Buffer, Buffer) {
+/// Builds the graph all four graph benchmarks traverse at `scale`/`seed`.
+///
+/// It depends on nothing else (not the benchmark, not the page size), so
+/// [`WorkloadCache`](crate::WorkloadCache) builds it once per
+/// `(scale, seed)` and hands the same graph to every graph benchmark.
+pub fn build_graph(scale: Scale, seed: u64) -> CsrGraph {
     let n = scale.graph_nodes();
     let e = n * scale.graph_avg_degree();
     // Citation-graph-like structure: clustered destinations with R-MAT
     // hubs (see CsrGraph::clustered_rmat and DESIGN.md).
     let window = (n / 128).max(64);
-    let graph = CsrGraph::clustered_rmat(n, e, RmatParams::default(), 0.6, window, seed);
+    CsrGraph::clustered_rmat(n, e, RmatParams::default(), 0.6, window, seed)
+}
+
+/// Allocates the shared CSR buffers for `graph` in a fresh space.
+fn csr_setup(
+    prefix: &str,
+    graph: &CsrGraph,
+    page_size: PageSize,
+) -> (AddressSpace, Buffer, Buffer) {
+    let n = graph.num_nodes();
+    let e = graph.num_edges();
     let mut space = AddressSpace::new(page_size);
     let row_ptr = space
         .allocate(&format!("{prefix}_row_ptr"), (n as u64 + 1) * ELEM as u64)
@@ -141,13 +156,13 @@ fn graph_setup(
     let col_idx = space
         .allocate(&format!("{prefix}_col_idx"), e as u64 * ELEM as u64)
         .expect("fresh space");
-    (graph, space, row_ptr, col_idx)
+    (space, row_ptr, col_idx)
 }
 
 /// Generates `bfs`: level-synchronous breadth-first search from node 0,
 /// one kernel per frontier level (real frontiers computed on the graph).
-pub fn bfs(scale: Scale, seed: u64, page_size: PageSize) -> Workload {
-    let (graph, mut space, row_ptr, col_idx) = graph_setup("bfs", scale, seed, page_size);
+pub fn bfs(graph: &CsrGraph, scale: Scale, _seed: u64, page_size: PageSize) -> Workload {
+    let (mut space, row_ptr, col_idx) = csr_setup("bfs", graph, page_size);
     let n = graph.num_nodes();
     let stride = scale.node_stride();
     let level_buf = space
@@ -169,7 +184,7 @@ pub fn bfs(scale: Scale, seed: u64, page_size: PageSize) -> Workload {
             active[f as usize] = true;
         }
         kernels.push(traversal_kernel(
-            &graph,
+            graph,
             &row_ptr,
             &col_idx,
             stride,
@@ -198,8 +213,8 @@ pub fn bfs(scale: Scale, seed: u64, page_size: PageSize) -> Workload {
 
 /// Generates `pagerank`: every node gathers its neighbors' ranks each
 /// iteration (dense traversal, double-buffered rank arrays).
-pub fn pagerank(scale: Scale, seed: u64, page_size: PageSize) -> Workload {
-    let (graph, mut space, row_ptr, col_idx) = graph_setup("pagerank", scale, seed, page_size);
+pub fn pagerank(graph: &CsrGraph, scale: Scale, _seed: u64, page_size: PageSize) -> Workload {
+    let (mut space, row_ptr, col_idx) = csr_setup("pagerank", graph, page_size);
     let n = graph.num_nodes();
     let stride = scale.node_stride();
     let rank_a = space
@@ -217,7 +232,7 @@ pub fn pagerank(scale: Scale, seed: u64, page_size: PageSize) -> Workload {
             (&rank_b, &rank_a)
         };
         kernels.push(traversal_kernel(
-            &graph,
+            graph,
             &row_ptr,
             &col_idx,
             stride,
@@ -236,8 +251,8 @@ pub fn pagerank(scale: Scale, seed: u64, page_size: PageSize) -> Workload {
 
 /// Generates `color` (graph coloring): each iteration, the still-uncolored
 /// nodes gather their neighbors' colors; the active set shrinks.
-pub fn color(scale: Scale, seed: u64, page_size: PageSize) -> Workload {
-    let (graph, mut space, row_ptr, col_idx) = graph_setup("color", scale, seed, page_size);
+pub fn color(graph: &CsrGraph, scale: Scale, seed: u64, page_size: PageSize) -> Workload {
+    let (mut space, row_ptr, col_idx) = csr_setup("color", graph, page_size);
     let n = graph.num_nodes();
     let stride = scale.node_stride();
     let color_buf = space
@@ -248,7 +263,7 @@ pub fn color(scale: Scale, seed: u64, page_size: PageSize) -> Workload {
     let mut kernels = Vec::new();
     for it in 0..=scale.graph_iterations() {
         kernels.push(traversal_kernel(
-            &graph,
+            graph,
             &row_ptr,
             &col_idx,
             stride,
@@ -274,8 +289,8 @@ pub fn color(scale: Scale, seed: u64, page_size: PageSize) -> Workload {
 
 /// Generates `mis` (maximal independent set): nodes compare random
 /// priorities with their neighbors; winners and their neighbors drop out.
-pub fn mis(scale: Scale, seed: u64, page_size: PageSize) -> Workload {
-    let (graph, mut space, row_ptr, col_idx) = graph_setup("mis", scale, seed, page_size);
+pub fn mis(graph: &CsrGraph, scale: Scale, seed: u64, page_size: PageSize) -> Workload {
+    let (mut space, row_ptr, col_idx) = csr_setup("mis", graph, page_size);
     let n = graph.num_nodes();
     let stride = scale.node_stride();
     let priority = space
@@ -295,7 +310,7 @@ pub fn mis(scale: Scale, seed: u64, page_size: PageSize) -> Workload {
             break;
         }
         kernels.push(traversal_kernel(
-            &graph,
+            graph,
             &row_ptr,
             &col_idx,
             stride,
@@ -332,9 +347,16 @@ pub fn mis(scale: Scale, seed: u64, page_size: PageSize) -> Workload {
 mod tests {
     use super::*;
 
+    type Generator = fn(&CsrGraph, Scale, u64, PageSize) -> Workload;
+
+    /// `generate` on its own freshly built graph, with 4 KiB pages.
+    fn on_own_graph(generate: Generator, scale: Scale, seed: u64) -> Workload {
+        generate(&build_graph(scale, seed), scale, seed, PageSize::Small)
+    }
+
     #[test]
     fn bfs_levels_grow_then_shrink() {
-        let wl = bfs(Scale::Test, 42, PageSize::Small);
+        let wl = on_own_graph(bfs, Scale::Test, 42);
         assert!(wl.kernels().len() >= 2, "BFS should have multiple levels");
         // Level 0 has exactly one active node, so its trace is tiny
         // compared to a mid-level.
@@ -347,7 +369,7 @@ mod tests {
 
     #[test]
     fn pagerank_is_dense_every_iteration() {
-        let wl = pagerank(Scale::Test, 42, PageSize::Small);
+        let wl = on_own_graph(pagerank, Scale::Test, 42);
         assert_eq!(wl.kernels().len(), Scale::Test.graph_iterations());
         let n = Scale::Test.graph_nodes();
         let e = n * Scale::Test.graph_avg_degree();
@@ -359,7 +381,7 @@ mod tests {
 
     #[test]
     fn color_active_set_shrinks() {
-        let wl = color(Scale::Test, 42, PageSize::Small);
+        let wl = on_own_graph(color, Scale::Test, 42);
         let ops: Vec<usize> = wl.kernels().iter().map(|k| k.total_ops()).collect();
         assert!(ops.len() >= 2);
         assert!(
@@ -370,7 +392,7 @@ mod tests {
 
     #[test]
     fn mis_terminates_and_generates() {
-        let wl = mis(Scale::Test, 42, PageSize::Small);
+        let wl = on_own_graph(mis, Scale::Test, 42);
         assert!(!wl.kernels().is_empty());
         assert!(wl.total_warp_ops() > 0);
     }
@@ -378,10 +400,10 @@ mod tests {
     #[test]
     fn all_graph_addresses_valid() {
         for wl in [
-            bfs(Scale::Test, 1, PageSize::Small),
-            pagerank(Scale::Test, 1, PageSize::Small),
-            color(Scale::Test, 1, PageSize::Small),
-            mis(Scale::Test, 1, PageSize::Small),
+            on_own_graph(bfs, Scale::Test, 1),
+            on_own_graph(pagerank, Scale::Test, 1),
+            on_own_graph(color, Scale::Test, 1),
+            on_own_graph(mis, Scale::Test, 1),
         ] {
             for k in wl.kernels() {
                 for tb in &k.tbs {
@@ -396,7 +418,7 @@ mod tests {
     #[test]
     fn hub_pages_reused_across_warps() {
         // In a power-law graph, some gather page must appear in many TBs.
-        let wl = pagerank(Scale::Test, 42, PageSize::Small);
+        let wl = on_own_graph(pagerank, Scale::Test, 42);
         let rank = wl.space().buffer("pagerank_rank_a").unwrap();
         let mut page_tb_counts: std::collections::HashMap<u64, usize> = Default::default();
         for tb in &wl.kernels()[0].tbs {
@@ -418,10 +440,10 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = bfs(Scale::Test, 7, PageSize::Small);
-        let b = bfs(Scale::Test, 7, PageSize::Small);
+        let a = on_own_graph(bfs, Scale::Test, 7);
+        let b = on_own_graph(bfs, Scale::Test, 7);
         assert_eq!(a.total_warp_ops(), b.total_warp_ops());
-        let c = bfs(Scale::Test, 8, PageSize::Small);
+        let c = on_own_graph(bfs, Scale::Test, 8);
         assert_ne!(a.total_warp_ops(), c.total_warp_ops());
     }
 }

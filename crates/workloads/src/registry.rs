@@ -2,9 +2,11 @@
 
 use crate::format::TraceSource;
 use crate::gen;
+use crate::graph::CsrGraph;
 use crate::scale::Scale;
 use crate::trace::Workload;
 use std::fmt;
+use std::sync::Arc;
 use vmem::PageSize;
 
 /// The benchmark suite a workload comes from.
@@ -40,13 +42,23 @@ pub struct BenchmarkSpec {
     pub suite: Suite,
     /// The application, as described in Table II.
     pub application: &'static str,
-    generator: fn(Scale, u64, PageSize) -> Workload,
+    generator: Generator,
+}
+
+/// How a benchmark builds its trace.
+#[derive(Copy, Clone)]
+enum Generator {
+    /// From its inputs alone.
+    Plain(fn(Scale, u64, PageSize) -> Workload),
+    /// By traversing the graph of [`gen::graph::build_graph`] at the same
+    /// scale and seed.
+    OnGraph(fn(&CsrGraph, Scale, u64, PageSize) -> Workload),
 }
 
 impl BenchmarkSpec {
     /// Generates the workload at `scale` with 4 KiB pages.
     pub fn generate(&self, scale: Scale, seed: u64) -> Workload {
-        (self.generator)(scale, seed, PageSize::Small)
+        self.generate_with_page_size(scale, seed, PageSize::Small)
     }
 
     /// Generates the workload with an explicit page size (the paper's
@@ -57,7 +69,27 @@ impl BenchmarkSpec {
         seed: u64,
         page_size: PageSize,
     ) -> Workload {
-        (self.generator)(scale, seed, page_size)
+        self.generate_on_graph(scale, seed, page_size, || {
+            Arc::new(gen::graph::build_graph(scale, seed))
+        })
+    }
+
+    /// Generates as [`generate_with_page_size`](Self::generate_with_page_size)
+    /// does, except that a graph benchmark traverses the graph `graph`
+    /// returns instead of building its own. `graph` must return the
+    /// graph of `gen::graph::build_graph(scale, seed)`; it is called only
+    /// for graph benchmarks.
+    pub(crate) fn generate_on_graph(
+        &self,
+        scale: Scale,
+        seed: u64,
+        page_size: PageSize,
+        graph: impl FnOnce() -> Arc<CsrGraph>,
+    ) -> Workload {
+        match self.generator {
+            Generator::Plain(generate) => generate(scale, seed, page_size),
+            Generator::OnGraph(generate) => generate(&graph(), scale, seed, page_size),
+        }
     }
 
     /// Generates the workload as an in-memory [`TraceSource`] with 4 KiB
@@ -98,13 +130,13 @@ pub fn extended_registry() -> Vec<BenchmarkSpec> {
         name: "embedding",
         suite: Suite::Extension,
         application: "Embedding-table lookup (recommendation models)",
-        generator: gen::ml::embedding,
+        generator: Generator::Plain(gen::ml::embedding),
     });
     all.push(BenchmarkSpec {
         name: "mlp",
         suite: Suite::Extension,
         application: "Multi-layer perceptron forward pass",
-        generator: gen::ml::mlp,
+        generator: Generator::Plain(gen::ml::mlp),
     });
     all
 }
@@ -116,61 +148,61 @@ pub fn registry() -> Vec<BenchmarkSpec> {
             name: "bfs",
             suite: Suite::Rodinia,
             application: "Breadth-First Search",
-            generator: gen::graph::bfs,
+            generator: Generator::OnGraph(gen::graph::bfs),
         },
         BenchmarkSpec {
             name: "color",
             suite: Suite::Pannotia,
             application: "Graph coloring centrality",
-            generator: gen::graph::color,
+            generator: Generator::OnGraph(gen::graph::color),
         },
         BenchmarkSpec {
             name: "mis",
             suite: Suite::Pannotia,
             application: "Maximal independent set",
-            generator: gen::graph::mis,
+            generator: Generator::OnGraph(gen::graph::mis),
         },
         BenchmarkSpec {
             name: "nw",
             suite: Suite::Rodinia,
             application: "Needleman-Wunsch",
-            generator: gen::nw::generate,
+            generator: Generator::Plain(gen::nw::generate),
         },
         BenchmarkSpec {
             name: "pagerank",
             suite: Suite::Pannotia,
             application: "Page rank",
-            generator: gen::graph::pagerank,
+            generator: Generator::OnGraph(gen::graph::pagerank),
         },
         BenchmarkSpec {
             name: "3dconv",
             suite: Suite::PolyBench,
             application: "3D Convolution",
-            generator: gen::conv3d::generate,
+            generator: Generator::Plain(gen::conv3d::generate),
         },
         BenchmarkSpec {
             name: "atax",
             suite: Suite::PolyBench,
             application: "Matrix Transpose and Vector Multiplication",
-            generator: gen::linalg::atax,
+            generator: Generator::Plain(gen::linalg::atax),
         },
         BenchmarkSpec {
             name: "bicg",
             suite: Suite::PolyBench,
             application: "BiCG Sub Kernel of BiCGStab Linear Solver",
-            generator: gen::linalg::bicg,
+            generator: Generator::Plain(gen::linalg::bicg),
         },
         BenchmarkSpec {
             name: "gemm",
             suite: Suite::PolyBench,
             application: "Matrix Multiply",
-            generator: gen::gemm::generate,
+            generator: Generator::Plain(gen::gemm::generate),
         },
         BenchmarkSpec {
             name: "mvt",
             suite: Suite::PolyBench,
             application: "Matrix Vector Product and Transpose",
-            generator: gen::linalg::mvt,
+            generator: Generator::Plain(gen::linalg::mvt),
         },
     ]
 }
