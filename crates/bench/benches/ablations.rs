@@ -11,9 +11,7 @@
 //! then times one representative configuration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gpu_sim::{
-    GpuConfig, GtoWarpScheduler, LrrWarpScheduler, SimReport, Simulator, WarpScheduler,
-};
+use gpu_sim::{GpuConfig, GtoWarpScheduler, LrrWarpScheduler, SimReport, Simulator, WarpScheduler};
 use orchestrated_tlb::{
     PartitionedTlb, PartitionedTlbConfig, SharingPolicy, TbClusteredWarpScheduler,
     ThrottlingTlbAwareScheduler, TlbAwareScheduler, WayPartitionedTlb,

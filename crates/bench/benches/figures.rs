@@ -136,7 +136,10 @@ fn bench_fig10_11(c: &mut Criterion) {
             r.norm_time[3],
         );
     }
-    for (i, label) in ["baseline", "sched", "sched+part", "+share"].iter().enumerate() {
+    for (i, label) in ["baseline", "sched", "sched+part", "+share"]
+        .iter()
+        .enumerate()
+    {
         let g = geomean(rows.iter().map(|r| r.norm_time[i]));
         println!("  geomean {label}: {g:.3} ({:+.1}%)", (g - 1.0) * 100.0);
     }

@@ -31,7 +31,10 @@
 //!   filled, so each op runs one LRU victim search over 16 ways.
 //! - `data_cache_access`: the dac23 L2 data cache (1536 sets x 8 ways,
 //!   the multiply-high set split) under a stream whose footprint is
-//!   far beyond its capacity, so nearly every access misses and evicts.
+//!   far beyond its capacity, so nearly every access misses and evicts
+//!   (`dac23_l2_miss_heavy`); and 16 dac23 L1s (32 sets x 4 ways) in
+//!   front of that L2 under a gather-shaped stream that mostly misses
+//!   the L1s and mostly hits the L2 (`dac23_l1_l2_gather`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mem_hier::{Cache, CacheConfig};
@@ -251,6 +254,40 @@ fn data_cache_script() -> Vec<(u64, bool)> {
         .collect()
 }
 
+/// SMs in front of the shared L2 in the `dac23_l1_l2_gather` case.
+const GATHER_SMS: usize = 16;
+/// Accesses in the gather stream: long enough that its lines recur at
+/// reuse distances near the L2's capacity, as a traversal's do.
+const GATHER_OPS: usize = 1 << 16;
+
+/// `(sm, pa, write)` accesses of the `dac23_l1_l2_gather` stream. Each
+/// SM issues eight lines in a row (one warp instruction's coalesced
+/// gather). One line in ten comes from an 8-line region private to the
+/// SM, which its L1 mostly keeps; the rest are random lines of a
+/// 1.69 MiB table shared by every SM, a little larger than the 1.5 MiB
+/// L2. So 91% of the lines miss the L1 and 88% of those hit the L2,
+/// between bfs (5% L1 hits, 78% L2 hits) and gemm (10%, 97%) at
+/// `--scale large`. One line in 16 is a store.
+fn gather_script() -> Vec<(usize, u64, bool)> {
+    const TABLE_LINES: u64 = 13_824;
+    const HOT_LINES: u64 = 8;
+    let mut x = 0x510e_527f_ade6_82d1u64;
+    (0..GATHER_OPS)
+        .map(|i| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let sm = i / 8 % GATHER_SMS;
+            let line = if x.is_multiple_of(10) {
+                (1 << 32) + sm as u64 * HOT_LINES + (x >> 8) % HOT_LINES
+            } else {
+                (x >> 8) % TABLE_LINES
+            };
+            (sm, line * 128, x >> 4 & 15 == 0)
+        })
+        .collect()
+}
+
 fn bench_data_cache_access(c: &mut Criterion) {
     let script = data_cache_script();
     let mut cache = Cache::new(CacheConfig::new(1536 * 1024, 8, 128));
@@ -261,6 +298,21 @@ fn bench_data_cache_access(c: &mut Criterion) {
             let hits = script
                 .iter()
                 .filter(|&&(pa, write)| cache.access(pa, write))
+                .count();
+            std::hint::black_box(hits)
+        })
+    });
+    // The L1s in front of the L2 as `Hierarchy::data_access` chains
+    // them: an L1 miss goes on to the L2.
+    let script = gather_script();
+    let mut l1 = vec![Cache::new(CacheConfig::new(16 * 1024, 4, 128)); GATHER_SMS];
+    let mut l2 = Cache::new(CacheConfig::new(1536 * 1024, 8, 128));
+    group.throughput(Throughput::Elements(GATHER_OPS as u64));
+    group.bench_function("dac23_l1_l2_gather", |b| {
+        b.iter(|| {
+            let hits = script
+                .iter()
+                .filter(|&&(sm, pa, write)| l1[sm].access(pa, write) || l2.access(pa, write))
                 .count();
             std::hint::black_box(hits)
         })

@@ -144,9 +144,7 @@ fn bench_grid_throughput(c: &mut Criterion) {
     });
     let warm = Arc::new(WorkloadCache::new());
     group.bench_function("parallel_warm_cache", |b| {
-        b.iter(|| {
-            fig10_11_grid(&specs, Scale::Test, &Grid::with_cache(0, Arc::clone(&warm))).len()
-        })
+        b.iter(|| fig10_11_grid(&specs, Scale::Test, &Grid::with_cache(0, Arc::clone(&warm))).len())
     });
     group.finish();
 }

@@ -205,7 +205,10 @@ fn main() {
             .iter()
             .find(|s| s.name == name)
             .unwrap_or_else(|| panic!("benchmark {name} missing from the registry"));
-        eprintln!("engine-bench: {name}/{} at --scale {scale} ...", mechanism.label());
+        eprintln!(
+            "engine-bench: {name}/{} at --scale {scale} ...",
+            mechanism.label()
+        );
 
         let (seconds, cycles) = time_reps(reps, mechanism, &cache, spec, scale);
         let min = seconds[0];

@@ -94,10 +94,9 @@ fn parse_args() -> Args {
             }
             "--mutate" => {
                 let v = value(&mut i, "--mutate");
-                parsed.mutation = Mutation::parse(&v)
-                    .unwrap_or_else(|| {
-                        usage("--mutate wants none|evict-mru|skip-flag-reset|drop-asid-tag")
-                    });
+                parsed.mutation = Mutation::parse(&v).unwrap_or_else(|| {
+                    usage("--mutate wants none|evict-mru|skip-flag-reset|drop-asid-tag")
+                });
             }
             "--engine-every" => {
                 // 0 disables engine cases entirely.

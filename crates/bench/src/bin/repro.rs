@@ -183,7 +183,12 @@ fn print_fig10_11(specs: &[BenchmarkSpec], scale: Scale, which: &str, grid: &Gri
         }
         for (i, l) in labels.iter().enumerate() {
             let g = geomean(rows.iter().map(|r| r.norm_time[i]));
-            println!("geomean {:<11} {:.3}  ({:+.1}% vs baseline)", l, g, (g - 1.0) * 100.0);
+            println!(
+                "geomean {:<11} {:.3}  ({:+.1}% vs baseline)",
+                l,
+                g,
+                (g - 1.0) * 100.0
+            );
         }
         println!();
     }
@@ -229,7 +234,10 @@ fn print_hugepage(specs: &[BenchmarkSpec], scale: Scale, grid: &Grid) {
 
 fn print_variance(scale: Scale, grid: &Grid) {
     let seeds = [42, 1, 7, 1234];
-    println!("== Seed sensitivity: full proposal's normalized time, {} seeds ==", seeds.len());
+    println!(
+        "== Seed sensitivity: full proposal's normalized time, {} seeds ==",
+        seeds.len()
+    );
     println!("{:<10} {:>8} {:>8}", "bench", "mean", "std");
     for r in fig11_variance_grid(scale, &seeds, grid) {
         println!("{:<10} {:>8.3} {:>8.4}", r.bench, r.mean, r.std_dev);
@@ -311,7 +319,10 @@ fn print_corun(apps: &[BenchmarkSpec], scale: Scale, grid: &Grid) {
     for n in &names {
         print!(" {:>10}", n);
     }
-    println!(" {:>9} {:>11}  (slowdown vs solo; fairness/STP over progress)", "fairness", "throughput");
+    println!(
+        " {:>9} {:>11}  (slowdown vs solo; fairness/STP over progress)",
+        "fairness", "throughput"
+    );
     let rows = corun_study_grid(apps, scale, grid);
     for r in &rows {
         print!("{:<18}", r.mechanism);
@@ -435,8 +446,10 @@ fn main() {
                 };
             }
             "--all" => wanted.extend(
-                ["table2", "2", "3", "4", "5", "6", "10", "11", "12", "hugepage"]
-                    .map(String::from),
+                [
+                    "table2", "2", "3", "4", "5", "6", "10", "11", "12", "hugepage",
+                ]
+                .map(String::from),
             ),
             flag if flag.starts_with("--fig") => wanted.push(flag[5..].to_owned()),
             "--table2" => wanted.push("table2".into()),
@@ -451,7 +464,11 @@ fn main() {
     if wanted.is_empty() {
         wanted = ["table2", "2", "10", "11"].map(String::from).to_vec();
     }
-    let mut specs = if extended { extended_registry() } else { registry() };
+    let mut specs = if extended {
+        extended_registry()
+    } else {
+        registry()
+    };
     if !only.is_empty() {
         specs.retain(|s| only.iter().any(|n| n == s.name));
         if specs.is_empty() {
@@ -483,10 +500,13 @@ fn main() {
         let corun_specs: Vec<BenchmarkSpec> = apps
             .iter()
             .map(|name| {
-                all.iter().find(|s| s.name == name).cloned().unwrap_or_else(|| {
-                    eprintln!("--apps: unknown benchmark {name}");
-                    std::process::exit(2);
-                })
+                all.iter()
+                    .find(|s| s.name == name)
+                    .cloned()
+                    .unwrap_or_else(|| {
+                        eprintln!("--apps: unknown benchmark {name}");
+                        std::process::exit(2);
+                    })
             })
             .collect();
         if corun_specs.len() < 2 {

@@ -103,7 +103,11 @@ fn main() {
         std::process::exit(2);
     }
 
-    let mut specs = if extended { extended_registry() } else { registry() };
+    let mut specs = if extended {
+        extended_registry()
+    } else {
+        registry()
+    };
     if !only.is_empty() {
         specs.retain(|s| only.iter().any(|n| n == s.name));
         if specs.is_empty() {

@@ -79,7 +79,11 @@ fn print_info(reader: &TraceReader) {
 }
 
 fn run_and_report(path: &Path, materialize: bool) -> Result<(), workloads::TraceError> {
-    let mode = if materialize { "materialized" } else { "streamed" };
+    let mode = if materialize {
+        "materialized"
+    } else {
+        "streamed"
+    };
     let report = if materialize {
         let workload = TraceReader::open(path)?.read_workload()?;
         Simulator::new(GpuConfig::dac23_baseline()).run(workload)

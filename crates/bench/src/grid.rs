@@ -40,10 +40,7 @@ impl Grid {
     /// A grid running `jobs` cells concurrently (`0` means
     /// [`Grid::default_jobs`]), with a fresh workload cache.
     pub fn new(jobs: usize) -> Self {
-        Grid::with_cache(
-            jobs,
-            Arc::new(WorkloadCache::new()),
-        )
+        Grid::with_cache(jobs, Arc::new(WorkloadCache::new()))
     }
 
     /// A single-worker grid: cells run inline on the calling thread, in
@@ -56,7 +53,11 @@ impl Grid {
     /// every figure of a `repro --all` run).
     pub fn with_cache(jobs: usize, cache: Arc<WorkloadCache>) -> Self {
         Grid {
-            jobs: if jobs == 0 { Grid::default_jobs() } else { jobs },
+            jobs: if jobs == 0 {
+                Grid::default_jobs()
+            } else {
+                jobs
+            },
             cache,
         }
     }

@@ -13,9 +13,7 @@ use analysis::{
     DistanceOptions, ReuseBins,
 };
 use gpu_sim::GpuConfig;
-use orchestrated_tlb::{
-    run_benchmark_cached, run_benchmark_cached_with_page_size, Mechanism,
-};
+use orchestrated_tlb::{run_benchmark_cached, run_benchmark_cached_with_page_size, Mechanism};
 use vmem::PageSize;
 use workloads::{registry, BenchmarkSpec, Scale};
 
@@ -113,8 +111,7 @@ pub fn fig3_4_grid(
         let spec = &specs[i];
         let wl = grid.cache().get(spec, scale, SEED);
         let streams = tb_translation_streams(&wl, LINE_BYTES);
-        let inter =
-            ReuseBins::from_intensities(&inter_intensities(&streams, max_tbs)).fractions();
+        let inter = ReuseBins::from_intensities(&inter_intensities(&streams, max_tbs)).fractions();
         let intra = ReuseBins::from_intensities(&intra_intensities(&streams)).fractions();
         Fig34Row {
             bench: spec.name.to_owned(),
@@ -439,9 +436,7 @@ pub const CORUN_MECHANISMS: [Mechanism; 4] = [
 pub fn corun_study_grid(apps: &[BenchmarkSpec], scale: Scale, grid: &Grid) -> Vec<CorunRow> {
     let cells: Vec<(Mechanism, Option<usize>)> = CORUN_MECHANISMS
         .iter()
-        .flat_map(|&m| {
-            std::iter::once((m, None)).chain((0..apps.len()).map(move |i| (m, Some(i))))
-        })
+        .flat_map(|&m| std::iter::once((m, None)).chain((0..apps.len()).map(move |i| (m, Some(i)))))
         .collect();
     let reports = grid.map(&cells, |&(m, solo)| {
         let mut sim = m.simulator(GpuConfig::dac23_baseline());

@@ -102,8 +102,9 @@ fn corpus_covers_all_models_and_mutants() {
 fn corpus_round_trips_through_the_text_format() {
     for (path, text) in corpus() {
         let case = Case::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let reparsed = Case::parse(&case.serialize())
-            .unwrap_or_else(|e| panic!("{}: reserialized form does not parse: {e}", path.display()));
+        let reparsed = Case::parse(&case.serialize()).unwrap_or_else(|e| {
+            panic!("{}: reserialized form does not parse: {e}", path.display())
+        });
         assert_eq!(case, reparsed, "{}", path.display());
     }
 }

@@ -38,7 +38,13 @@ fn cached_workload_reports_match_fresh_for_every_mechanism() {
     let spec = registry().into_iter().find(|s| s.name == "mvt").unwrap();
     let cache = WorkloadCache::new();
     for mechanism in Mechanism::all() {
-        let fresh = run_benchmark(&spec, Scale::Test, SEED, mechanism, GpuConfig::dac23_baseline());
+        let fresh = run_benchmark(
+            &spec,
+            Scale::Test,
+            SEED,
+            mechanism,
+            GpuConfig::dac23_baseline(),
+        );
         let cached = run_benchmark_cached(
             &cache,
             &spec,

@@ -1,6 +1,6 @@
 //! Physically-tagged set-associative data caches (L1 per-SM, shared L2).
 
-use crate::config::CacheConfig;
+use crate::config::{CacheConfig, MAX_WAYS};
 use std::fmt;
 use tlb::{first_min, recency_key, RECENCY_VALID};
 
@@ -44,15 +44,34 @@ impl fmt::Display for CacheStats {
     }
 }
 
+/// Dirty bit of a packed line key, just below [`RECENCY_VALID`]; the LRU
+/// stamp fills the bits under it.
+const DIRTY: u64 = 1 << 62;
+
+/// Key of a padded way: valid with the largest stamp, so once the dirty
+/// bit is masked out no real key exceeds it and a tie goes to the
+/// earlier, real way. `flush` must skip it (invalid, it would undercut
+/// every valid way), and `way_mask` keeps its tag out of the match.
+const PAD_KEY: u64 = !DIRTY;
+
 /// An LRU set-associative cache over physical line addresses.
 ///
 /// The simulator tracks only line identities (no data), which is all the
-/// timing model needs. Lines are stored structure-of-arrays style, one
-/// set-major slice each for the tags, the packed recency keys
-/// ([`tlb::recency_key`]: validity above the LRU stamp) and the dirty
-/// bits, so the hit probe walks the tags and the victim search runs one
-/// branch-free minimum over the keys. A flush clears only the validity
-/// bit, keeping each line's stale stamp for the victim order.
+/// timing model needs. One `Vec<u64>` holds the lines set by set: each
+/// set's block is its tags, then one packed key per way (validity at bit
+/// 63, dirtiness at bit 62, the LRU stamp below), so one access touches
+/// one block. The probe compares every way's tag and valid bit into a
+/// match mask, with no early exit, and `trailing_zeros` names the hit
+/// way; an invalid way never matches whatever its stale tag, so no tag
+/// value is reserved. A miss fills the first minimum of the keys with
+/// the dirty bit masked out: an invalid way before any valid one (invalid
+/// ways in stale-stamp order), then the least recently used. The probe
+/// is specialized by way count (`probe::<W>` for `W` in 1, 2, 4, .., 64,
+/// so the dac23 4-way L1 and 8-way L2 run fully unrolled); any other
+/// associativity up to 64 pads each set to the next of those with ways
+/// that never match and never win the victim search. A flush clears only
+/// the validity bit, keeping each line's stale stamp for the victim
+/// order.
 ///
 /// # Example
 ///
@@ -66,25 +85,29 @@ impl fmt::Display for CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// Line tags, set-major; meaningful only where the key is valid.
-    tags: Vec<u64>,
-    /// Packed recency keys parallel to `tags`.
-    keys: Vec<u64>,
-    /// Dirty bits parallel to `tags`.
-    dirty: Vec<bool>,
+    /// Set-major blocks of `ways` tags then `ways` packed keys. A tag is
+    /// meaningful only where its key is valid; padded ways hold
+    /// [`PAD_KEY`].
+    lines: Vec<u64>,
+    /// Ways per set block: the associativity rounded up to a power of
+    /// two, which picks the `probe` specialization.
+    ways: usize,
+    /// One bit per real way, masking padded ways out of the match mask.
+    way_mask: u64,
     clock: u64,
     stats: CacheStats,
-    /// `(line_shift, set_mask)` when both the line size and the set
-    /// count are powers of two, letting the per-access address split run
-    /// on shifts and masks instead of 64-bit divisions. Yields exactly
-    /// the `(set, tag)` pair of the div/mod path (`None` = non-pow2
-    /// geometry, e.g. a 12-slice L2, which takes `set_magic` below).
-    pow2: Option<(u32, u32)>,
+    /// `log2(line_bytes)` for a power-of-two line size, splitting off
+    /// the line offset with a shift (`None`: a division).
+    line_shift: Option<u32>,
+    /// `log2(sets)` for a power-of-two set count, splitting the line
+    /// address with a mask and a shift (`None`: the multiply-high
+    /// division by `set_magic`, e.g. for a 12-slice L2). Either way the
+    /// `(set, tag)` pair is exactly that of plain div/mod.
+    set_bits: Option<u32>,
     /// `floor(2^64 / sets)` for the multiply-high division on non-pow2
-    /// set counts (unused — zero — when `pow2` is `Some` or `sets == 1`).
+    /// set counts (zero, unused, when `set_bits` is `Some`).
     set_magic: u64,
-    /// The set count, kept so the per-access split does not re-derive it
-    /// from the geometry with two hardware divisions.
+    /// The set count, the divisor of the multiply-high split.
     sets: u64,
 }
 
@@ -109,30 +132,41 @@ fn divmod_by_magic(n: u64, d: u64, magic: u64) -> (u64, u64) {
 
 impl Cache {
     /// Creates an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero associativity or one above 64, which
+    /// [`CacheConfig::new`] rejects already (its fields are public).
     pub fn new(config: CacheConfig) -> Self {
-        let pow2 =
-            (config.line_bytes.is_power_of_two() && config.sets().is_power_of_two()).then(|| {
-                (
-                    config.line_bytes.trailing_zeros(),
-                    config.sets().trailing_zeros(),
-                )
-            });
-        let sets = config.sets() as u64;
-        let set_magic = if pow2.is_none() && sets >= 2 {
-            u64::MAX / sets
+        let a = config.associativity;
+        assert!(
+            (1..=MAX_WAYS).contains(&a),
+            "cache associativity must be 1..={MAX_WAYS}, got {a}"
+        );
+        let sets = config.sets();
+        let set_bits = sets.is_power_of_two().then(|| sets.trailing_zeros());
+        let set_magic = if set_bits.is_none() {
+            u64::MAX / sets as u64
         } else {
             0
         };
+        let ways = a.next_power_of_two();
+        let mut block = vec![0; 2 * ways];
+        block[ways + a..].fill(PAD_KEY);
         Cache {
-            tags: vec![0; config.lines()],
-            keys: vec![0; config.lines()],
-            dirty: vec![false; config.lines()],
+            lines: block.repeat(sets),
+            ways,
+            way_mask: u64::MAX >> (64 - a),
             config,
             clock: 0,
             stats: CacheStats::default(),
-            pow2,
+            line_shift: config
+                .line_bytes
+                .is_power_of_two()
+                .then(|| config.line_bytes.trailing_zeros()),
+            set_bits,
             set_magic,
-            sets,
+            sets: sets as u64,
         }
     }
 
@@ -145,58 +179,64 @@ impl Cache {
     /// on hit. Misses allocate (write-allocate for stores).
     pub fn access(&mut self, pa: u64, write: bool) -> bool {
         self.clock += 1;
-        let (set, tag) = match self.pow2 {
-            Some((line_shift, set_bits)) => {
-                let line_addr = pa >> line_shift;
+        let line_addr = match self.line_shift {
+            Some(shift) => pa >> shift,
+            None => pa / self.config.line_bytes as u64,
+        };
+        let (set, tag) = match self.set_bits {
+            Some(bits) => {
                 // Mask in u64 before narrowing, as below.
-                let set = (line_addr & ((1u64 << set_bits) - 1)) as usize; // simlint: allow(lossy-cast, reason = "mask in u64 precedes the narrowing")
-                (set, line_addr >> set_bits)
+                let set = (line_addr & ((1u64 << bits) - 1)) as usize; // simlint: allow(lossy-cast, reason = "mask in u64 precedes the narrowing")
+                (set, line_addr >> bits)
             }
             None => {
-                let line_addr = if self.config.line_bytes.is_power_of_two() {
-                    pa >> self.config.line_bytes.trailing_zeros()
-                } else {
-                    pa / self.config.line_bytes as u64
-                };
-                let sets = self.sets;
-                if sets >= 2 {
-                    let (tag, set) = divmod_by_magic(line_addr, sets, self.set_magic);
-                    // The remainder sits below the set count, so the
-                    // narrowing is exact.
-                    (set as usize, tag)
-                } else {
-                    (0, line_addr)
-                }
+                let (tag, set) = divmod_by_magic(line_addr, self.sets, self.set_magic);
+                // The remainder sits below the set count, so the
+                // narrowing is exact.
+                (set as usize, tag)
             }
         };
-        let a = self.config.associativity;
-        let range = set * a..(set + 1) * a;
+        match self.ways {
+            1 => self.probe::<1>(set, tag, write),
+            2 => self.probe::<2>(set, tag, write),
+            4 => self.probe::<4>(set, tag, write),
+            8 => self.probe::<8>(set, tag, write),
+            16 => self.probe::<16>(set, tag, write),
+            32 => self.probe::<32>(set, tag, write),
+            // `new` rounds the associativity up to a power of two no
+            // larger than MAX_WAYS.
+            _ => self.probe::<MAX_WAYS>(set, tag, write),
+        }
+    }
+
+    /// Hit probe and LRU fill of `tag` in `set`, whose block is `W` ways
+    /// wide.
+    #[inline(always)]
+    fn probe<const W: usize>(&mut self, set: usize, tag: u64, write: bool) -> bool {
         let clock = self.clock;
-        let hit = self.tags[range.clone()]
-            .iter()
-            .zip(&self.keys[range.clone()])
-            .position(|(&t, &k)| t == tag && k & RECENCY_VALID != 0);
-        if let Some(w) = hit {
-            let i = range.start + w;
-            self.keys[i] = recency_key(true, clock);
-            self.dirty[i] |= write;
+        debug_assert!(clock < DIRTY, "LRU stamp overflows the line key");
+        let (tags, keys) = self.lines[set * 2 * W..][..2 * W].split_at_mut(W);
+        let mut hits = 0u64;
+        for w in 0..W {
+            hits |= (u64::from(tags[w] == tag) & (keys[w] >> 63)) << w;
+        }
+        hits &= self.way_mask;
+        let dirty = u64::from(write) << 62;
+        if hits != 0 {
+            let w = hits.trailing_zeros() as usize;
+            keys[w] = recency_key(true, clock) | (keys[w] & DIRTY) | dirty;
             self.stats.hits += 1;
             return true;
         }
         self.stats.misses += 1;
         // Fill, evicting LRU.
-        let victim = range.start
-            + first_min(self.keys[range].iter().copied().enumerate())
-                .expect("associativity is non-zero");
-        if self.keys[victim] & RECENCY_VALID != 0 {
-            self.stats.evictions += 1;
-            if self.dirty[victim] {
-                self.stats.writebacks += 1;
-            }
-        }
-        self.tags[victim] = tag;
-        self.keys[victim] = recency_key(true, clock);
-        self.dirty[victim] = write;
+        let victim = first_min(keys.iter().map(|&k| k & !DIRTY).enumerate())
+            .expect("associativity is non-zero");
+        let old = keys[victim];
+        self.stats.evictions += old >> 63;
+        self.stats.writebacks += (old >> 63) & (old >> 62);
+        tags[victim] = tag;
+        keys[victim] = recency_key(true, clock) | dirty;
         false
     }
 
@@ -212,15 +252,20 @@ impl Cache {
 
     /// Invalidates all lines.
     pub fn flush(&mut self) {
-        for k in &mut self.keys {
-            *k &= !RECENCY_VALID;
+        let (ways, a) = (self.ways, self.config.associativity);
+        for block in self.lines.chunks_exact_mut(2 * ways) {
+            for k in &mut block[ways..ways + a] {
+                *k &= !RECENCY_VALID;
+            }
         }
     }
 
     /// Number of valid lines.
     pub fn occupancy(&self) -> usize {
-        self.keys
-            .iter()
+        let (ways, a) = (self.ways, self.config.associativity);
+        self.lines
+            .chunks_exact(2 * ways)
+            .flat_map(|block| &block[ways..ways + a])
             .filter(|&&k| k & RECENCY_VALID != 0)
             .count()
     }

@@ -2,6 +2,9 @@
 
 use tlb::TlbConfig;
 
+/// The widest associativity a data cache serves.
+pub(crate) const MAX_WAYS: usize = 64;
+
 /// Geometry of a data cache.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
@@ -24,11 +27,16 @@ impl CacheConfig {
     /// otherwise surface later as an out-of-range set index. (Set counts
     /// need not be powers of two: the cache indexes by modulo, matching a
     /// sliced L2 whose 12 partitions each hold a power-of-two number of
-    /// sets.)
+    /// sets.) Panics too on more than 64 ways, the widest set the
+    /// cache's probe serves (its match mask is a `u64`).
     pub fn new(bytes: usize, associativity: usize, line_bytes: usize) -> Self {
         assert!(
             bytes > 0 && associativity > 0 && line_bytes > 0,
             "cache geometry fields must be non-zero"
+        );
+        assert!(
+            associativity <= MAX_WAYS,
+            "cache associativity above {MAX_WAYS} ways"
         );
         let lines = bytes / line_bytes;
         assert!(

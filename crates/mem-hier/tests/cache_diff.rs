@@ -1,16 +1,18 @@
-//! Differential test of the data cache's structure-of-arrays layout.
+//! Differential test of the data cache's set-block layout.
 //!
-//! `Cache` stores tags, packed recency keys and dirty bits in parallel
-//! slices and picks victims with a branch-free minimum over the keys.
-//! `AosCache` below is the layout it replaced, kept as the reference:
-//! one `Line` struct per way and a `min_by_key` over `(valid, stamp)`
-//! tuples, with the address split done by plain division. Both are
-//! driven by the same mixed read/write streams with interleaved flushes,
-//! which leave invalid ways holding stale stamps for later fills to
-//! choose among, and must agree on every hit/miss verdict, the final
-//! `CacheStats` and the final occupancy. (Which of several invalid ways
-//! a fill takes is not visible in those; `tlb::replace`'s unit tests pin
-//! that order.)
+//! `Cache` stores each set as one block of tags and packed keys (valid,
+//! dirty and LRU stamp), probes it with a match mask specialized by way
+//! count, pads other associativities to the next specialization, and
+//! picks victims with a branch-free minimum over the keys. `AosCache`
+//! below is the original layout, kept as the reference: one `Line`
+//! struct per way and a `min_by_key` over `(valid, stamp)` tuples, with
+//! the address split done by plain division. Both are driven by the same
+//! mixed read/write streams with interleaved flushes, which leave invalid
+//! ways holding stale stamps for later fills to choose among, and must
+//! agree on every hit/miss verdict, on `CacheStats` (evictions and
+//! write-backs included) after every access, and on the final occupancy.
+//! (Which of several invalid ways a fill takes is not visible in those;
+//! `tlb::replace`'s unit tests pin that order.)
 
 use mem_hier::{Cache, CacheConfig, CacheStats};
 use proptest::prelude::*;
@@ -94,7 +96,10 @@ impl AosCache {
 /// Geometries under test: power-of-two set counts (the shift/mask
 /// split), non-power-of-two ones (the multiply-high split) including the
 /// dac23 L2's 1536 sets, a non-power-of-two line size, a single fully
-/// associative set and a direct-mapped cache.
+/// associative set, a direct-mapped cache, 3-way (padded to a 4-way
+/// block) and 16-way sets, the widest associativity the probe serves
+/// (64 ways), and single-set caches of one-byte lines, where the tag is
+/// the whole PA (3 ways padded to 4, and 5 padded to 8).
 fn geometries() -> Vec<CacheConfig> {
     vec![
         CacheConfig::new(512, 2, 128),
@@ -104,6 +109,11 @@ fn geometries() -> Vec<CacheConfig> {
         CacheConfig::new(129 * 6, 2, 129),
         CacheConfig::new(1024, 8, 128),
         CacheConfig::new(1024, 1, 128),
+        CacheConfig::new(8 * 3 * 128, 3, 128),
+        CacheConfig::new(12 * 16 * 128, 16, 128),
+        CacheConfig::new(2 * 64 * 128, 64, 128),
+        CacheConfig::new(3, 3, 1),
+        CacheConfig::new(5, 5, 1),
     ]
 }
 
@@ -115,7 +125,9 @@ fn geometries() -> Vec<CacheConfig> {
 type Op = (u8, u64, u64, u64, u64);
 
 /// Replays `ops` on both caches; returns the number of flushes seen.
-fn replay(config: CacheConfig, ops: &[Op]) -> u64 {
+/// With `top`, each PA is mirrored to `u64::MAX - pa`, so the addresses
+/// sit just below 2^64 (on one-byte lines, tags near `u64::MAX`).
+fn replay(config: CacheConfig, ops: &[Op], top: bool) -> u64 {
     let mut cache = Cache::new(config);
     let mut reference = AosCache::new(config);
     let sets = config.sets() as u64;
@@ -131,14 +143,19 @@ fn replay(config: CacheConfig, ops: &[Op]) -> u64 {
         }
         let line_addr = set % sets + sets * (tag % tags + (high << 36));
         let pa = line_addr * line + offset % line;
+        let pa = if top { u64::MAX - pa } else { pa };
         let write = kind % 2 == 1;
         assert_eq!(
             cache.access(pa, write),
             reference.access(pa, write),
             "access {i} ({pa:#x}, write {write}) on {config:?}"
         );
+        assert_eq!(
+            cache.stats(),
+            reference.stats,
+            "after access {i} ({pa:#x}, write {write}) on {config:?}"
+        );
     }
-    assert_eq!(cache.stats(), reference.stats, "{config:?}");
     assert_eq!(cache.occupancy(), reference.occupancy(), "{config:?}");
     flushes
 }
@@ -146,13 +163,15 @@ fn replay(config: CacheConfig, ops: &[Op]) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every geometry, random streams with about one flush in 24 ops.
+    /// Every geometry, random streams with about one flush in 24 ops,
+    /// at low PAs and mirrored just below 2^64.
     #[test]
-    fn soa_cache_matches_aos_reference(
-        geometry in 0usize..7,
-        ops in collection::vec((0u8..24, 0u64..4, 0u64..48, 0u64..2, 0u64..1024), 1..800),
+    fn set_block_cache_matches_aos_reference(
+        geometry in 0usize..12,
+        top in any::<bool>(),
+        ops in collection::vec((0u8..24, 0u64..4, 0u64..192, 0u64..2, 0u64..1024), 1..800),
     ) {
-        replay(geometries()[geometry], &ops);
+        replay(geometries()[geometry], &ops, top);
     }
 }
 
@@ -168,13 +187,32 @@ fn long_stream_matches_reference_on_every_geometry() {
             (
                 (x % 40) as u8,
                 x >> 8 & 3,
-                x >> 10 & 63,
-                x >> 16 & 1,
+                x >> 10 & 255,
+                x >> 18 & 1,
                 x >> 20 & 1023,
             )
         })
         .collect();
     for config in geometries() {
-        assert!(replay(config, &ops) > 0);
+        assert!(replay(config, &ops, false) > 0);
+        assert!(replay(config, &ops, true) > 0);
     }
+}
+
+/// One way past the widest associativity the probe serves.
+#[test]
+#[should_panic(expected = "above 64 ways")]
+fn sixty_five_ways_are_rejected() {
+    let _ = CacheConfig::new(65 * 128, 65, 128);
+}
+
+/// The same limit holds for a geometry built field by field.
+#[test]
+#[should_panic(expected = "associativity must be 1..=64")]
+fn cache_rejects_a_hand_built_sixty_five_way_geometry() {
+    let _ = Cache::new(CacheConfig {
+        bytes: 65 * 128,
+        associativity: 65,
+        line_bytes: 128,
+    });
 }

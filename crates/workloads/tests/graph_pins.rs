@@ -5,6 +5,7 @@
 //! a faster generator.
 
 use workloads::format::fnv1a;
+use workloads::gen::graph::build_graph;
 use workloads::{CsrGraph, RmatParams, Scale};
 
 fn csr_hash(g: &CsrGraph) -> u64 {
@@ -17,18 +18,10 @@ fn csr_hash(g: &CsrGraph) -> u64 {
     fnv1a(&bytes)
 }
 
-/// The graph the graph benchmarks build at `scale` (as `gen::graph`
-/// does: locality 0.6, a window of `n / 128`, at least 64).
-fn workload_graph(scale: Scale, seed: u64) -> CsrGraph {
-    let n = scale.graph_nodes();
-    let e = n * scale.graph_avg_degree();
-    CsrGraph::clustered_rmat(n, e, RmatParams::default(), 0.6, (n / 128).max(64), seed)
-}
-
 #[test]
 fn clustered_rmat_test_scale_is_pinned() {
     assert_eq!(
-        csr_hash(&workload_graph(Scale::Test, 42)),
+        csr_hash(&build_graph(Scale::Test, 42)),
         0x6a32_669c_b652_58b9
     );
 }
@@ -36,7 +29,7 @@ fn clustered_rmat_test_scale_is_pinned() {
 #[test]
 fn clustered_rmat_small_scale_is_pinned() {
     assert_eq!(
-        csr_hash(&workload_graph(Scale::Small, 42)),
+        csr_hash(&build_graph(Scale::Small, 42)),
         0x71f6_cb94_8bd7_3395
     );
 }
@@ -44,7 +37,7 @@ fn clustered_rmat_small_scale_is_pinned() {
 #[test]
 fn clustered_rmat_large_scale_is_pinned() {
     assert_eq!(
-        csr_hash(&workload_graph(Scale::Large, 42)),
+        csr_hash(&build_graph(Scale::Large, 42)),
         0xfa11_aba7_470a_1b77
     );
 }
