@@ -33,12 +33,13 @@
 //! `trace <hash> <path>` directive). Campaign results are unchanged —
 //! only where the bytes come from.
 
+use bench::cli;
 use sim_oracle::{fuzz_seed, run_case, Case, Mutation};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-struct Args {
+struct Options {
     seeds: Range<u64>,
     iters_per_seed: u64,
     mutation: Mutation,
@@ -48,17 +49,16 @@ struct Args {
     replay: Vec<PathBuf>,
 }
 
+/// Exits 2 with `msg` and the usage line.
 fn usage(msg: &str) -> ! {
-    eprintln!("{msg}");
-    eprintln!(
-        "usage: fuzz [--seeds A..B] [--iters-per-seed N] [--mutate NAME] \
+    cli::exit_usage(&format!(
+        "{msg}\nusage: fuzz [--seeds A..B] [--iters-per-seed N] [--mutate NAME] \
          [--engine-every N] [--out-dir DIR] [--trace-cache DIR] [--replay FILE]..."
-    );
-    std::process::exit(2);
+    ));
 }
 
-fn parse_args() -> Args {
-    let mut parsed = Args {
+fn parse_args() -> Options {
+    let mut parsed = Options {
         seeds: 0..64,
         iters_per_seed: 100,
         mutation: Mutation::None,
@@ -67,18 +67,11 @@ fn parse_args() -> Args {
         trace_cache: None,
         replay: Vec::new(),
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        args.get(*i)
-            .unwrap_or_else(|| usage(&format!("{flag} requires a value")))
-            .clone()
-    };
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = cli::Args::from_env();
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
             "--seeds" => {
-                let v = value(&mut i, "--seeds");
+                let v = args.value(&flag);
                 let Some((a, b)) = v.split_once("..") else {
                     usage("--seeds wants a half-open range A..B");
                 };
@@ -87,39 +80,26 @@ fn parse_args() -> Args {
                     _ => usage("--seeds wants integers A < B"),
                 }
             }
-            "--iters-per-seed" => {
-                parsed.iters_per_seed = value(&mut i, "--iters-per-seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--iters-per-seed wants an integer"));
-            }
+            "--iters-per-seed" => parsed.iters_per_seed = args.parsed(&flag),
             "--mutate" => {
-                let v = value(&mut i, "--mutate");
-                parsed.mutation = Mutation::parse(&v).unwrap_or_else(|| {
+                parsed.mutation = Mutation::parse(&args.value(&flag)).unwrap_or_else(|| {
                     usage("--mutate wants none|evict-mru|skip-flag-reset|drop-asid-tag")
                 });
             }
-            "--engine-every" => {
-                // 0 disables engine cases entirely.
-                parsed.engine_every = value(&mut i, "--engine-every")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--engine-every wants an integer"));
-            }
-            "--out-dir" => parsed.out_dir = PathBuf::from(value(&mut i, "--out-dir")),
-            "--trace-cache" => {
-                parsed.trace_cache = Some(PathBuf::from(value(&mut i, "--trace-cache")));
-            }
+            // 0 disables engine cases entirely.
+            "--engine-every" => parsed.engine_every = args.parsed(&flag),
+            "--out-dir" => parsed.out_dir = PathBuf::from(args.value(&flag)),
+            "--trace-cache" => parsed.trace_cache = Some(PathBuf::from(args.value(&flag))),
             "--replay" => {
                 // Greedy: `--replay a.case b.case c.case` is the natural
                 // shell-glob invocation.
-                parsed.replay.push(PathBuf::from(value(&mut i, "--replay")));
-                while args.get(i + 1).is_some_and(|a| !a.starts_with("--")) {
-                    i += 1;
-                    parsed.replay.push(PathBuf::from(&args[i]));
+                parsed.replay.push(PathBuf::from(args.value(&flag)));
+                while let Some(file) = args.operand() {
+                    parsed.replay.push(PathBuf::from(file));
                 }
             }
             other => usage(&format!("unknown flag {other}")),
         }
-        i += 1;
     }
     parsed
 }

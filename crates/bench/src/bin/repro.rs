@@ -30,9 +30,10 @@
 //! (repeatable) preloads specific trace files; requests matching their
 //! recorded provenance replay them.
 
+use bench::cli::{exit_usage, select, Args, RunFlags};
 use bench::{
-    corun_study_grid, fig10_11_grid, fig11_variance_grid, fig12_grid, fig2_grid, fig3_4_grid,
-    fig5_6_grid, geomean, hugepage_grid, warp_study_grid, Grid, SEED,
+    cells, corun_study_grid, fig10_11_grid, fig11_variance_grid, fig12_grid, fig2_grid,
+    fig3_4_grid, fig5_6_grid, geomean, hugepage_grid, warp_study_grid, Grid, SEED,
 };
 use orchestrated_tlb::{run_benchmark_cached, Mechanism};
 use workloads::{extended_registry, registry, BenchmarkSpec, Scale};
@@ -93,9 +94,9 @@ fn print_fig2(specs: &[BenchmarkSpec], scale: Scale, grid: &Grid) {
     );
 }
 
-fn print_fig3_4(specs: &[BenchmarkSpec], scale: Scale, which: &str, grid: &Grid) {
+fn print_fig3_4(specs: &[BenchmarkSpec], scale: Scale, fig3: bool, fig4: bool, grid: &Grid) {
     let rows = fig3_4_grid(specs, scale, Some(64), grid);
-    if which != "4" {
+    if fig3 {
         println!("== Figure 3: inter-TB translation reuse (bins b1..b5) ==");
         println!("{:<10}   b1   b2   b3   b4   b5", "bench");
         for r in &rows {
@@ -103,7 +104,7 @@ fn print_fig3_4(specs: &[BenchmarkSpec], scale: Scale, which: &str, grid: &Grid)
         }
         println!();
     }
-    if which != "3" {
+    if fig4 {
         println!("== Figure 4: intra-TB translation reuse (bins b1..b5) ==");
         println!("{:<10}   b1   b2   b3   b4   b5", "bench");
         for r in &rows {
@@ -113,7 +114,7 @@ fn print_fig3_4(specs: &[BenchmarkSpec], scale: Scale, which: &str, grid: &Grid)
     }
 }
 
-fn print_fig5_6(specs: &[BenchmarkSpec], scale: Scale, which: &str, grid: &Grid) {
+fn print_fig5_6(specs: &[BenchmarkSpec], scale: Scale, fig5: bool, fig6: bool, grid: &Grid) {
     let rows = fig5_6_grid(specs, scale, grid);
     let header = || {
         print!("{:<10}", "bench");
@@ -122,7 +123,7 @@ fn print_fig5_6(specs: &[BenchmarkSpec], scale: Scale, which: &str, grid: &Grid)
         }
         println!("  (CDF at distance <= x; '|' marks 64-entry reach)");
     };
-    if which != "6" {
+    if fig5 {
         println!("== Figure 5: intra-TB reuse distance CDF, concurrent TBs ==");
         header();
         for r in &rows {
@@ -134,7 +135,7 @@ fn print_fig5_6(specs: &[BenchmarkSpec], scale: Scale, which: &str, grid: &Grid)
         }
         println!();
     }
-    if which != "5" {
+    if fig6 {
         println!("== Figure 6: intra-TB reuse distance CDF, one TB at a time ==");
         header();
         for r in &rows {
@@ -148,10 +149,10 @@ fn print_fig5_6(specs: &[BenchmarkSpec], scale: Scale, which: &str, grid: &Grid)
     }
 }
 
-fn print_fig10_11(specs: &[BenchmarkSpec], scale: Scale, which: &str, grid: &Grid) {
+fn print_fig10_11(specs: &[BenchmarkSpec], scale: Scale, fig10: bool, fig11: bool, grid: &Grid) {
     let rows = fig10_11_grid(specs, scale, grid);
     let labels = ["baseline", "sched", "sched+part", "+share"];
-    if which != "11" {
+    if fig10 {
         println!("== Figure 10: L1 TLB hit rates (higher is better) ==");
         print!("{:<10}", "bench");
         for l in labels {
@@ -167,7 +168,7 @@ fn print_fig10_11(specs: &[BenchmarkSpec], scale: Scale, which: &str, grid: &Gri
         }
         println!();
     }
-    if which != "10" {
+    if fig11 {
         println!("== Figure 11: execution time normalized to baseline (lower is better) ==");
         print!("{:<10}", "bench");
         for l in labels {
@@ -274,10 +275,7 @@ fn print_breakdown(specs: &[BenchmarkSpec], scale: Scale, grid: &Grid) {
             .join("")
     );
     let mechs = [Mechanism::Baseline, Mechanism::Full];
-    let cells: Vec<(usize, Mechanism)> = (0..specs.len())
-        .flat_map(|i| mechs.into_iter().map(move |m| (i, m)))
-        .collect();
-    let rows = grid.map(&cells, |&(i, m)| {
+    let rows = grid.map(&cells(specs.len(), &mechs), |&(i, m)| {
         let report = run_benchmark_cached(
             grid.cache(),
             &specs[i],
@@ -342,10 +340,7 @@ fn print_corun(apps: &[BenchmarkSpec], scale: Scale, grid: &Grid) {
 /// benchmarks.
 fn print_csv(specs: &[BenchmarkSpec], scale: Scale, grid: &Grid) {
     println!("{}", gpu_sim::SimReport::csv_header());
-    let cells: Vec<(usize, Mechanism)> = (0..specs.len())
-        .flat_map(|i| Mechanism::all().into_iter().map(move |m| (i, m)))
-        .collect();
-    let rows = grid.map(&cells, |&(i, m)| {
+    let rows = grid.map(&cells(specs.len(), &Mechanism::all()), |&(i, m)| {
         run_benchmark_cached(
             grid.cache(),
             &specs[i],
@@ -362,88 +357,23 @@ fn print_csv(specs: &[BenchmarkSpec], scale: Scale, grid: &Grid) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = Scale::Small;
+    let mut args = Args::from_env();
+    let mut run = RunFlags::default();
     let mut wanted: Vec<String> = Vec::new();
     let mut extended = false;
-    let mut only: Vec<String> = Vec::new();
-    let mut jobs = 0usize; // 0 = available parallelism
     let mut apps: Vec<String> = Vec::new();
-    let mut trace_cache: Option<String> = None;
-    let mut traces: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
             "--extended" => extended = true,
-            "--sanitize" => gpu_sim::set_sanitize(true),
-            "--trace-cache" => {
-                i += 1;
-                match args.get(i) {
-                    Some(dir) => trace_cache = Some(dir.clone()),
-                    None => {
-                        eprintln!("--trace-cache requires a directory");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--trace" => {
-                i += 1;
-                match args.get(i) {
-                    Some(file) => traces.push(file.clone()),
-                    None => {
-                        eprintln!("--trace requires a trace file");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!("--jobs requires a positive integer");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--bench" => {
-                i += 1;
-                match args.get(i) {
-                    Some(name) => only.push(name.clone()),
-                    None => {
-                        eprintln!("--bench requires a benchmark name");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--apps" => {
-                i += 1;
-                match args.get(i) {
-                    Some(list) if !list.is_empty() => {
-                        apps.extend(list.split(',').map(str::to_owned));
-                    }
-                    _ => {
-                        eprintln!("--apps requires a comma-separated benchmark list");
-                        std::process::exit(2);
-                    }
+                let list = args.value(&flag);
+                if list.is_empty() {
+                    exit_usage("--apps requires a comma-separated benchmark list");
                 }
+                apps.extend(list.split(',').map(str::to_owned));
             }
-            "--csv" => wanted.push("csv".into()),
-            "--breakdown" => wanted.push("breakdown".into()),
-            "--variance" => wanted.push("variance".into()),
-            "--warp-study" => wanted.push("warp".into()),
-            "--scale" => {
-                i += 1;
-                scale = match args.get(i).map(String::as_str) {
-                    Some("test") => Scale::Test,
-                    Some("small") => Scale::Small,
-                    Some("paper") => Scale::Paper,
-                    Some("large") => Scale::Large,
-                    other => {
-                        eprintln!("unknown scale {other:?} (use test|small|paper|large)");
-                        std::process::exit(2);
-                    }
-                };
+            "--csv" | "--breakdown" | "--variance" | "--warp-study" | "--table2" | "--hugepage" => {
+                wanted.push(flag[2..].to_owned())
             }
             "--all" => wanted.extend(
                 [
@@ -451,46 +381,21 @@ fn main() {
                 ]
                 .map(String::from),
             ),
-            flag if flag.starts_with("--fig") => wanted.push(flag[5..].to_owned()),
-            "--table2" => wanted.push("table2".into()),
-            "--hugepage" => wanted.push("hugepage".into()),
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+            fig if fig.starts_with("--fig") => wanted.push(fig[5..].to_owned()),
+            other => run.accept(other, &mut args),
         }
-        i += 1;
     }
     if wanted.is_empty() {
         wanted = ["table2", "2", "10", "11"].map(String::from).to_vec();
     }
-    let mut specs = if extended {
+    let registry = if extended {
         extended_registry()
     } else {
         registry()
     };
-    if !only.is_empty() {
-        specs.retain(|s| only.iter().any(|n| n == s.name));
-        if specs.is_empty() {
-            eprintln!("no benchmark matched {only:?}");
-            std::process::exit(2);
-        }
-    }
+    let specs = select(registry, &run.benches);
     // One grid (and one workload cache) across every requested figure.
-    // The job count deliberately stays out of the printed header: output
-    // is byte-identical for every --jobs N — and for the in-memory vs
-    // trace-streamed paths (--trace-cache / --trace).
-    let cache = std::sync::Arc::new(match &trace_cache {
-        Some(dir) => workloads::WorkloadCache::with_disk(dir),
-        None => workloads::WorkloadCache::new(),
-    });
-    for file in &traces {
-        if let Err(e) = cache.preload_trace(std::path::Path::new(file)) {
-            eprintln!("--trace {file}: {e}");
-            std::process::exit(2);
-        }
-    }
-    let grid = Grid::with_cache(jobs, cache);
+    let (scale, grid) = (run.scale, run.grid());
     println!("# orchestrated-tlb repro (scale: {scale}, seed: {SEED})\n");
     let has = |x: &str| wanted.iter().any(|w| w == x);
     if !apps.is_empty() {
@@ -503,15 +408,11 @@ fn main() {
                 all.iter()
                     .find(|s| s.name == name)
                     .cloned()
-                    .unwrap_or_else(|| {
-                        eprintln!("--apps: unknown benchmark {name}");
-                        std::process::exit(2);
-                    })
+                    .unwrap_or_else(|| exit_usage(&format!("--apps: unknown benchmark {name}")))
             })
             .collect();
         if corun_specs.len() < 2 {
-            eprintln!("--apps needs at least two benchmarks to co-run");
-            std::process::exit(2);
+            exit_usage("--apps needs at least two benchmarks to co-run");
         }
         print_corun(&corun_specs, scale, &grid);
         return;
@@ -527,28 +428,13 @@ fn main() {
         print_fig2(&specs, scale, &grid);
     }
     if has("3") || has("4") {
-        let which = match (has("3"), has("4")) {
-            (true, false) => "3",
-            (false, true) => "4",
-            _ => "34",
-        };
-        print_fig3_4(&specs, scale, which, &grid);
+        print_fig3_4(&specs, scale, has("3"), has("4"), &grid);
     }
     if has("5") || has("6") {
-        let which = match (has("5"), has("6")) {
-            (true, false) => "5",
-            (false, true) => "6",
-            _ => "56",
-        };
-        print_fig5_6(&specs, scale, which, &grid);
+        print_fig5_6(&specs, scale, has("5"), has("6"), &grid);
     }
     if has("10") || has("11") {
-        let which = match (has("10"), has("11")) {
-            (true, false) => "10",
-            (false, true) => "11",
-            _ => "1011",
-        };
-        print_fig10_11(&specs, scale, which, &grid);
+        print_fig10_11(&specs, scale, has("10"), has("11"), &grid);
     }
     if has("12") {
         print_fig12(&specs, scale, &grid);
@@ -562,7 +448,7 @@ fn main() {
     if has("variance") {
         print_variance(scale, &grid);
     }
-    if has("warp") {
+    if has("warp-study") {
         print_warp_study(scale, &grid);
     }
     // Diagnostics go to stderr so stdout stays byte-identical; hit/miss

@@ -29,11 +29,12 @@
 //! cargo run --release -p bench --bin sweep -- --param walkers --bench atax
 //! ```
 
-use bench::{Grid, SEED};
+use bench::cli::{exit_usage, select, Args, RunFlags};
+use bench::SEED;
 use gpu_sim::GpuConfig;
 use orchestrated_tlb::{run_benchmark_cached, Mechanism};
 use tlb::TlbConfig;
-use workloads::{registry, BenchmarkSpec, Scale};
+use workloads::registry;
 
 /// One sweepable parameter.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -128,109 +129,36 @@ impl Param {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Args::from_env();
+    let mut run = RunFlags::default();
     let mut param = None;
-    let mut scale = Scale::Small;
-    let mut only: Vec<String> = Vec::new();
     let mut mechanism = Mechanism::Full;
-    let mut jobs = 0usize; // 0 = available parallelism
-    let mut trace_cache: Option<String> = None;
-    let mut traces: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--sanitize" => gpu_sim::set_sanitize(true),
-            "--trace-cache" => {
-                i += 1;
-                match args.get(i) {
-                    Some(dir) => trace_cache = Some(dir.clone()),
-                    None => {
-                        eprintln!("--trace-cache requires a directory");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--trace" => {
-                i += 1;
-                match args.get(i) {
-                    Some(file) => traces.push(file.clone()),
-                    None => {
-                        eprintln!("--trace requires a trace file");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!("--jobs requires a positive integer");
-                        std::process::exit(2);
-                    }
-                };
-            }
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
             "--param" => {
-                i += 1;
-                param = args.get(i).and_then(|s| Param::parse(s));
-                if param.is_none() {
-                    eprintln!(
-                        "--param must be one of l1-entries|l2-entries|walkers|walk-latency|l2-ports|l2-port-occupancy|l2-slices|sms"
-                    );
-                    std::process::exit(2);
-                }
-            }
-            "--scale" => {
-                i += 1;
-                scale = match args.get(i).map(String::as_str) {
-                    Some("test") => Scale::Test,
-                    Some("small") => Scale::Small,
-                    Some("paper") => Scale::Paper,
-                    Some("large") => Scale::Large,
-                    other => {
-                        eprintln!("unknown scale {other:?}");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--bench" => {
-                i += 1;
-                if let Some(name) = args.get(i) {
-                    only.push(name.clone());
-                }
+                param = Some(Param::parse(&args.value(&flag)).unwrap_or_else(|| {
+                    exit_usage(
+                        "--param must be one of l1-entries|l2-entries|walkers|walk-latency|l2-ports|l2-port-occupancy|l2-slices|sms",
+                    )
+                }))
             }
             "--mechanism" => {
-                i += 1;
-                mechanism = match args.get(i).map(String::as_str) {
-                    Some("full") => Mechanism::Full,
-                    Some("baseline") => Mechanism::Baseline,
-                    Some("sched") => Mechanism::Scheduling,
-                    Some("sched+part") => Mechanism::SchedPartition,
-                    other => {
-                        eprintln!("unknown mechanism {other:?}");
-                        std::process::exit(2);
-                    }
+                mechanism = match args.value(&flag).as_str() {
+                    "full" => Mechanism::Full,
+                    "baseline" => Mechanism::Baseline,
+                    "sched" => Mechanism::Scheduling,
+                    "sched+part" => Mechanism::SchedPartition,
+                    other => exit_usage(&format!("unknown mechanism {other:?}")),
                 };
             }
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+            other => run.accept(other, &mut args),
         }
-        i += 1;
     }
     let Some(param) = param else {
-        eprintln!("--param is required");
-        std::process::exit(2);
+        exit_usage("--param is required");
     };
-    let mut specs: Vec<BenchmarkSpec> = registry();
-    if !only.is_empty() {
-        specs.retain(|s| only.iter().any(|n| n == s.name));
-    }
-    if specs.is_empty() {
-        eprintln!("no benchmark selected");
-        std::process::exit(2);
-    }
+    let specs = select(registry(), &run.benches);
+    let (scale, grid) = (run.scale, run.grid());
 
     println!(concat!(
         "param,value,bench,mechanism,cycles,l1_tlb_hit_rate,l2_tlb_hit_rate,walks,walker_wait,",
@@ -239,17 +167,6 @@ fn main() {
     ));
     // One sweep cell per parameter value × benchmark; the grid preserves
     // cell order, so the CSV comes out value-major like the serial loop.
-    let cache = std::sync::Arc::new(match &trace_cache {
-        Some(dir) => workloads::WorkloadCache::with_disk(dir),
-        None => workloads::WorkloadCache::new(),
-    });
-    for file in &traces {
-        if let Err(e) = cache.preload_trace(std::path::Path::new(file)) {
-            eprintln!("--trace {file}: {e}");
-            std::process::exit(2);
-        }
-    }
-    let grid = Grid::with_cache(jobs, cache);
     let cells: Vec<(u64, usize)> = param
         .values()
         .iter()

@@ -13,18 +13,19 @@
 //! deterministic — two populations of the same directory are
 //! byte-identical, which is what the CI trace-determinism step asserts.
 //!
-//! The written directory is what `repro`/`sweep`/`engine-bench` consume
-//! via `--trace-cache DIR`: a pre-populated cache turns every workload
+//! The written directory is what `repro`, `sweep` and `fuzz` consume via
+//! `--trace-cache DIR`: a pre-populated cache turns every workload
 //! materialization into a streamed replay.
 
 use std::path::PathBuf;
 
+use bench::cli::{exit_usage, select, Args};
 use vmem::PageSize;
 use workloads::format::file_hash;
 use workloads::{extended_registry, registry, Scale, TraceReader, WorkloadCache};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Args::from_env();
     let mut only: Vec<String> = Vec::new();
     let mut all = false;
     let mut extended = false;
@@ -32,89 +33,36 @@ fn main() {
     let mut seed = bench::SEED;
     let mut page_size = PageSize::Small;
     let mut out_dir = PathBuf::from("traces");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
             "--all" => all = true,
             "--extended" => {
                 extended = true;
                 all = true;
             }
-            "--bench" => {
-                i += 1;
-                match args.get(i) {
-                    Some(name) => only.push(name.clone()),
-                    None => {
-                        eprintln!("--bench requires a benchmark name");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--scale" => {
-                i += 1;
-                scale = match args.get(i).map(String::as_str).map(str::parse) {
-                    Some(Ok(s)) => s,
-                    _ => {
-                        eprintln!("unknown scale (use test|small|paper|large)");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--seed" => {
-                i += 1;
-                seed = match args.get(i).and_then(|v| v.parse::<u64>().ok()) {
-                    Some(n) => n,
-                    None => {
-                        eprintln!("--seed requires an integer");
-                        std::process::exit(2);
-                    }
-                };
-            }
+            "--bench" => only.push(args.value(&flag)),
+            "--scale" => scale = args.parsed(&flag),
+            "--seed" => seed = args.parsed(&flag),
             "--page-size" => {
-                i += 1;
-                page_size = match args.get(i).map(String::as_str) {
-                    Some("4k") => PageSize::Small,
-                    Some("2m") => PageSize::Large,
-                    other => {
-                        eprintln!("unknown page size {other:?} (use 4k|2m)");
-                        std::process::exit(2);
-                    }
+                page_size = match args.value(&flag).as_str() {
+                    "4k" => PageSize::Small,
+                    "2m" => PageSize::Large,
+                    other => exit_usage(&format!("unknown page size {other:?} (use 4k|2m)")),
                 };
             }
-            "--out-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out_dir = PathBuf::from(p),
-                    None => {
-                        eprintln!("--out-dir requires a path");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+            "--out-dir" => out_dir = PathBuf::from(args.value(&flag)),
+            other => exit_usage(&format!("unknown flag {other}")),
         }
-        i += 1;
     }
     if only.is_empty() && !all {
-        eprintln!("select benchmarks with --bench NAME... or --all");
-        std::process::exit(2);
+        exit_usage("select benchmarks with --bench NAME... or --all");
     }
-
-    let mut specs = if extended {
+    let registry = if extended {
         extended_registry()
     } else {
         registry()
     };
-    if !only.is_empty() {
-        specs.retain(|s| only.iter().any(|n| n == s.name));
-        if specs.is_empty() {
-            eprintln!("no benchmark matched {only:?}");
-            std::process::exit(2);
-        }
-    }
+    let specs = select(registry, &only);
 
     let cache = WorkloadCache::with_disk(&out_dir);
     let mut failed = false;

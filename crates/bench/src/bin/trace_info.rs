@@ -22,6 +22,7 @@
 
 use std::path::Path;
 
+use bench::cli::exit_usage;
 use gpu_sim::{GpuConfig, Simulator};
 use workloads::format::TraceSource;
 use workloads::TraceReader;
@@ -111,16 +112,12 @@ fn main() {
             "--verify" => verify = true,
             "--replay" => replay = true,
             "--materialize" => materialize = true,
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag {flag}");
-                std::process::exit(2);
-            }
+            flag if flag.starts_with("--") => exit_usage(&format!("unknown flag {flag}")),
             file => files.push(file.to_owned()),
         }
     }
     if files.is_empty() {
-        eprintln!("usage: trace-info FILE... [--verify] [--replay] [--materialize]");
-        std::process::exit(2);
+        exit_usage("usage: trace-info FILE... [--verify] [--replay] [--materialize]");
     }
 
     let mut failed = false;

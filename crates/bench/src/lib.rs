@@ -17,6 +17,7 @@ use orchestrated_tlb::{run_benchmark_cached, run_benchmark_cached_with_page_size
 use vmem::PageSize;
 use workloads::{registry, BenchmarkSpec, Scale};
 
+pub mod cli;
 mod grid;
 
 pub use grid::Grid;
@@ -27,7 +28,7 @@ pub const SEED: u64 = 42;
 /// Enumerates the grid cells of `specs × options`, benchmark-major (all
 /// of spec 0's options first). Reassembly relies on this order:
 /// `results.chunks(options.len())` yields one benchmark's cells.
-fn cells<M: Copy>(n_specs: usize, options: &[M]) -> Vec<(usize, M)> {
+pub fn cells<M: Copy>(n_specs: usize, options: &[M]) -> Vec<(usize, M)> {
     (0..n_specs)
         .flat_map(|i| options.iter().map(move |&m| (i, m)))
         .collect()

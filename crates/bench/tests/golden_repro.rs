@@ -102,3 +102,20 @@ fn corun_repro_is_jobs_invariant() {
 fn corun_repro_sanitized_matches_golden() {
     assert_matches_corun_golden(&["--jobs", "2", "--sanitize"]);
 }
+
+/// Bad arguments exit 2 before the report header, so before any
+/// simulation runs.
+#[test]
+fn repro_usage_errors_exit_2_before_any_output() {
+    for args in [
+        &["--scale", "bogus"][..],
+        &["--trace", "/nonexistent.trace"][..],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("repro binary must run");
+        assert_eq!(out.status.code(), Some(2), "repro {args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "repro {args:?}: {out:?}");
+    }
+}

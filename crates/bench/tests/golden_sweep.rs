@@ -71,3 +71,15 @@ fn sweep_with_serial_jobs_matches_golden_byte_for_byte() {
 fn sweep_sanitized_matches_golden_byte_for_byte() {
     assert_matches_golden(&["--sanitize"]);
 }
+
+/// A usage error exits 2 before the CSV header, so before any cell runs
+/// (a `--bench` without a name once swept the whole registry).
+#[test]
+fn sweep_bench_without_a_name_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .args(["--param", "walkers", "--scale", "test", "--bench"])
+        .output()
+        .expect("sweep binary must run");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+}

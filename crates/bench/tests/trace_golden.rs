@@ -108,3 +108,16 @@ fn trace_gen_populations_are_byte_identical() {
         std::fs::remove_dir_all(dir).unwrap();
     }
 }
+
+/// An unknown scale exits 2 before any trace file is written.
+#[test]
+fn trace_gen_rejects_an_unknown_scale() {
+    let dir = temp_dir("bogus-scale");
+    let out = Command::new(env!("CARGO_BIN_EXE_trace-gen"))
+        .args(["--all", "--scale", "bogus", "--out-dir"])
+        .arg(&dir)
+        .output()
+        .expect("trace-gen binary must run");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(!dir.exists(), "trace-gen wrote {}", dir.display());
+}

@@ -46,11 +46,6 @@ impl TbClusteredWarpScheduler {
     pub fn issued_from(&mut self, warp_id: u32, tb_slot: u8) {
         self.last = Some((warp_id, tb_slot));
     }
-
-    /// The (warp id, TB slot) of the last issue, if any.
-    pub fn last_issue(&self) -> Option<(u32, u8)> {
-        self.last
-    }
 }
 
 impl WarpScheduler for TbClusteredWarpScheduler {

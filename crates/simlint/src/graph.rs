@@ -16,7 +16,8 @@
 //! * `func(...)` — every free function of that name.
 //!
 //! The taint analysis also reads the string literals in an item's span
-//! (taint sinks like `"BENCH_engine.json"` live in literals).
+//! (taint sinks like the trace cache's `"….v{}.trace"` file name live in
+//! literals).
 
 use crate::lexer::TokKind;
 use crate::parser::{pick_type_ident, Item, ItemKind, ParsedFile};

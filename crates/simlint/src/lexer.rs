@@ -2,8 +2,9 @@
 //! and the item parser ([`crate::parser`]).
 //!
 //! The lexer classifies every token rather than discarding literals: the
-//! taint analysis needs string contents (sink markers like
-//! `"BENCH_engine.json"` live in literals) and the parser needs literals
+//! taint analysis needs string contents (sink markers like the trace
+//! cache's `"{bench}-{scale}-s{seed}-{ps}.v{}.trace"` file name live in
+//! literals) and the parser needs literals
 //! to occupy exactly one token so brace/paren matching cannot be thrown
 //! off by a `{` inside a string. The lexical rules filter down to
 //! [`Tok::is_code`] tokens, which reproduces the v1 token stream.

@@ -140,11 +140,6 @@ impl WorkloadCache {
         }
     }
 
-    /// The trace directory, if this cache is disk-backed.
-    pub fn disk_dir(&self) -> Option<&Path> {
-        self.disk.as_deref()
-    }
-
     /// Registers an existing trace file: requests whose `(bench, scale,
     /// seed, page_size)` match the file's recorded provenance replay it
     /// instead of generating.

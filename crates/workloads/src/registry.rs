@@ -98,17 +98,6 @@ impl BenchmarkSpec {
     pub fn source(&self, scale: Scale, seed: u64) -> TraceSource {
         TraceSource::Generated(self.generate(scale, seed))
     }
-
-    /// Generates the workload as an in-memory [`TraceSource`] with an
-    /// explicit page size.
-    pub fn source_with_page_size(
-        &self,
-        scale: Scale,
-        seed: u64,
-        page_size: PageSize,
-    ) -> TraceSource {
-        TraceSource::Generated(self.generate_with_page_size(scale, seed, page_size))
-    }
 }
 
 impl fmt::Debug for BenchmarkSpec {

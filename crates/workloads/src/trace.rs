@@ -341,12 +341,6 @@ impl Workload {
         &self.space
     }
 
-    /// Mutable address space access (the simulator demand-pages through
-    /// it).
-    pub fn space_mut(&mut self) -> &mut AddressSpace {
-        &mut self.space
-    }
-
     /// Splits the workload into kernels and space (for the simulator).
     /// The kernels keep their shared storage; a cached workload hands the
     /// engine an `Arc` clone, not a trace copy.
